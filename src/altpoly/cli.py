@@ -165,7 +165,10 @@ def cmd_quad(args) -> str:
 
 
 def cmd_verify(args) -> tuple[str, int]:
-    summary = verify.run_suite(args.suite, args.nmax)
+    try:
+        summary = verify.run_suite(args.suite, args.nmax)
+    except verify.NoChecksError as exc:
+        raise UsageError(str(exc)) from exc
     text = json.dumps(summary, indent=2) + "\n"
     return text, (0 if summary["failed"] == 0 else 1)
 
@@ -212,6 +215,14 @@ def cmd_plot_data(args) -> str:
     return _csv(header, [(x,) + tuple(vals) for x, vals in rows])
 
 
+def _sample_count(text: str) -> int:
+    """--points: a grid needs both endpoints, so at least 2 samples."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 points, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="altpoly",
@@ -238,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tabulate", help="sample a family member on a grid")
     common(p)
-    p.add_argument("--points", type=int, default=129)
+    p.add_argument("--points", type=_sample_count, default=129)
     p.add_argument("--tmax", type=float, default=5.0)
     p.add_argument("--omega", default=None)
     p.add_argument("--limit", type=int, default=64)
@@ -276,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot-data", help="figure data for the marginal families")
     p.add_argument("--family", default="a", choices=["a", "t"])
     p.add_argument("--n", type=int, default=5)
-    p.add_argument("--points", type=int, default=512)
+    p.add_argument("--points", type=_sample_count, default=512)
     p.add_argument("--mode", choices=["exact", "float"], default=None)
     p.add_argument("--out", default=None)
 

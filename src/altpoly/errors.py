@@ -21,6 +21,16 @@ class RecurrenceError(AltpolyError, RuntimeError):
     """
 
 
+class CoefficientOverflowError(AltpolyError, OverflowError):
+    """Float member coefficients left the double range (inf, or an overflow
+    while building them). Exact (rational) parameters have no such limit."""
+
+    def __init__(self, n, k, alpha, beta):
+        super().__init__(
+            f"float coefficients of member (n={n}, k={k}) overflow the double range "
+            f"for alpha = {alpha}, beta = {beta}; use exact parameters")
+
+
 class RootFindingError(AltpolyError, RuntimeError):
     """Root finding failed: roots left the open interval, multiplicity detected,
     or the polish step did not reach the required residual."""

@@ -38,9 +38,11 @@ def falling_factorial(a, m: int):
     return result
 
 
-def binom_general(a, m: int):
-    """Generalized binomial C(a, m) = (a)_m / m!, valid for any real a."""
-    return falling_factorial(a, m) / math.factorial(m)
+def over_common_denominator(values) -> tuple[list[int], int]:
+    """Integers c_i and the least D > 0 with values[i] == c_i / D, for ints
+    and Fractions: the form the exact layer computes in."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def double_factorial(m: int):
@@ -142,7 +144,9 @@ def _den(v: Fraction) -> int:
 def gamma_quotient(x, y) -> Fraction:
     """Gamma(x)/Gamma(y) for x - y a whole number, as an exact product.
 
-    Both arguments must be positive rationals.
+    Both arguments must be positive rationals. With m = |x - y| and s = p/q
+    the smaller argument, the quotient is prod_{i<m} (p + i q) / q^m or its
+    reciprocal: one integer product, one Fraction.
     """
     x, y = Fraction(x), Fraction(y)
     if x <= 0 or y <= 0:
@@ -151,14 +155,13 @@ def gamma_quotient(x, y) -> Fraction:
     if diff.denominator != 1:
         raise ExactnessError("gamma_quotient needs integer argument difference")
     m = int(diff)
-    result = Fraction(1)
-    if m >= 0:
-        for i in range(m):          # Gamma(y+m)/Gamma(y) = y (y+1) ... (y+m-1)
-            result *= y + i
-    else:
-        for i in range(-m):
-            result /= x + i
-    return result
+    low = y if m >= 0 else x      # Gamma(low + |m|)/Gamma(low) = low (low+1) ... (low+|m|-1)
+    p, q = low.numerator, low.denominator
+    prod = 1
+    for i in range(abs(m)):
+        prod *= p + i * q
+    power = q ** abs(m)
+    return Fraction(prod, power) if m >= 0 else Fraction(power, prod)
 
 
 def exact_gamma2_ratio(a, b, c):

@@ -7,9 +7,16 @@ parameters allow. The lower index runs downward, k = n..0, which is what the
 downward three-term recurrence follows.
 
 Arithmetic is exact (fractions) whenever alpha and beta are rational; float
-otherwise. Gamma-function ratios in the norm and integral formulas are
-evaluated as products of rational factors, never through a floating gamma,
-so exact mode stays exact.
+otherwise. Every exact coefficient vector comes from one kernel: the
+terminating hypergeometric sum of the shifted Jacobi polynomial, whose x^j
+coefficient is a product of integers over the common denominator
+d^m m!, d = lcm(den a, den b). A member is x^k times the kernel at
+(n - k, alpha + 2k + 1, beta); the direct family and the reciprocity route
+call the same kernel. The kernel and the exact downward recurrence work on
+Python integers and build one Fraction per output coefficient at the end.
+Gamma-function ratios in the norm and integral formulas are evaluated as
+products of rational factors, never through a floating gamma, so exact mode
+stays exact.
 """
 
 from __future__ import annotations
@@ -19,14 +26,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DivergenceError, NonNormalizableError, RecurrenceError
+from .errors import (
+    CoefficientOverflowError,
+    DivergenceError,
+    NonNormalizableError,
+    RecurrenceError,
+)
 from .exact import (
     ExactnessError,
-    binom_general,
     exact_gamma2_ratio,
     falling_factorial,
     float_gamma2_ratio,
     is_exact,
+    over_common_denominator,
     simplify_scalar,
 )
 from .poly import DensePoly
@@ -90,8 +102,12 @@ def falling(a, m: int):
 def ajp_coefficients(p: PolyParams) -> DensePoly:
     """Monomial coefficients of the member polynomial.
 
-    Expands sum_j (-1)^j C(n-k, j) (alpha+n+k+1)_{n-k-j} (beta+n-k)_j
-    x^(k+j) (1-x)^(n-k-j) / (n-k)!  with falling factorials throughout.
+    Exact parameters: x^k times the shifted Jacobi polynomial
+    P_{n-k}^{(alpha+2k+1, beta)}(1-2x), from the integer kernel, one
+    Fraction per coefficient. Float parameters expand
+    sum_j (-1)^j C(n-k, j) (alpha+n+k+1)_{n-k-j} (beta+n-k)_j
+    x^(k+j) (1-x)^(n-k-j) / (n-k)!  with falling factorials throughout, and
+    raise CoefficientOverflowError when a coefficient leaves the double range.
 
     Results are cached; the key carries the arithmetic mode because exact and
     float parameters can compare equal (Fraction(1,2) == 0.5) yet must not
@@ -106,15 +122,21 @@ def _ajp_coefficients_cached(p: PolyParams, _exact: bool) -> DensePoly:
         return DensePoly.zero()
     n, k, a, b = p.n, p.k, p.alpha, p.beta
     m = n - k
-    zero = 0.0 if not p.exact else Fraction(0)
-    out = [zero] * (n + 1)
+    if p.exact:
+        return DensePoly(_shifted_jacobi_lifted(m, a + 2 * k + 1, b, k))
+    out = [0.0] * (n + 1)
     fact_m = math.factorial(m)
-    for j in range(m + 1):
-        pref = (-1) ** j * math.comb(m, j) * falling(a + n + k + 1, m - j) * falling(b + m, j)
-        pref = pref / fact_m
-        # expand (1-x)^(m-j) onto powers k+j .. n
-        for i in range(m - j + 1):
-            out[k + j + i] += pref * ((-1) ** i * math.comb(m - j, i))
+    try:
+        for j in range(m + 1):
+            pref = (-1) ** j * math.comb(m, j) * falling(a + n + k + 1, m - j) * falling(b + m, j)
+            pref = pref / fact_m
+            # expand (1-x)^(m-j) onto powers k+j .. n
+            for i in range(m - j + 1):
+                out[k + j + i] += pref * ((-1) ** i * math.comb(m - j, i))
+    except OverflowError as exc:
+        raise CoefficientOverflowError(n, k, a, b) from exc
+    if not all(map(math.isfinite, out)):
+        raise CoefficientOverflowError(n, k, a, b)
     return DensePoly(out)
 
 
@@ -128,14 +150,15 @@ def ajp_recurrence(alpha, beta, n: int, up_to_k: int = 0) -> list[DensePoly]:
 
     Returns members for k = n down to up_to_k (descending order). The 1/x
     factor in the recurrence is a left shift, applied only after checking the
-    constant term is zero.
+    constant term is zero. Exact parameters run on primitive integer vectors
+    (see _exact_recurrence); float parameters on float coefficients.
     """
     a, b = _param(alpha), _param(beta)
     if n < 0 or not 0 <= up_to_k <= n:
         raise ValueError("need 0 <= up_to_k <= n")
-    exact = is_exact(a) and is_exact(b)
-    if not exact:
-        a, b = float(a), float(b)
+    if is_exact(a) and is_exact(b):
+        return _exact_recurrence(a, b, n, up_to_k)
+    a, b = float(a), float(b)
     seq = [DensePoly.monomial(n)]
     if up_to_k == n:
         return seq
@@ -144,20 +167,65 @@ def ajp_recurrence(alpha, beta, n: int, up_to_k: int = 0) -> list[DensePoly]:
         cur, prev = seq[-1], seq[-2]
         const = cur.coeffs[0] if cur.coeffs else 0
         if const:
-            # exact mode must have an exactly zero constant term; float mode
-            # tolerates roundoff residue relative to the coefficient scale
+            # float mode tolerates roundoff residue relative to the coefficient scale
             scale = max(abs(c) for c in cur.coeffs)
-            if exact or abs(const) > 1e-9 * scale:
+            if abs(const) > 1e-9 * scale:
                 raise RecurrenceError(
                     f"member k={k} has nonzero constant term, cannot apply 1/x step")
         shifted = DensePoly(cur.coeffs[1:])
-        combo = (
-            shifted.scale((a + 2 * k) * (a + 2 * k + 2))
-            - cur.scale((a + 2 * n + 2) * (a + b + 2 * k + 1) + 2 * (n - k) * (n - k + 1))
-        ).scale(a + 2 * k + 1) - prev.scale((a + b + n + k + 2) * (b + n - k) * (a + 2 * k))
-        denom = (n - k + 1) * (a + n + k + 1) * (a + 2 * k + 2)
-        seq.append(combo.scale(1 / denom if isinstance(denom, float) else Fraction(1, 1) / denom))
+        c1, c2, c3, c4, denom = _recurrence_factors(a, b, n, k)
+        combo = (shifted.scale(c1) - cur.scale(c2)).scale(c3) - prev.scale(c4)
+        seq.append(combo.scale(1 / denom))
     return seq
+
+
+def _recurrence_factors(a, b, n: int, k: int):
+    """Factors of the step member(k) -> member(k-1):
+    x member(k-1) denom = c3 (c1 member(k) - c2 x member(k)) - c4 x member(k+1)."""
+    return ((a + 2 * k) * (a + 2 * k + 2),
+            (a + 2 * n + 2) * (a + b + 2 * k + 1) + 2 * (n - k) * (n - k + 1),
+            a + 2 * k + 1,
+            (a + b + n + k + 2) * (b + n - k) * (a + 2 * k),
+            (n - k + 1) * (a + n + k + 1) * (a + 2 * k + 2))
+
+
+def _primitive(scale: Fraction, vec: list[int]):
+    """The same vector as (scale * g, vec / g), g the gcd of the entries."""
+    g = math.gcd(*vec)
+    if g == 0:
+        return Fraction(0), vec
+    if g == 1:
+        return scale, vec
+    return scale * g, [v // g for v in vec]
+
+
+def _exact_recurrence(a: Fraction, b: Fraction, n: int, up_to_k: int) -> list[DensePoly]:
+    """The downward recurrence with each member held as an exact scale times a
+    primitive int vector of length n + 1. A step combines the left-shifted,
+    the current and the previous vector with integer multipliers (the step's
+    rational factors over their common denominator) and divides out the gcd;
+    one Fraction per coefficient is built at the end."""
+    members = [(Fraction(1), [0] * n + [1])]
+    if up_to_k < n:
+        lead, den = over_common_denominator((a + 2 * n, -(a + b + 2 * n + 1)))
+        members.append(_primitive(Fraction(1, den), [0] * (n - 1) + lead))
+    for k in range(n - 1, up_to_k, -1):
+        (s_cur, cur), (s_prev, prev) = members[-1], members[-2]
+        if cur[0]:
+            raise RecurrenceError(
+                f"member k={k} has nonzero constant term, cannot apply 1/x step")
+        c1, c2, c3, c4, denom = _recurrence_factors(a, b, n, k)
+        (m1, m2, m3), den = over_common_denominator(
+            (s_cur * c3 * c1 / denom, -s_cur * c3 * c2 / denom, -s_prev * c4 / denom))
+        vec = [m1 * x + m2 * y + m3 * z for x, y, z in zip(cur[1:] + [0], cur, prev)]
+        members.append(_primitive(Fraction(1, den), vec))
+    zero = Fraction(0)
+    out = []
+    while members:
+        s, vec = members.pop()          # each int vector is freed once converted
+        out.append(DensePoly([Fraction(s.numerator * v, s.denominator) if v else zero
+                              for v in vec]))
+    return out[::-1]
 
 
 def ajp_norm_h(p: PolyParams):
@@ -220,39 +288,49 @@ def direct_norm_d(alpha, beta, n: int, k: int):
     return float_gamma2_ratio(ga, gb, gc) / float(a + b + 2 * k + 1) / fact
 
 
-def jacobi_coefficients(m: int, a, b) -> DensePoly:
-    """Classical Jacobi polynomial of degree m as coefficients in y.
+def _jacobi_kernel(m: int, a: Fraction, b: Fraction) -> tuple[list[int], int]:
+    """Integers c_0..c_m and one denominator D such that c_j / D is the x^j
+    coefficient of the shifted Jacobi polynomial P_m^{(a,b)}(1-2x),
 
-    Terminating sum C(m+a, m-s) C(m+b, s) ((y-1)/2)^s ((y+1)/2)^(m-s); works
-    for arbitrary real parameters including the negative values required by
-    the reciprocity identity (no orthogonality implied there).
+        (-1)^j C(m, j) (m+a)_{m-j} (m+a+b+1)^{(j)} / m!
+
+    with (x)_r the falling and (x)^{(r)} the rising factorial: the terminating
+    hypergeometric sum of Szego, Orthogonal Polynomials, 4.21. With
+    d = lcm(den a, den b), A = d a and B = d b, the falling factor is
+    prod_{t=j+1..m} (d t + A) / d^{m-j} and the rising one
+    prod_{i<j} (d (m+1+i) + A + B) / d^j, so D = d^m m!. O(m) integer
+    products; a polynomial identity in a and b, so any rational parameters
+    work, negative ones included.
     """
-    a, b = _param(a), _param(b)
-    half = Fraction(1, 2) if not (isinstance(a, float) or isinstance(b, float)) else 0.5
-    ym = DensePoly((-half, half))   # (y-1)/2
-    yp = DensePoly((half, half))    # (y+1)/2
-    total = DensePoly.zero()
-    for s in range(m + 1):
-        c = binom_general(a + m, m - s) * binom_general(b + m, s)
-        term = DensePoly.one()
-        for _ in range(s):
-            term = term * ym
-        for _ in range(m - s):
-            term = term * yp
-        total = total + term.scale(c)
-    return total
+    (big_a, big_b), d = over_common_denominator((a, b))
+    rising = [1]
+    for i in range(m):
+        rising.append(rising[-1] * (d * (m + 1 + i) + big_a + big_b))
+    nums = [0] * (m + 1)
+    falling_part, binom = 1, 1          # prod_{t=j+1..m} (d t + A) and C(m, j), at j = m
+    for j in range(m, -1, -1):
+        c = binom * falling_part * rising[j]
+        nums[j] = -c if j & 1 else c
+        falling_part *= d * j + big_a
+        binom = binom * j // (m - j + 1)
+    return nums, d ** m * math.factorial(m)
+
+
+def _shifted_jacobi_lifted(m: int, a, b, lift: int = 0) -> list:
+    """Coefficients of x^lift P_m^{(a,b)}(1-2x), powers 0..m+lift: Fractions
+    for rational a and b; otherwise floats, each rounded once from the exact
+    value at the binary parameters."""
+    nums, den = _jacobi_kernel(m, Fraction(a), Fraction(b))
+    if is_exact(a) and is_exact(b):
+        return [Fraction(0)] * lift + [Fraction(c, den) for c in nums]
+    return [0.0] * lift + [c / den for c in nums]
 
 
 def shifted_jacobi_coefficients(m: int, a, b) -> DensePoly:
-    """Shifted Jacobi polynomial on [0,1]: classical one composed with 1-2x."""
-    jac = jacobi_coefficients(m, a, b)
-    sub = DensePoly((1, -2))
-    out = DensePoly.zero()
-    power = DensePoly.one()
-    for c in jac.coeffs:
-        out = out + power.scale(c)
-        power = power * sub
-    return out
+    """Shifted Jacobi polynomial P_m^{(a,b)}(1-2x) on [0,1], from the
+    hypergeometric kernel; any real parameters (no orthogonality implied for
+    the negative ones the reciprocity route uses)."""
+    return DensePoly(_shifted_jacobi_lifted(m, _param(a), _param(b)))
 
 
 def shifted_jacobi(m: int, a, b, x):
@@ -266,21 +344,19 @@ def direct_coefficients(alpha, beta, n: int, k: int) -> DensePoly:
     if k < n:
         raise ValueError("direct family is indexed by k >= n")
     a, b = _param(alpha), _param(beta)
-    return shifted_jacobi_coefficients(k - n, a + 2 * n, b).shift_up(n)
+    return DensePoly(_shifted_jacobi_lifted(k - n, a + 2 * n, b, n))
 
 
 def reciprocity_coefficients(alpha, beta, n: int, k: int) -> DensePoly:
     """Member coefficients rebuilt through the reciprocity route:
     x^n * J_{n-k}^{(-alpha-beta-2n-2, beta)}(1 - 2/x), expanded exactly.
 
-    The degree-(n-k) polynomial in 1/x times x^n lands on powers x^k..x^n.
+    The degree-(n-k) polynomial in 1/x times x^n lands on powers x^k..x^n,
+    so its coefficients are the kernel's in reverse order above k zeros.
     """
     a, b = _param(alpha), _param(beta)
-    q = shifted_jacobi_coefficients(n - k, -a - b - 2 * n - 2, b)
-    out = [0] * (n + 1)
-    for j, c in enumerate(q.coeffs):
-        out[n - j] = c
-    return DensePoly(out)
+    q = _shifted_jacobi_lifted(n - k, -a - b - 2 * n - 2, b, k)
+    return DensePoly(q[:k] + q[k:][::-1])
 
 
 def ajp_derivative(p: PolyParams) -> DensePoly:

@@ -1,7 +1,11 @@
 """Weighted integration on [0,1] and the semi-axis.
 
 The exact Beta-moment expansion is the oracle for every inner product whose
-integrand is polynomial times the weight; floating Gauss--Jacobi rules (built
+integrand is polynomial times the weight. In rational mode it runs on
+integers: the product polynomial over one common denominator, one moment
+seed at the lowest power, and the moment ratios
+mu_{i+1}/mu_i = (alpha+i+1)/(alpha+beta+i+2) for the rest, so an inner
+product costs one Beta moment. Floating Gauss--Jacobi rules (built
 by Golub--Welsch from the recurrence coefficients of the classical family
 mapped to [0,1]) serve general integrands and cross-checks. Semi-axis
 integrals with weight exp(-alpha t)(1-exp(-t))**beta reduce to [0,1] through
@@ -14,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -23,6 +28,7 @@ from .exact import (
     ExactnessError,
     exact_gamma2_ratio,
     is_exact,
+    over_common_denominator,
     simplify_scalar,
 )
 from .poly import DensePoly
@@ -92,23 +98,75 @@ def beta_moment(a, b):
 
 def weighted_inner_product(p: DensePoly, q: DensePoly, alpha, beta):
     """Inner product of two polynomials under the weight x**alpha (1-x)**beta,
-    as a finite sum of Beta moments; exact in rational mode."""
+    as a finite sum of Beta moments; exact in rational mode.
+
+    With rational coefficients and exponents the product is formed on
+    integers over one denominator, and the sum sum_i c_i mu_i, mu_i =
+    beta_moment(alpha+i, beta), is taken as mu_low * sum_i c_i mu_i/mu_low:
+    one moment seed at the lowest power, the ratios from
+    mu_{i+1}/mu_i = (alpha+i+1)/(alpha+beta+i+2) in integers, and one
+    Fraction or PiRational product at the end. Otherwise each moment is
+    evaluated and summed in turn.
+    """
+    if is_exact(alpha) and is_exact(beta) and _rational(p) and _rational(q):
+        return _exact_inner_product(p, q, Fraction(alpha), Fraction(beta))
     prod = p * q
     if prod.is_zero:
         return Fraction(0) if (is_exact(alpha) and is_exact(beta) and prod.mode == "exact") else 0.0
     low = prod.lowest_power
-    alpha_low = (Fraction(alpha) if is_exact(alpha) else float(alpha)) + low
+    _check_lowest(low, (Fraction(alpha) if is_exact(alpha) else float(alpha)) + low, alpha)
+    return _moment_sum(prod.coeffs, low, alpha, beta)
+
+
+def _rational(p: DensePoly) -> bool:
+    return all(isinstance(c, Rational) for c in p.coeffs)
+
+
+def _check_lowest(low: int, alpha_low, alpha):
     if not alpha_low > -1:
         raise DivergenceError(
             f"inner product diverges: lowest monomial x^{low} against alpha = {alpha}")
+
+
+def _moment_sum(coeffs, low: int, alpha, beta):
+    """sum_i coeffs[i] * beta_moment(alpha+i, beta), one moment per term."""
     total = None
-    for i in range(low, prod.degree + 1):
-        c = prod.coeffs[i]
+    for i in range(low, len(coeffs)):
+        c = coeffs[i]
         if not c:
             continue
         term = c * beta_moment(alpha + i, beta)
         total = term if total is None else total + term
     return simplify_scalar(total)
+
+
+def _exact_inner_product(p: DensePoly, q: DensePoly, alpha: Fraction, beta: Fraction):
+    if p.is_zero or q.is_zero:
+        return Fraction(0)
+    (pn, pd), (qn, qd) = over_common_denominator(p.coeffs), over_common_denominator(q.coeffs)
+    prod = [0] * (len(pn) + len(qn) - 1)
+    for i, u in enumerate(pn):
+        if u:
+            for j, v in enumerate(qn):
+                prod[i + j] += u * v
+    den = pd * qd
+    low = next(i for i, c in enumerate(prod) if c)
+    _check_lowest(low, alpha + low, alpha)
+    seed = beta_moment(alpha + low, beta)
+    if not is_exact(seed):
+        # no exact moment (denominators other than 1 and 2): keep the float
+        # sum term by term, as for float parameters
+        return _moment_sum([Fraction(c, den) for c in prod], low, alpha, beta)
+    # Horner from the top: value_i = c_i + value_{i+1} mu_{i+1}/mu_i, where
+    # mu_{i+1}/mu_i = (d alpha + d (i+1)) / (d alpha + d beta + d (i+2))
+    (big_a, big_b), d = over_common_denominator((alpha, beta))
+    big_ab = big_a + big_b
+    top = len(prod) - 1
+    num, scale = prod[top], 1
+    for i in range(top - 1, low - 1, -1):
+        ratio_num, ratio_den = big_a + d * (i + 1), big_ab + d * (i + 2)
+        num, scale = prod[i] * ratio_den * scale + ratio_num * num, ratio_den * scale
+    return simplify_scalar(seed * Fraction(num, scale * den))
 
 
 def _jacobi_recurrence(m: int, a: float, b: float):

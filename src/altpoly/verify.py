@@ -530,14 +530,26 @@ SUITES = {
 }
 
 
+class NoChecksError(ValueError):
+    """A suite ran no checks at the requested nmax; nothing was verified."""
+
+
 def run_suite(name: str, nmax: int = 8) -> dict:
-    """Run one suite (or 'all') and return the JSON-ready summary."""
-    rec = Recorder()
+    """Run one suite (or 'all') and return the JSON-ready summary.
+
+    Raises NoChecksError when a requested suite (each one, under 'all') runs
+    no checks at this nmax: a check that ran nothing is not a pass.
+    """
     if name == "all":
-        for suite in SUITES.values():
-            suite(rec, nmax)
+        names = list(SUITES)
     elif name in SUITES:
-        SUITES[name](rec, nmax)
+        names = [name]
     else:
         raise ValueError(f"unknown suite {name!r}")
+    rec = Recorder()
+    for suite in names:
+        before = len(rec.checks)
+        SUITES[suite](rec, nmax)
+        if len(rec.checks) == before:
+            raise NoChecksError(f"suite {suite} runs no checks at --nmax {nmax}")
     return rec.summary(name, nmax)

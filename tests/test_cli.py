@@ -162,3 +162,33 @@ def test_tabulate_exact_mode_rational_grid():
     cp = run_cli("tabulate", "--family", "ajp", "--alpha", "0", "--beta", "0",
                  "--n", "1", "--k", "0", "--points", "3", "--mode", "exact")
     assert cp.stdout == "x,value\n0,2\n1/2,1/2\n1,-1\n"
+
+
+@pytest.mark.parametrize("points", ["1", "0", "-4"])
+def test_too_few_points_is_usage_error(points):
+    cp = run_cli("tabulate", "--family", "ajp", "--alpha", "0", "--beta", "0",
+                 "--n", "3", "--points", points)
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert "at least 2 points" in cp.stderr
+    assert run_cli("plot-data", "--family", "a", "--n", "2",
+                   "--points", points).returncode == 2
+
+
+def test_verify_that_runs_nothing_is_usage_error():
+    cp = run_cli("verify", "--nmax", "-3")
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert "suite core" in cp.stderr and "--nmax -3" in cp.stderr
+    cp = run_cli("verify", "--suite", "marginal", "--nmax", "0")
+    assert cp.returncode == 2
+    assert "suite marginal" in cp.stderr and "--nmax 0" in cp.stderr
+
+
+def test_float_overflow_exit_1_with_typed_error():
+    cp = run_cli("coeffs", "--family", "ajp", "--alpha", "1.5", "--beta", "0.7",
+                 "--n", "200", "--mode", "float")
+    assert cp.returncode == 1
+    err = json.loads(cp.stderr)
+    assert err["error"] == "CoefficientOverflowError"
+    assert "n=200" in err["message"] and "alpha = 1.5" in err["message"]
