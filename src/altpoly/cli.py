@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -78,6 +79,12 @@ class UsageError(Exception):
     pass
 
 
+def _need_n(n: int):
+    """Zeros, exponential rules, projections and Z systems need n >= 1."""
+    if n < 1:
+        raise UsageError(f"--n must be at least 1, got {n}")
+
+
 def cmd_coeffs(args) -> str:
     poly = _family_poly(args.family, args.alpha, args.beta, args.n, args.k)
     coeffs = list(poly.coeffs) or [0]
@@ -136,6 +143,7 @@ def cmd_zeros(args) -> str:
         raise UsageError("zeros are computed for --family exp")
     if args.alpha is None or args.beta is None:
         raise UsageError("--alpha and --beta are required")
+    _need_n(args.n)
     zs = exppoly.e_zeros(args.alpha, args.beta, args.n)
     pairs = sorted(zip(zs.source_x, zs.lambdas))
     if args.format == "json":
@@ -148,6 +156,7 @@ def cmd_zeros(args) -> str:
 
 def cmd_quad(args) -> str:
     if args.family == "exp":
+        _need_n(args.n)
         rows = exppoly.rule_table(args.n)
         if args.format == "json":
             return json.dumps({"n": args.n, "rows": [
@@ -174,6 +183,7 @@ def cmd_verify(args) -> tuple[str, int]:
 
 
 def cmd_zbuild(args) -> str:
+    _need_n(args.n)
     if args.candidates == "real":
         spec = zfun.z_build_real(args.n, args.omega)
     elif args.candidates == "rational":
@@ -197,6 +207,7 @@ def _target_function(args):
 
 
 def cmd_project(args) -> str:
+    _need_n(args.n)
     sys_ = exppoly.ExpPolySystem(args.alpha, args.beta, args.n)
     result = exppoly.project(_target_function(args), sys_)
     return json.dumps({"n": args.n, "target": args.target, "rate": args.rate,
@@ -213,6 +224,22 @@ def cmd_plot_data(args) -> str:
     fam = args.family.upper()
     header = ["x"] + [f"{fam}{args.n}{k}" for k in range(1, args.n + 1)]
     return _csv(header, [(x,) + tuple(vals) for x, vals in rows])
+
+
+_NEGATIVE_RATIONAL = re.compile(r"-\d+/\d+")
+
+
+def _join_negative_rationals(argv: list[str]) -> list[str]:
+    """argparse takes only -2 and -0.5 style tokens for negative numbers, so
+    a p/q value such as -7/2 after a flag is joined to it as --flag=-7/2."""
+    out = []
+    for tok in argv:
+        if (out and _NEGATIVE_RATIONAL.fullmatch(tok)
+                and out[-1].startswith("--") and "=" not in out[-1]):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _sample_count(text: str) -> int:
@@ -309,7 +336,7 @@ def _resolve_mode(args):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_rationals(sys.argv[1:] if argv is None else argv))
     try:
         _resolve_mode(args)
     except ValueError as exc:

@@ -32,8 +32,8 @@ class CoefficientOverflowError(AltpolyError, OverflowError):
 
 
 class RootFindingError(AltpolyError, RuntimeError):
-    """Root finding failed: roots left the open interval, multiplicity detected,
-    or the polish step did not reach the required residual."""
+    """Zero finding failed: the eigen-solve failed, two zeros coincide, or a
+    zero's residual is above the required bound."""
 
 
 class FeasibilityError(AltpolyError, ValueError):

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DivergenceError, RootFindingError
 from .exact import is_exact
 from .marginal import a_coefficients, t_coefficients
@@ -77,70 +75,36 @@ class ZeroSet:
         return self.lambdas[-1]
 
 
-def _polish_real_roots(coeffs_float, roots, max_steps=60):
-    """Newton polish on Horner evaluation; residuals are scaled by the
-    largest coefficient magnitude."""
-    poly = DensePoly(tuple(coeffs_float))
-    dpoly = poly.derivative()
-    scale = max(abs(c) for c in coeffs_float)
-    polished, residuals = [], []
-    for r in roots:
-        x = float(r)
-        for _ in range(max_steps):
-            fx = poly(x)
-            dfx = dpoly(x)
-            if dfx == 0:
-                raise RootFindingError("zero derivative during polish: multiple root?")
-            step = fx / dfx
-            x -= step
-            if abs(step) < 1e-16 * max(abs(x), 1e-300):
-                break
-        polished.append(x)
-        residuals.append(abs(poly(x)) / scale)
-    return polished, residuals
-
-
 def e_zeros(alpha, beta, n: int) -> ZeroSet:
-    """Zeros of the associated function, found as the roots of the k = 0
-    member polynomial on (0,1): companion-matrix eigenvalues of the exact
-    coefficient vector, then Newton-polished; returned as lambda = -ln x,
-    ascending."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    a = Fraction(alpha) - 1 if is_exact(alpha) else float(alpha) - 1
-    member = ajp_coefficients(PolyParams(a, beta, n, 0))
-    coeffs = [float(c) for c in member.coeffs]
-    # numpy.roots takes descending coefficients and balances the companion matrix
-    raw = np.roots(coeffs[::-1])
-    real = [z.real for z in raw if abs(z.imag) < 1e-9]
-    if len(real) != n:
-        raise RootFindingError(f"expected {n} real zeros, found {len(real)}")
-    xs, residuals = _polish_real_roots(coeffs, sorted(real))
-    if any(not 0 < x < 1 for x in xs):
-        raise RootFindingError("a zero left the open interval (0,1)")
-    if any(xs[i + 1] - xs[i] < 1e-12 for i in range(len(xs) - 1)):
+    """Zeros of the associated function as lambda = -ln x, ascending. Its
+    x-form is P_n^(alpha,beta)(1-2x), so the zeros are the nodes of the
+    Gauss-Jacobi rule for x**alpha (1-x)**beta (Golub--Welsch).
+
+    Valid for n >= 1, alpha > -1 and beta > -1 (DivergenceError otherwise).
+    Residuals: float Horner value of the exact member (float exponents at
+    their binary values) at each zero over its largest coefficient magnitude;
+    above 1e-13, or zeros closer than 1e-12, raise RootFindingError."""
+    if not (alpha > -1 and beta > -1):
+        raise DivergenceError(
+            f"zeros need alpha > -1 and beta > -1 (alpha = {alpha}, beta = {beta}, n = {n})")
+    xs = gauss_jacobi_rule(n, alpha, beta).nodes[::-1]
+    member = ajp_coefficients(PolyParams(Fraction(alpha) - 1, Fraction(beta), n, 0)).to_floats()
+    scale = max(abs(c) for c in member.coeffs)
+    residuals = tuple(abs(member(x)) / scale for x in xs)
+    if any(x - y < 1e-12 for x, y in zip(xs, xs[1:])):
         raise RootFindingError("zeros are not simple (cluster detected)")
-    if any(r > 1e-13 for r in residuals):
-        raise RootFindingError(f"polish residual too large: {max(residuals):.3g}")
-    lambdas = tuple(-math.log(x) for x in reversed(xs))
-    return ZeroSet(float(alpha), float(beta), n, lambdas,
-                   tuple(reversed(xs)), tuple(reversed(residuals)))
+    if max(residuals) > 1e-13:
+        raise RootFindingError(f"zero residual too large: {max(residuals):.3g}")
+    return ZeroSet(float(alpha), float(beta), n, tuple(-math.log(x) for x in xs), xs, residuals)
 
 
 def legendre_type_quadrature(n: int) -> QuadRule:
-    """n-node rule on [0,1] with nodes at the zeros of the (0,0)-family
-    k = 0 member and weights
-
-        w_s = -2/(n(n+2)) / (x_s^2 P_n1(x_s) P'_n0(x_s)),
-
-    exact for the monomials x, x^2, ..., x^(2n) but not for constants."""
-    zeros = e_zeros(1, 0, n)            # exponent 1 on the t-side is the (0,0) family
-    xs = tuple(reversed(zeros.source_x))
-    p1 = ajp_coefficients(PolyParams(0, 0, n, 1)).to_floats()
-    dp0 = ajp_coefficients(PolyParams(0, 0, n, 0)).derivative().to_floats()
-    front = -2.0 / (n * (n + 2))
-    weights = tuple(front / (x * x * p1(x) * dp0(x)) for x in xs)
-    return QuadRule(xs, weights, UNIT_INTERVAL, ("legendre-type", n))
+    """n-node rule on [0,1] exact for x, x^2, ..., x^(2n) but not for
+    constants: the Gauss-Jacobi rule for the weight x (exact on x * x^j,
+    j <= 2n-1) with each weight divided by its node."""
+    rule = gauss_jacobi_rule(n, 1, 0)
+    weights = tuple(w / x for x, w in zip(rule.nodes, rule.weights))
+    return QuadRule(rule.nodes, weights, UNIT_INTERVAL, ("legendre-type", n))
 
 
 def semi_axis_rule(n: int) -> QuadRule:

@@ -42,6 +42,7 @@ from .exact import (
     simplify_scalar,
 )
 from .poly import DensePoly
+from .quad import beta_moment
 
 
 def _param(v):
@@ -278,6 +279,10 @@ def direct_norm_d(alpha, beta, n: int, k: int):
     a, b = _param(alpha), _param(beta)
     if not (a > -1 and b > -1):
         raise DivergenceError("direct norms need alpha > -1 and beta > -1")
+    if a + b + 2 * k + 1 == 0:
+        # only at k = n = 0: the closed form is the removable 0 * inf case,
+        # and the member is the constant 1
+        return beta_moment(a, b)
     ga, gb, gc = a + k + n + 1, b + k - n + 1, a + b + k + n + 1
     fact = math.factorial(k - n)
     if is_exact(a) and is_exact(b):

@@ -21,7 +21,6 @@ from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DivergenceError, RootFindingError
 from .exact import (
@@ -169,9 +168,9 @@ def _exact_inner_product(p: DensePoly, q: DensePoly, alpha: Fraction, beta: Frac
     return simplify_scalar(seed * Fraction(num, scale * den))
 
 
-def _jacobi_recurrence(m: int, a: float, b: float):
-    """Recurrence coefficients (diagonal, squared off-diagonal) of the monic
-    classical Jacobi family for weight (1-y)^a (1+y)^b on [-1,1]."""
+def _jacobi_matrix(m: int, a: float, b: float) -> np.ndarray:
+    """Symmetric tridiagonal Jacobi matrix of the monic classical Jacobi
+    family for weight (1-y)^a (1+y)^b on [-1,1]."""
     diag = np.zeros(m)
     offsq = np.zeros(max(m - 1, 0))
     apb = a + b
@@ -185,7 +184,8 @@ def _jacobi_recurrence(m: int, a: float, b: float):
             t = 2 * (i + 1) + apb
             offsq[i] = 4 * (i + 1) * (i + 1 + a) * (i + 1 + b) * (i + 1 + apb) / \
                 ((t * t - 1) * t * t)
-    return diag, offsq
+    off = np.sqrt(offsq)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def gauss_jacobi_rule(m: int, a, b) -> QuadRule:
@@ -198,18 +198,15 @@ def gauss_jacobi_rule(m: int, a, b) -> QuadRule:
     af, bf = float(a), float(b)
     if not (af > -1 and bf > -1):
         raise DivergenceError("Gauss-Jacobi weight needs a > -1 and b > -1")
-    diag, offsq = _jacobi_recurrence(m, af, bf)
     try:
-        vals, vecs = eigh_tridiagonal(diag, np.sqrt(offsq))
+        vals, vecs = np.linalg.eigh(_jacobi_matrix(m, af, bf))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise RootFindingError(f"tridiagonal eigen-solve failed: {exc}") from exc
     mu0 = float(beta_moment(a, b))
-    order = np.argsort(vals)
-    y = vals[order]
-    w = mu0 * vecs[0, order] ** 2
-    # y in [-1,1] with weight (1-y)^a (1+y)^b maps to x = (1-y)/2 on [0,1]
-    x = (1 - y[::-1]) / 2
-    w = w[::-1]
+    # eigh returns y ascending; y in [-1,1] with weight (1-y)^a (1+y)^b maps
+    # to x = (1-y)/2 on [0,1], so reversing makes x ascend
+    x = (1 - vals[::-1]) / 2
+    w = mu0 * vecs[0, ::-1] ** 2
     return QuadRule(tuple(float(v) for v in x), tuple(float(v) for v in w),
                     UNIT_INTERVAL, ("gauss-jacobi", float(a), float(b)))
 

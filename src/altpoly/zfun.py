@@ -174,34 +174,31 @@ class ZSystemSpec:
         )
 
 
-def z_build(n: int, omega, candidates) -> ZSystemSpec:
-    """Run the search, then assemble the system; asserts that the associated
-    function vanishes at t = 1."""
-    alpha_n, gamma_n = z_search(n, omega, candidates)
-    scaled = not math.isclose(gamma_n, 1.0, rel_tol=0, abs_tol=GAMMA_UNSCALED_TOL)
-    zeros = e_zeros(alpha_n, alpha_n * omega, n)
-    spec = ZSystemSpec(n=n, omega=Fraction(omega) if is_exact(omega) else float(omega),
-                       alpha_n=alpha_n, gamma_n=float(gamma_n), scaled=scaled,
-                       zeros=zeros)
+def _assemble(n: int, omega, alpha_n, gamma_n: float, unscaled_tol: float) -> ZSystemSpec:
+    """Build the system for a searched exponent, unscaled (Z) when gamma is
+    within unscaled_tol of 1; the associated function must vanish at t = 1."""
+    scaled = not math.isclose(gamma_n, 1.0, rel_tol=0, abs_tol=unscaled_tol)
+    spec = ZSystemSpec(n=n, omega=omega, alpha_n=alpha_n, gamma_n=float(gamma_n),
+                       scaled=scaled, zeros=e_zeros(alpha_n, alpha_n * omega, n))
     endpoint = spec.associated_eval(1.0)
     if abs(endpoint) > 1e-9:
         raise FeasibilityError(
             f"built system violates the endpoint-zero condition: {endpoint:.3g}")
     return spec
+
+
+def z_build(n: int, omega, candidates) -> ZSystemSpec:
+    """Run the search, then assemble the system; asserts that the associated
+    function vanishes at t = 1."""
+    alpha_n, gamma_n = z_search(n, omega, candidates)
+    omega = Fraction(omega) if is_exact(omega) else float(omega)
+    return _assemble(n, omega, alpha_n, gamma_n, GAMMA_UNSCALED_TOL)
 
 
 def z_build_real(n: int, omega, **kwargs) -> ZSystemSpec:
     """Same as z_build but with the real-valued boundary search."""
     alpha_n, gamma_n = z_search_real(n, omega, **kwargs)
-    scaled = not math.isclose(gamma_n, 1.0, rel_tol=0, abs_tol=1e-9)
-    zeros = e_zeros(alpha_n, alpha_n * float(omega), n)
-    spec = ZSystemSpec(n=n, omega=float(omega), alpha_n=float(alpha_n),
-                       gamma_n=float(gamma_n), scaled=scaled, zeros=zeros)
-    endpoint = spec.associated_eval(1.0)
-    if abs(endpoint) > 1e-9:
-        raise FeasibilityError(
-            f"built system violates the endpoint-zero condition: {endpoint:.3g}")
-    return spec
+    return _assemble(n, float(omega), float(alpha_n), gamma_n, 1e-9)
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,50 @@ def test_usage_error_exit_2():
     assert run_cli("coeffs", "--family", "ajp", "--n", "2").returncode == 2
 
 
+def test_negative_rational_flag_values():
+    joined = run_cli("coeffs", "--family", "ajp", "--alpha=-7/2", "--beta", "1/2",
+                     "--n", "12")
+    spaced = run_cli("coeffs", "--family", "ajp", "--alpha", "-7/2", "--beta", "1/2",
+                     "--n", "12")
+    assert joined.returncode == spaced.returncode == 0, spaced.stderr
+    assert spaced.stdout == joined.stdout
+    cp = run_cli("zeros", "--family", "exp", "--alpha", "-1/2", "--beta", "-1/2",
+                 "--n", "2")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == run_cli("zeros", "--family", "exp", "--alpha=-1/2",
+                                "--beta=-1/2", "--n", "2").stdout
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_n_below_one_is_usage_error(n):
+    for args in (("zeros", "--family", "exp", "--alpha", "1", "--beta", "0"),
+                 ("project", "--alpha", "1", "--beta", "0"),
+                 ("zbuild", "--omega", "0"),
+                 ("quad", "--family", "exp")):
+        cp = run_cli(*args, "--n", n)
+        assert cp.returncode == 2, args
+        assert cp.stdout == ""
+        assert "--n must be at least 1" in cp.stderr
+    # the Gauss-Jacobi rule is sized by --m, so --n is not read there
+    assert run_cli("quad", "--family", "ajp", "--alpha", "1", "--beta", "0",
+                   "--n", n).returncode == 0
+
+
+def test_zeros_outside_parameter_range_exit_1():
+    cp = run_cli("zeros", "--family", "exp", "--alpha", "-1", "--beta", "0", "--n", "3")
+    assert cp.returncode == 1
+    err = json.loads(cp.stderr)
+    assert err["error"] == "DivergenceError"
+    assert "alpha = -1" in err["message"] and "n = 3" in err["message"]
+
+
+def test_cli_import_leaves_scipy_out():
+    cp = subprocess.run([sys.executable, "-c",
+                         "import altpoly.cli, sys; assert 'scipy' not in sys.modules"],
+                        capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+
+
 def test_computational_failure_exit_1():
     # Gauss-Jacobi weight with a = -1 diverges
     cp = run_cli("quad", "--family", "ajp", "--alpha", "-1", "--beta", "0",

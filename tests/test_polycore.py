@@ -191,6 +191,20 @@ def test_direct_norm_examples():
         direct_norm_d(0, 0, 2, 1)
 
 
+def test_direct_norm_removable_case():
+    # alpha + beta + 2k + 1 = 0 happens only at k = n = 0, where the closed
+    # form is 0 * inf; the member is the constant 1, whose norm is the moment
+    half = F(-1, 2)
+    one = direct_coefficients(half, half, 0, 0)
+    assert one.coeffs == (1,)
+    got = direct_norm_d(half, half, 0, 0)
+    assert got == beta_moment(half, half) == weighted_inner_product(one, one, half, half)
+    assert str(got) == "pi"
+    assert direct_norm_d(-0.5, -0.5, 0, 0) == beta_moment(-0.5, -0.5)
+    assert direct_norm_d(-0.5, -0.5, 0, 0) == pytest.approx(math.pi, rel=1e-15)
+    assert direct_norm_d(F(-1, 3), F(-2, 3), 0, 0) == beta_moment(F(-1, 3), F(-2, 3))
+
+
 # --------------------------------------------------------- shifted Jacobi
 
 def test_shifted_jacobi_values():
