@@ -128,12 +128,9 @@ def cmd_tabulate(args) -> str:
             raise UsageError("--omega is required for family z")
         spec = zfun.z_build(n, args.omega, zfun.whole_candidates(args.limit))
         header = ["t"] + [f"Z{n}{j}" for j in range(0, n + 1)]
-        rows = []
-        for i in range(args.points):
-            t = i / (args.points - 1)
-            row = [t, spec.associated_eval(t)]
-            row += [spec.member_eval(j, t) for j in range(1, n + 1)]
-            rows.append(tuple(row))
+        ts = [i / (args.points - 1) for i in range(args.points)]
+        members = spec.member_matrix(ts)[:, 1:].tolist()
+        rows = [(t, spec.associated_eval(t), *vals) for t, vals in zip(ts, members)]
         return _csv(header, rows)
     raise UsageError(f"cannot tabulate family {args.family!r}")
 

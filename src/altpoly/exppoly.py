@@ -75,20 +75,24 @@ class ZeroSet:
         return self.lambdas[-1]
 
 
+def associated_poly(alpha, beta, n: int) -> DensePoly:
+    """Exact x-coefficients of the k = 0 associated function, P_n^(alpha,beta)(1-2x)
+    up to a constant; float exponents enter at their binary values."""
+    return ajp_coefficients(PolyParams(Fraction(alpha) - 1, Fraction(beta), n, 0))
+
+
 def e_zeros(alpha, beta, n: int) -> ZeroSet:
     """Zeros of the associated function as lambda = -ln x, ascending. Its
     x-form is P_n^(alpha,beta)(1-2x), so the zeros are the nodes of the
     Gauss-Jacobi rule for x**alpha (1-x)**beta (Golub--Welsch).
 
-    Valid for n >= 1, alpha > -1 and beta > -1 (DivergenceError otherwise).
-    Residuals: float Horner value of the exact member (float exponents at
-    their binary values) at each zero over its largest coefficient magnitude;
-    above 1e-13, or zeros closer than 1e-12, raise RootFindingError."""
-    if not (alpha > -1 and beta > -1):
-        raise DivergenceError(
-            f"zeros need alpha > -1 and beta > -1 (alpha = {alpha}, beta = {beta}, n = {n})")
+    Valid for n >= 1, alpha > -1 and beta > -1; outside it gauss_jacobi_rule
+    raises (DivergenceError naming a = alpha, b = beta, m = n).
+    Residuals: float Horner value of the exact member at each zero over its
+    largest coefficient magnitude; above 1e-13, or zeros closer than 1e-12,
+    raise RootFindingError."""
     xs = gauss_jacobi_rule(n, alpha, beta).nodes[::-1]
-    member = ajp_coefficients(PolyParams(Fraction(alpha) - 1, Fraction(beta), n, 0)).to_floats()
+    member = associated_poly(alpha, beta, n).to_floats()
     scale = max(abs(c) for c in member.coeffs)
     residuals = tuple(abs(member(x)) / scale for x in xs)
     if any(x - y < 1e-12 for x, y in zip(xs, xs[1:])):

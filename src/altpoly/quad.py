@@ -197,7 +197,7 @@ def gauss_jacobi_rule(m: int, a, b) -> QuadRule:
         raise ValueError("need at least one node")
     af, bf = float(a), float(b)
     if not (af > -1 and bf > -1):
-        raise DivergenceError("Gauss-Jacobi weight needs a > -1 and b > -1")
+        raise DivergenceError(f"Gauss-Jacobi weight needs a, b > -1 (a = {a}, b = {b}, m = {m})")
     try:
         vals, vecs = np.linalg.eigh(_jacobi_matrix(m, af, bf))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

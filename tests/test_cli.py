@@ -168,7 +168,7 @@ def test_zeros_outside_parameter_range_exit_1():
     assert cp.returncode == 1
     err = json.loads(cp.stderr)
     assert err["error"] == "DivergenceError"
-    assert "alpha = -1" in err["message"] and "n = 3" in err["message"]
+    assert "a = -1" in err["message"] and "m = 3" in err["message"]
 
 
 def test_cli_import_leaves_scipy_out():

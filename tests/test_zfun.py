@@ -154,3 +154,36 @@ def test_gram_matrix_diagnostic_shape():
     g = gram_matrix(spec)
     assert g.shape == (3, 3)
     assert g[0, 0] == pytest.approx(1.0, rel=1e-12)   # constant against itself
+
+
+@pytest.mark.parametrize("n,omega,candidates,alpha", [
+    (8, Fraction(1, 4), whole_candidates(64), 22),
+    (5, 1, rational_candidates(64, 4), Fraction(161, 3)),
+])
+def test_z_build_endpoint_check_is_exact(n, omega, candidates, alpha):
+    # float Horner at t = 1 reads about 3.7e-9 on these systems, which would
+    # fail the 1e-9 endpoint check; the exact member there is -2.8e-12 and
+    # -7.2e-13
+    spec = z_build(n, omega, candidates)
+    assert spec.alpha_n == alpha and spec.scaled
+    assert abs(spec.associated_eval(1.0)) < 1e-11
+
+
+def test_z_build_real_unscaled_at_n9():
+    spec = z_build_real(9, 0)
+    assert not spec.scaled
+    assert abs(spec.associated_eval(1.0)) < 1e-9
+
+
+def test_member_matrix_matches_pointwise_members():
+    spec = z_build(3, Fraction(1, 2), whole_candidates())
+    ts = [0.0, 0.3, 1.0]
+    matrix = spec.member_matrix(ts)
+    system = ExpPolySystem(spec.alpha_n, spec.beta_n, 3)
+    assert spec.scaled and matrix.shape == (3, 4) and all(matrix[:, 0] == 1.0)
+    for i, t in enumerate(ts):
+        for k in range(1, 4):
+            assert matrix[i, k] == float(e_eval(system, k, spec.gamma_n * t))
+    for k in (-1, 4):
+        with pytest.raises(ValueError):
+            spec.member_eval(k, 0.5)
