@@ -23,6 +23,7 @@ from .exppoly import (
     ea_eval,
     et_eval,
     legendre_type_quadrature,
+    member_values,
     project,
     semi_axis_rule,
 )

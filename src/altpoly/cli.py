@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import exppoly, marginal, verify, zfun
-from .errors import AltpolyError
+from .errors import AltpolyError, DivergenceError
 from .exact import PiRational
 from .marginal import MarginalKind
 from .poly import DensePoly
@@ -85,7 +85,21 @@ def _need_n(n: int):
         raise UsageError(f"--n must be at least 1, got {n}")
 
 
+def _need_index(family: str, n: int, k: int):
+    """Members are indexed by n >= 0 and k = 0..n; the ajp and exp families
+    also take k = n+1, the zero member that starts the downward recurrence.
+    Exponential systems and Z systems need n >= 1."""
+    if family in ("exp", "z"):
+        _need_n(n)
+    if n < 0:
+        raise UsageError(f"--n must be at least 0, got {n}")
+    top = n + 1 if family in ("ajp", "exp") else n
+    if not 0 <= k <= top:
+        raise UsageError(f"--k must lie in 0..{top} for family {family}, got {k}")
+
+
 def cmd_coeffs(args) -> str:
+    _need_index(args.family, args.n, args.k)
     poly = _family_poly(args.family, args.alpha, args.beta, args.n, args.k)
     coeffs = list(poly.coeffs) or [0]
     if args.mode == "float":
@@ -98,6 +112,7 @@ def cmd_coeffs(args) -> str:
 
 def cmd_tabulate(args) -> str:
     n, k = args.n, args.k
+    _need_index(args.family, n, k)
     if args.family in AJP_FAMILIES:
         poly = _family_poly(args.family, args.alpha, args.beta, n, k)
         rows = []
@@ -163,6 +178,8 @@ def cmd_quad(args) -> str:
     if args.family == "ajp":
         if args.alpha is None or args.beta is None:
             raise UsageError("--alpha and --beta are required for family ajp")
+        if args.m < 1:
+            raise UsageError(f"--m must be at least 1, got {args.m}")
         rule = gauss_jacobi_rule(args.m, args.alpha, args.beta)
         if args.format == "json":
             return rule.to_json() + "\n"
@@ -206,6 +223,12 @@ def _target_function(args):
 def cmd_project(args) -> str:
     _need_n(args.n)
     sys_ = exppoly.ExpPolySystem(args.alpha, args.beta, args.n)
+    # the target's squared weighted norm, of exp(-(alpha + 2 rate) t) times
+    # (1 - exp(-t))**beta and a power of t, is finite only for alpha + 2 rate > 0
+    if not args.alpha + 2 * args.rate > 0:
+        raise DivergenceError(
+            f"weighted L2 norm of the {args.target} target diverges unless "
+            f"alpha + 2 rate > 0 (alpha = {args.alpha}, rate = {args.rate})")
     result = exppoly.project(_target_function(args), sys_)
     return json.dumps({"n": args.n, "target": args.target, "rate": args.rate,
                        "coeffs": list(result.coeffs),

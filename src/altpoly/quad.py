@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-import numpy as np
-
 from .errors import DivergenceError, RootFindingError
 from .exact import (
     ExactnessError,
@@ -168,9 +166,11 @@ def _exact_inner_product(p: DensePoly, q: DensePoly, alpha: Fraction, beta: Frac
     return simplify_scalar(seed * Fraction(num, scale * den))
 
 
-def _jacobi_matrix(m: int, a: float, b: float) -> np.ndarray:
+def _jacobi_matrix(m: int, a: float, b: float):
     """Symmetric tridiagonal Jacobi matrix of the monic classical Jacobi
-    family for weight (1-y)^a (1+y)^b on [-1,1]."""
+    family for weight (1-y)^a (1+y)^b on [-1,1], as a dense numpy array."""
+    import numpy as np
+
     diag = np.zeros(m)
     offsq = np.zeros(max(m - 1, 0))
     apb = a + b
@@ -193,6 +193,8 @@ def gauss_jacobi_rule(m: int, a, b) -> QuadRule:
     polynomial degree <= 2m-1. Built by the Golub--Welsch eigen-decomposition
     of the symmetric tridiagonal recurrence matrix, then mapped from [-1,1].
     """
+    import numpy as np
+
     if m < 1:
         raise ValueError("need at least one node")
     af, bf = float(a), float(b)

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import CollocationError, FeasibilityError
 from .exppoly import ExpPolySystem, ZeroSet, associated_poly, e_eval, e_zeros
 from .exact import is_exact
@@ -146,9 +144,12 @@ class ZSystemSpec:
             raise ValueError(f"member index {k} outside 0..{self.n}")
         return float(self.member_matrix((t,))[0, k])
 
-    def member_matrix(self, ts) -> np.ndarray:
-        """member_eval(k, t) for each t (rows) and k = 0..n (columns): float
-        Horner at x = exp(-factor t), each member's coefficients taken once."""
+    def member_matrix(self, ts):
+        """member_eval(k, t) for each t (rows) and k = 0..n (columns), as a
+        numpy array: float Horner at x = exp(-factor t), each member's
+        coefficients taken once."""
+        import numpy as np
+
         factor = self.gamma_n if self.scaled else 1.0
         xs = np.array([math.exp(-(factor * float(t))) for t in ts])
         out = np.ones((len(xs), self.n + 1))
@@ -225,6 +226,8 @@ def z_collocation_fit(f, spec: ZSystemSpec, grid_points: int = 257) -> Collocati
     """Interpolate f on [0,1] in the basis {1, members}: collocate at t = 0
     plus the zeros of the associated function, solve the square system, and
     report the node residual and the max error on a uniform grid."""
+    import numpy as np
+
     nodes = spec.collocation_nodes()
     matrix = spec.member_matrix(nodes)
     rhs = np.array([float(f(t)) for t in nodes])
@@ -241,9 +244,11 @@ def z_collocation_fit(f, spec: ZSystemSpec, grid_points: int = 257) -> Collocati
                              max(errs), cond)
 
 
-def gram_matrix(spec: ZSystemSpec, m: int = 64) -> np.ndarray:
-    """Gram matrix of {1, members} under the uniform weight on [0,1];
-    reported as a diagnostic only, nothing is asserted about it."""
+def gram_matrix(spec: ZSystemSpec, m: int = 64):
+    """Gram matrix of {1, members} under the uniform weight on [0,1], as a
+    numpy array; reported as a diagnostic only, nothing is asserted about it."""
+    import numpy as np
+
     xs, ws = np.polynomial.legendre.leggauss(m)
     ts = 0.5 * (xs + 1)
     ws = 0.5 * ws

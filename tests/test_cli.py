@@ -178,6 +178,83 @@ def test_cli_import_leaves_scipy_out():
     assert cp.returncode == 0, cp.stderr
 
 
+def test_cli_import_leaves_numpy_out():
+    cp = subprocess.run([sys.executable, "-c",
+                         "import altpoly, altpoly.cli, altpoly.verify, sys; "
+                         "assert 'numpy' not in sys.modules"],
+                        capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+
+
+@pytest.mark.parametrize("args,code", [
+    (("coeffs", "--family", "ajp", "--alpha", "1/2", "--beta", "0", "--n", "4"), 0),
+    (("tabulate", "--family", "ajp", "--alpha", "1", "--beta", "0", "--n", "3",
+      "--points", "5"), 0),
+    (("plot-data", "--family", "t", "--n", "3", "--points", "9"), 0),
+    (("verify", "--suite", "core", "--nmax", "1"), 0),
+    (("coeffs", "--family", "ajp", "--n", "2", "--k", "9"), 2),
+])
+def test_exact_commands_leave_numpy_out(args, code):
+    # -X importtime lists every module the run imported on stderr
+    cp = subprocess.run([sys.executable, "-X", "importtime", "-m", "altpoly", *args],
+                        capture_output=True, text=True)
+    assert cp.returncode == code
+    imported = {line.rsplit("|", 1)[-1].strip() for line in cp.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "altpoly.cli" in imported
+    assert "numpy" not in imported
+
+
+@pytest.mark.parametrize("args,flag", [
+    (("quad", "--family", "ajp", "--alpha", "1", "--beta", "0", "--n", "0", "--m", "0"), "--m"),
+    (("quad", "--family", "ajp", "--alpha", "1", "--beta", "0", "--n", "0", "--m", "-2"), "--m"),
+    (("coeffs", "--family", "ajp", "--alpha", "1", "--beta", "0", "--n", "3", "--k", "5"), "--k"),
+    (("coeffs", "--family", "ajp", "--alpha", "1", "--beta", "0", "--n", "3", "--k", "-1"), "--k"),
+    (("coeffs", "--family", "a", "--n", "3", "--k", "4"), "--k"),
+    (("tabulate", "--family", "ajp", "--alpha", "1", "--beta", "0", "--n", "2", "--k", "4"),
+     "--k"),
+    (("tabulate", "--family", "exp-t", "--n", "2", "--k", "3"), "--k"),
+    (("coeffs", "--family", "ajp", "--alpha", "1", "--beta", "0", "--n", "-1"), "--n"),
+    (("tabulate", "--family", "exp", "--alpha", "1", "--beta", "0", "--n", "0"), "--n"),
+])
+def test_bad_index_and_count_flags_are_usage_errors(args, flag):
+    cp = run_cli(*args)
+    assert cp.returncode == 2, cp.stderr
+    assert cp.stdout == ""
+    assert f"error: {flag} must" in cp.stderr
+
+
+def test_index_range_edges_still_run():
+    # k = n + 1 is the zero member of the ajp family
+    cp = run_cli("coeffs", "--family", "ajp", "--alpha", "1", "--beta", "0",
+                 "--n", "3", "--k", "4")
+    assert cp.returncode == 0 and cp.stdout == "i,coeff\n0,0\n"
+    assert run_cli("coeffs", "--family", "ajp", "--alpha", "1", "--beta", "0",
+                   "--n", "0").returncode == 0
+    assert run_cli("coeffs", "--family", "a", "--n", "3", "--k", "3").returncode == 0
+
+
+@pytest.mark.parametrize("target,rate", [("exp", "-1"), ("texp", "-1"), ("exp", "-0.75")])
+def test_project_divergent_target_exit_1(target, rate):
+    cp = run_cli("project", "--alpha", "3/2", "--beta", "0", "--n", "3",
+                 "--target", target, "--rate", rate)
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    err = json.loads(cp.stderr)
+    assert err["error"] == "DivergenceError"
+    assert "alpha = 3/2" in err["message"] and f"rate = {float(rate)}" in err["message"]
+
+
+def test_project_large_n_in_span():
+    cp = run_cli("project", "--alpha=-1/2", "--beta", "0", "--n", "30",
+                 "--target", "exp", "--rate", "1")
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout)["error"] < 1e-12
+    # alpha + 2 rate only just positive: the target norm is finite
+    cp = run_cli("project", "--alpha", "1", "--beta", "0", "--n", "3", "--rate", "-0.25")
+    assert cp.returncode == 0, cp.stderr
+
+
 def test_computational_failure_exit_1():
     # Gauss-Jacobi weight with a = -1 diverges
     cp = run_cli("quad", "--family", "ajp", "--alpha", "-1", "--beta", "0",

@@ -1,0 +1,99 @@
+"""Float member evaluation and projection on the exponential system against
+exact rational arithmetic.
+
+member_values runs the classical Jacobi three-term recurrence in floats; the
+oracle is the exact member polynomial (integer kernel, Fraction coefficients)
+evaluated at the same dyadic points, which floats represent exactly. For
+exp(-r t) with 1 <= r <= n the target x**r lies in the span, so the exact
+projection coefficients are the exact inner products over the exact norms and
+the true projection error is 0.
+"""
+
+import math
+from fractions import Fraction as F
+
+import pytest
+
+from altpoly.exact import PiRational
+from altpoly.exppoly import ExpPolySystem, e_norm, member_values, project
+from altpoly.poly import DensePoly
+from altpoly.quad import SEMI_AXIS, QuadRule, gauss_jacobi_rule, weighted_inner_product
+
+POINTS = (F(1, 1024), F(1, 16), F(3, 16), F(1, 2), F(21, 32), F(15, 16), F(1023, 1024))
+
+
+@pytest.mark.parametrize("alpha", [F(-9, 10), F(1, 2), F(5, 2)])
+@pytest.mark.parametrize("beta", [F(0), F(3, 2)])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 25, 40])
+def test_member_values_match_exact_members(alpha, beta, n):
+    values = member_values(alpha, beta, n, [float(x) for x in POINTS])
+    assert values.shape == (n, len(POINTS))
+    system = ExpPolySystem(alpha, beta, n)
+    for k in sorted({1, n}):
+        member = system.member_poly(k)
+        for x, got in zip(POINTS, values[k - 1]):
+            want = member(x)
+            assert want != 0
+            assert abs(got - want) <= 1e-12 * abs(want), (k, x)
+
+
+def _rational_ratio(num, den) -> F:
+    """num / den for two exact values that are both rational or both
+    rational multiples of pi."""
+    def split(v):
+        if isinstance(v, PiRational):
+            assert v.rat == 0
+            return v.pi_coeff, True
+        return F(v), False
+
+    (p, p_pi), (q, q_pi) = split(num), split(den)
+    assert p == 0 or p_pi == q_pi
+    return p / q
+
+
+def exact_projection(alpha, beta, n: int, r: int) -> list:
+    """Exact coefficients of x**r = exp(-r t) in the system, k = 1..n."""
+    system = ExpPolySystem(alpha, beta, n)
+    target = DensePoly((F(0),) * r + (F(1),))
+    return [_rational_ratio(weighted_inner_product(target, system.member_poly(k),
+                                                   alpha - 1, beta),
+                            e_norm(system, k))
+            for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("alpha,beta", [(F(1, 2), F(3, 2)), (F(3, 2), F(1, 2)),
+                                        (F(5, 2), F(0)), (F(-1, 2), F(0))])
+@pytest.mark.parametrize("n", [11, 20, 30])
+def test_project_in_span_target_matches_exact_projection(alpha, beta, n):
+    for r in sorted({1, n // 2, n}):
+        result = project(lambda t: math.exp(-r * t), ExpPolySystem(alpha, beta, n))
+        assert result.error < 1e-12, r
+        want = exact_projection(alpha, beta, n, r)
+        assert len(result.coeffs) == n
+        assert max(abs(c - float(w)) for c, w in zip(result.coeffs, want)) < 1e-12, r
+
+
+def test_project_uses_the_given_rule():
+    alpha, beta, n = F(3, 2), F(1, 2), 4
+    system = ExpPolySystem(alpha, beta, n)
+
+    def f(t):
+        return math.exp(-2 * t)
+
+    # a one-node rule is far from exact, so its coefficients show it was read
+    x, w = 0.3, 0.7
+    one = QuadRule((x,), (w,), "unit-interval", ("custom",))
+    got = project(f, system, rule=one)
+    members = member_values(alpha, beta, n, [x])[:, 0]
+    norms = [float(e_norm(system, k)) for k in range(1, n + 1)]
+    want = [m / x * w * f(-math.log(x)) / h for m, h in zip(members, norms)]
+    assert got.coeffs == pytest.approx(want, rel=1e-14)
+    # a larger rule is exact too and gives the exact projection
+    big = project(f, system, rule=gauss_jacobi_rule(40, 1.5, 0.5))
+    want = [float(c) for c in exact_projection(alpha, beta, n, 2)]
+    assert big.coeffs == pytest.approx(want, abs=1e-14)
+    assert big.error < 1e-13
+    semi = QuadRule((1.0,), (1.0,), SEMI_AXIS, ("custom",))
+    with pytest.raises(ValueError):
+        project(f, system, rule=semi)
+
