@@ -23,12 +23,14 @@ class RecurrenceError(AltpolyError, RuntimeError):
 
 class CoefficientOverflowError(AltpolyError, OverflowError):
     """Float member coefficients left the double range (inf, or an overflow
-    while building them). Exact (rational) parameters have no such limit."""
+    while building them). Exact (rational) members have no such limit; the
+    zero guard of e_zeros rounds its member to floats whatever the
+    parameters, and says so in the note."""
 
-    def __init__(self, n, k, alpha, beta):
+    def __init__(self, n, k, alpha, beta, note="use exact parameters"):
         super().__init__(
             f"float coefficients of member (n={n}, k={k}) overflow the double range "
-            f"for alpha = {alpha}, beta = {beta}; use exact parameters")
+            f"for alpha = {alpha}, beta = {beta}; {note}")
 
 
 class RootFindingError(AltpolyError, RuntimeError):

@@ -170,7 +170,12 @@ def exact_gamma2_ratio(a, b, c):
     Supported regimes (all arguments positive rationals with denominator 1 or 2,
     and a + b - c a whole number):
 
-    * a or b whole: pair the half-integer (or the other whole) with c.
+    * a and b whole: the factorial of the smaller, the larger paired with c,
+      so a Beta moment at one huge whole exponent, Gamma(a+1)Gamma(1)/Gamma(a+2),
+      costs one factor.
+    * one of a, b whole: the factorial of the whole one, the half-odd paired
+      with c. Their difference is about the whole one, so a huge whole
+      argument next to a half-odd one costs O(a) factors.
     * a and b both half-odd: Gamma(a)Gamma(b) = pi * rational, c then whole.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
@@ -180,6 +185,9 @@ def exact_gamma2_ratio(a, b, c):
         raise ExactnessError("only denominators 1 and 2 supported exactly")
     if (a + b - c).denominator != 1:
         raise ExactnessError("a + b - c must be whole")
+    if a.denominator == b.denominator == 1:
+        small, large = sorted((a, b))
+        return math.factorial(int(small) - 1) * gamma_quotient(large, c)
     if _den(a) == 1:
         # Gamma(a) is a factorial, Gamma(b)/Gamma(c) has whole difference
         return math.factorial(int(a) - 1) * gamma_quotient(b, c)

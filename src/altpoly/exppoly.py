@@ -14,12 +14,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivergenceError, RootFindingError
+from .errors import CoefficientOverflowError, DivergenceError, RootFindingError
 from .exact import is_exact
 from .marginal import a_coefficients, t_coefficients
 from .poly import DensePoly
-from .polycore import PolyParams, ajp_coefficients, ajp_norm_h
-from .quad import SEMI_AXIS, UNIT_INTERVAL, QuadRule, gauss_jacobi_rule
+from .polycore import PolyParams, ajp_coefficients, ajp_norm_h, rounded_jacobi_coefficients
+from .quad import (
+    SEMI_AXIS,
+    UNIT_INTERVAL,
+    QuadRule,
+    check_jacobi_weight,
+    gauss_jacobi_rule,
+    golub_welsch,
+    jacobi_matrices,
+    range_error,
+)
 
 
 @dataclass(frozen=True)
@@ -84,22 +93,71 @@ def associated_poly(alpha, beta, n: int) -> DensePoly:
 def e_zeros(alpha, beta, n: int) -> ZeroSet:
     """Zeros of the associated function as lambda = -ln x, ascending. Its
     x-form is P_n^(alpha,beta)(1-2x), so the zeros are the nodes of the
-    Gauss-Jacobi rule for x**alpha (1-x)**beta (Golub--Welsch).
+    Gauss-Jacobi rule for x**alpha (1-x)**beta: Golub--Welsch eigenvalues
+    only, without the rule's weights or its Beta moment (zero_sets with one
+    pair).
 
-    Valid for n >= 1, alpha > -1 and beta > -1; outside it gauss_jacobi_rule
-    raises (DivergenceError naming a = alpha, b = beta, m = n).
-    Residuals: float Horner value of the exact member at each zero over its
-    largest coefficient magnitude; above 1e-13, or zeros closer than 1e-12,
+    Valid for n >= 1, alpha > -1 and beta > -1; outside it DivergenceError
+    names a = alpha, b = beta, m = n. Exponents too large for floats raise
+    RootFindingError (the Jacobi matrix leaves the double range) or
+    CoefficientOverflowError (the guard's member does).
+    Residuals: float Horner value of the exact member, rounded once per
+    coefficient, at each zero over its largest coefficient magnitude; above
+    1e-13, zeros closer than 1e-12, or a zero that rounds to x = 0 or 1,
     raise RootFindingError."""
-    xs = gauss_jacobi_rule(n, alpha, beta).nodes[::-1]
-    member = associated_poly(alpha, beta, n).to_floats()
-    scale = max(abs(c) for c in member.coeffs)
-    residuals = tuple(abs(member(x)) / scale for x in xs)
-    if any(x - y < 1e-12 for x, y in zip(xs, xs[1:])):
-        raise RootFindingError("zeros are not simple (cluster detected)")
-    if max(residuals) > 1e-13:
-        raise RootFindingError(f"zero residual too large: {max(residuals):.3g}")
-    return ZeroSet(float(alpha), float(beta), n, tuple(-math.log(x) for x in xs), xs, residuals)
+    return zero_sets([(alpha, beta)], n)[0]
+
+
+def zero_sets(pairs, n: int) -> list[ZeroSet]:
+    """e_zeros for each (alpha, beta) pair, from one stacked Golub--Welsch
+    solve: a single numpy.linalg.eigh call for the whole stack, which holds
+    len(pairs) n x n matrices. Each pair gives the same ZeroSet, bit for
+    bit, as alone; the guards run on every pair, and the first pair in
+    order that fails one raises its error, as a loop of e_zeros would. Every
+    pair's weight is checked first (check_jacobi_weight)."""
+    import numpy as np
+
+    exps = [check_jacobi_weight(n, alpha, beta) for alpha, beta in pairs]
+    mats = jacobi_matrices(n, [a for a, _ in exps], [b for _, b in exps])
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    mats[~finite] = 0.0     # refused below; keeps the stacked solve defined
+    xs = golub_welsch(mats)[0][:, ::-1]     # descending, so lambda = -ln x ascends
+    errors = [None] * len(pairs)
+    coeffs = np.zeros((len(pairs), n + 1))
+    for r, (alpha, beta) in enumerate(pairs):
+        if not finite[r]:
+            errors[r] = range_error(n, alpha, beta)
+            continue
+        try:
+            coeffs[r] = rounded_jacobi_coefficients(n, alpha, beta)
+        except OverflowError:
+            errors[r] = CoefficientOverflowError(n, 0, alpha, beta,
+                                                 "the zero guard evaluates it in floats")
+    # Horner on every row at once: the float operations of DensePoly.__call__
+    acc = np.zeros_like(xs)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j in range(n, -1, -1):
+            acc = acc * xs + coeffs[:, j:j + 1]
+        residuals = np.abs(acc) / np.abs(coeffs).max(axis=1, keepdims=True)
+    inside = (xs[:, 0] < 1) & (xs[:, -1] > 0)
+    clustered = (xs[:, :-1] - xs[:, 1:] < 1e-12).any(axis=1)
+    worst = residuals.max(axis=1)
+    out = []
+    for r, (alpha, beta) in enumerate(pairs):
+        if errors[r] is not None:
+            raise errors[r]
+        if not inside[r]:
+            raise RootFindingError(
+                f"zeros from x = {float(xs[r, -1])!r} to {float(xs[r, 0])!r} leave the open "
+                f"interval (0, 1) for alpha = {alpha}, beta = {beta}, n = {n}")
+        if clustered[r]:
+            raise RootFindingError("zeros are not simple (cluster detected)")
+        if not worst[r] <= 1e-13:
+            raise RootFindingError(f"zero residual too large: {worst[r]:.3g}")
+        x = tuple(xs[r].tolist())
+        out.append(ZeroSet(float(alpha), float(beta), n, tuple(-math.log(v) for v in x), x,
+                           tuple(residuals[r].tolist())))
+    return out
 
 
 def legendre_type_quadrature(n: int) -> QuadRule:

@@ -321,14 +321,22 @@ def _jacobi_kernel(m: int, a: Fraction, b: Fraction) -> tuple[list[int], int]:
     return nums, d ** m * math.factorial(m)
 
 
+def rounded_jacobi_coefficients(m: int, a, b) -> list[float]:
+    """Coefficients of P_m^{(a,b)}(1-2x), powers 0..m, each the exact value at
+    the rational (or binary float) a and b rounded once to a float.
+    OverflowError when one leaves the double range."""
+    nums, den = _jacobi_kernel(m, Fraction(a), Fraction(b))
+    return [c / den for c in nums]
+
+
 def _shifted_jacobi_lifted(m: int, a, b, lift: int = 0) -> list:
     """Coefficients of x^lift P_m^{(a,b)}(1-2x), powers 0..m+lift: Fractions
     for rational a and b; otherwise floats, each rounded once from the exact
     value at the binary parameters."""
-    nums, den = _jacobi_kernel(m, Fraction(a), Fraction(b))
     if is_exact(a) and is_exact(b):
+        nums, den = _jacobi_kernel(m, Fraction(a), Fraction(b))
         return [Fraction(0)] * lift + [Fraction(c, den) for c in nums]
-    return [0.0] * lift + [c / den for c in nums]
+    return [0.0] * lift + rounded_jacobi_coefficients(m, a, b)
 
 
 def shifted_jacobi_coefficients(m: int, a, b) -> DensePoly:

@@ -166,50 +166,103 @@ def _exact_inner_product(p: DensePoly, q: DensePoly, alpha: Fraction, beta: Frac
     return simplify_scalar(seed * Fraction(num, scale * den))
 
 
-def _jacobi_matrix(m: int, a: float, b: float):
-    """Symmetric tridiagonal Jacobi matrix of the monic classical Jacobi
-    family for weight (1-y)^a (1+y)^b on [-1,1], as a dense numpy array."""
+def check_jacobi_weight(m: int, a, b) -> tuple[float, float]:
+    """The exponents as floats, after checking that m >= 1, that the weight
+    x**a (1-x)**b is integrable and that a and b fit in a float."""
+    if m < 1:
+        raise ValueError("need at least one node")
+    try:
+        af, bf = float(a), float(b)
+    except OverflowError as exc:
+        raise range_error(m, a, b) from exc
+    if not (af > -1 and bf > -1):
+        raise DivergenceError(f"Gauss-Jacobi weight needs a, b > -1 (a = {a}, b = {b}, m = {m})")
+    return af, bf
+
+
+def range_error(m: int, a, b) -> RootFindingError:
+    """The refusal for exponents whose Jacobi matrix leaves the double range."""
+    return RootFindingError(f"exponents too large for floats: the Jacobi matrix for "
+                            f"a = {a}, b = {b}, m = {m} leaves the double range")
+
+
+def _first_offsq(a: float, b: float) -> float:
+    """First squared off-diagonal entry, in Python floats: ** goes through
+    libm pow, which need not round a square as x * x does, so numpy's square
+    could change its last bit. inf where the square overflows."""
+    apb = a + b
+    try:
+        return 4 * (a + 1) * (b + 1) / ((apb + 2) ** 2 * (apb + 3))
+    except OverflowError:
+        return math.inf
+
+
+def jacobi_matrices(m: int, a, b):
+    """Stack of the symmetric tridiagonal Jacobi matrices of the monic
+    classical Jacobi family for weight (1-y)^a (1+y)^b on [-1,1], one per
+    pair of float exponents a[r], b[r], as a dense (len(a), m, m) array.
+
+    Each entry is the classical scalar formula evaluated with the same float
+    operations in the same order as a Python-float loop over one pair (the
+    reference in tests/test_quad.py), so row r is bit for bit the matrix of
+    pair r alone. A pair whose entries leave the double range gives a matrix
+    that is not finite; callers check.
+    """
     import numpy as np
 
-    diag = np.zeros(m)
-    offsq = np.zeros(max(m - 1, 0))
+    a = np.asarray(a, dtype=float)[:, None]
+    b = np.asarray(b, dtype=float)[:, None]
     apb = a + b
-    diag[0] = (b - a) / (apb + 2)
-    if m > 1:
-        offsq[0] = 4 * (a + 1) * (b + 1) / ((apb + 2) ** 2 * (apb + 3))
-    for i in range(1, m):
-        s = 2 * i + apb
-        diag[i] = (b * b - a * a) / (s * (s + 2))
-        if i < m - 1:
-            t = 2 * (i + 1) + apb
-            offsq[i] = 4 * (i + 1) * (i + 1 + a) * (i + 1 + b) * (i + 1 + apb) / \
-                ((t * t - 1) * t * t)
-    off = np.sqrt(offsq)
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    mats = np.zeros((len(a), m, m))
+    flat = mats.reshape(len(a), m * m)
+    diag, upper, lower = flat[:, ::m + 1], flat[:, 1::m + 1], flat[:, m::m + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag[:, :1] = (b - a) / (apb + 2)
+        s = np.arange(2.0, 2 * m, 2) + apb            # s = 2i + a + b, i = 1..m-1
+        diag[:, 1:] = (b * b - a * a) / (s * (s + 2))
+        if m > 1:
+            upper[:, 0] = [_first_offsq(x, y) for x, y in zip(a[:, 0].tolist(), b[:, 0].tolist())]
+            ip1 = np.arange(2, m, dtype=float)        # i + 1, i = 1..m-2
+            t = 2 * ip1 + apb
+            upper[:, 1:] = 4 * ip1 * (ip1 + a) * (ip1 + b) * (ip1 + apb) / ((t * t - 1) * t * t)
+            np.sqrt(upper, out=upper)
+            lower[:] = upper
+    return mats
+
+
+def golub_welsch(mats):
+    """Gauss nodes on [0,1], ascending, and the squared first components of
+    their unit eigenvectors, for a stack of Jacobi matrices: one
+    numpy.linalg.eigh call, shapes (len(mats), m) both. The weights of a rule
+    are mu0 times the second."""
+    import numpy as np
+
+    try:
+        vals, vecs = np.linalg.eigh(mats)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise RootFindingError(f"tridiagonal eigen-solve failed: {exc}") from exc
+    # eigh returns y ascending; y in [-1,1] with weight (1-y)^a (1+y)^b maps
+    # to x = (1-y)/2 on [0,1], so reversing makes x ascend
+    return (1 - vals[:, ::-1]) / 2, vecs[:, 0, ::-1] ** 2
 
 
 def gauss_jacobi_rule(m: int, a, b) -> QuadRule:
     """m-node Gauss rule on [0,1] for the weight x**a (1-x)**b, exact for
-    polynomial degree <= 2m-1. Built by the Golub--Welsch eigen-decomposition
-    of the symmetric tridiagonal recurrence matrix, then mapped from [-1,1].
+    polynomial degree <= 2m-1. Golub--Welsch on a stack of one Jacobi matrix
+    (jacobi_matrices, golub_welsch), mapped from [-1,1]; the weights are the
+    Beta moment mu0 times the squared first eigenvector components.
+    Exponents whose Jacobi matrix leaves the double range raise
+    RootFindingError naming a, b and m.
     """
     import numpy as np
 
-    if m < 1:
-        raise ValueError("need at least one node")
-    af, bf = float(a), float(b)
-    if not (af > -1 and bf > -1):
-        raise DivergenceError(f"Gauss-Jacobi weight needs a, b > -1 (a = {a}, b = {b}, m = {m})")
-    try:
-        vals, vecs = np.linalg.eigh(_jacobi_matrix(m, af, bf))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise RootFindingError(f"tridiagonal eigen-solve failed: {exc}") from exc
-    mu0 = float(beta_moment(a, b))
-    # eigh returns y ascending; y in [-1,1] with weight (1-y)^a (1+y)^b maps
-    # to x = (1-y)/2 on [0,1], so reversing makes x ascend
-    x = (1 - vals[::-1]) / 2
-    w = mu0 * vecs[0, ::-1] ** 2
-    return QuadRule(tuple(float(v) for v in x), tuple(float(v) for v in w),
+    af, bf = check_jacobi_weight(m, a, b)
+    mats = jacobi_matrices(m, [af], [bf])
+    if not np.isfinite(mats).all():
+        raise range_error(m, a, b)
+    x, v0sq = golub_welsch(mats)
+    w = float(beta_moment(a, b)) * v0sq[0]
+    return QuadRule(tuple(float(v) for v in x[0]), tuple(float(v) for v in w),
                     UNIT_INTERVAL, ("gauss-jacobi", float(a), float(b)))
 
 

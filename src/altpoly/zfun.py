@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CollocationError, FeasibilityError
-from .exppoly import ExpPolySystem, ZeroSet, associated_poly, e_eval, e_zeros
+from .exppoly import ExpPolySystem, ZeroSet, associated_poly, e_eval, e_zeros, zero_sets
 from .exact import is_exact
 
 GAMMA_UNSCALED_TOL = 1e-12
@@ -65,27 +65,46 @@ def _feasible(alpha, omega) -> bool:
     return a > -1 and (Fraction(omega) if is_exact(omega) else float(omega)) * a > -1
 
 
-def z_search(n: int, omega, candidates) -> tuple:
-    """Maximize the largest zero over the candidate exponents subject to the
-    zero staying <= 1. Returns (alpha, gamma); ties go to the smallest alpha.
-    Candidates are reduced in sorted order, so permutations cannot change
-    the result."""
+# Jacobi-matrix entries per stacked eigen-solve of the search (1 MiB of
+# float64): candidates go through zero_sets in blocks of this many over n * n
+_STACK_ENTRIES = 1 << 17
+
+
+def _search(n: int, omega, candidates) -> tuple:
+    """The chosen candidate and its zero set (see z_search)."""
     cands = sorted(candidates)
     if not cands:
         raise FeasibilityError("empty candidate set")
+    feasible = [alpha for alpha in cands if _feasible(alpha, omega)]
+    size = max(1, _STACK_ENTRIES // max(1, n * n))
     best = None
-    for alpha in cands:
-        if not _feasible(alpha, omega):
-            continue
-        lam = lambda_max(alpha, alpha * omega, n)
-        if lam > 1:
-            continue
-        if best is None or lam > best[1]:
-            best = (alpha, lam)
+    for start in range(0, len(feasible), size):
+        block = feasible[start:start + size]
+        zeros = zero_sets([(alpha, alpha * omega) for alpha in block], n)
+        for alpha, zs in zip(block, zeros):
+            lam = zs.max_lambda()
+            if lam > 1:
+                continue
+            if best is None or lam > best[1].max_lambda():
+                best = (alpha, zs)
     if best is None:
         raise FeasibilityError(
             f"no candidate keeps the largest zero below 1 (n={n}, omega={omega})")
     return best
+
+
+def z_search(n: int, omega, candidates) -> tuple:
+    """Maximize the largest zero over the candidate exponents subject to the
+    zero staying <= 1. Returns (alpha, gamma); ties go to the smallest alpha.
+
+    Every feasible candidate's zeros come from stacked Golub--Welsch solves
+    (exppoly.zero_sets: one numpy.linalg.eigh call per block of about
+    2**17 / n**2 candidates, so memory stays bounded), with the guards of
+    e_zeros on each; a candidate that fails one raises. The largest zeros
+    are then reduced in sorted order, assuming nothing about how they vary
+    with alpha, so permutations cannot change the result."""
+    alpha, zeros = _search(n, omega, candidates)
+    return alpha, zeros.max_lambda()
 
 
 def z_search_real(n: int, omega, alpha_hi: float = 64.0, tol: float = 1e-12) -> tuple:
@@ -187,12 +206,14 @@ class ZSystemSpec:
         )
 
 
-def _assemble(n: int, omega, alpha_n, gamma_n: float, unscaled_tol: float) -> ZSystemSpec:
-    """Build the system for a searched exponent, unscaled (Z) when gamma is
-    within unscaled_tol of 1; the associated function must vanish at t = 1."""
+def _assemble(n: int, omega, alpha_n, zeros: ZeroSet, unscaled_tol: float) -> ZSystemSpec:
+    """Build the system for a searched exponent and its zeros, unscaled (Z)
+    when gamma, the largest zero, is within unscaled_tol of 1; the associated
+    function must vanish at t = 1."""
+    gamma_n = zeros.max_lambda()
     scaled = not math.isclose(gamma_n, 1.0, rel_tol=0, abs_tol=unscaled_tol)
-    spec = ZSystemSpec(n=n, omega=omega, alpha_n=alpha_n, gamma_n=float(gamma_n),
-                       scaled=scaled, zeros=e_zeros(alpha_n, alpha_n * omega, n))
+    spec = ZSystemSpec(n=n, omega=omega, alpha_n=alpha_n, gamma_n=gamma_n,
+                       scaled=scaled, zeros=zeros)
     endpoint = spec.associated_eval(1.0)
     if abs(endpoint) > 1e-9:
         raise FeasibilityError(
@@ -201,17 +222,19 @@ def _assemble(n: int, omega, alpha_n, gamma_n: float, unscaled_tol: float) -> ZS
 
 
 def z_build(n: int, omega, candidates) -> ZSystemSpec:
-    """Run the search, then assemble the system; asserts that the associated
-    function vanishes at t = 1."""
-    alpha_n, gamma_n = z_search(n, omega, candidates)
+    """Run the search, then assemble the system from the chosen candidate's
+    zeros, so a build is one stacked eigen-solve per candidate block and no
+    more; asserts that the associated function vanishes at t = 1."""
+    alpha_n, zeros = _search(n, omega, candidates)
     omega = Fraction(omega) if is_exact(omega) else float(omega)
-    return _assemble(n, omega, alpha_n, gamma_n, GAMMA_UNSCALED_TOL)
+    return _assemble(n, omega, alpha_n, zeros, GAMMA_UNSCALED_TOL)
 
 
 def z_build_real(n: int, omega, **kwargs) -> ZSystemSpec:
     """Same as z_build but with the real-valued boundary search."""
-    alpha_n, gamma_n = z_search_real(n, omega, **kwargs)
-    return _assemble(n, float(omega), float(alpha_n), gamma_n, 1e-9)
+    alpha_n, _ = z_search_real(n, omega, **kwargs)
+    alpha_n, omega = float(alpha_n), float(omega)
+    return _assemble(n, omega, alpha_n, e_zeros(alpha_n, alpha_n * omega, n), 1e-9)
 
 
 @dataclass(frozen=True)

@@ -313,3 +313,27 @@ def test_float_overflow_exit_1_with_typed_error():
     err = json.loads(cp.stderr)
     assert err["error"] == "CoefficientOverflowError"
     assert "n=200" in err["message"] and "alpha = 1.5" in err["message"]
+
+
+@pytest.mark.parametrize("args,error,names", [
+    (("zeros", "--family", "exp", "--alpha", "1e200", "--beta", "0", "--n", "3"),
+     "RootFindingError", f"a = {10 ** 200}, b = 0, m = 3"),
+    (("quad", "--family", "ajp", "--alpha", "1e200", "--beta", "0", "--n", "1", "--m", "3"),
+     "RootFindingError", f"a = {10 ** 200}, b = 0, m = 3"),
+    (("zeros", "--family", "exp", "--alpha", "1e120", "--beta", "0", "--n", "3"),
+     "CoefficientOverflowError", f"alpha = {10 ** 120}, beta = 0"),
+])
+def test_exponents_too_large_for_floats_exit_1_with_typed_error(args, error, names):
+    cp = run_cli(*args)
+    assert cp.returncode == 1 and cp.stdout == ""
+    err = json.loads(cp.stderr)
+    assert err["error"] == error
+    assert names in err["message"]
+
+
+def test_quad_at_a_huge_whole_exponent_is_quick():
+    cp = subprocess.run([sys.executable, "-m", "altpoly", "quad", "--family", "ajp",
+                         "--alpha", "100000000", "--beta", "0", "--n", "1", "--m", "3"],
+                        capture_output=True, text=True, timeout=30)
+    assert cp.returncode == 0, cp.stderr
+    assert len(cp.stdout.splitlines()) == 4

@@ -56,6 +56,17 @@ def test_exact_gamma2_ratio_whole():
     assert exact_gamma2_ratio(3, 2, 4) == Fraction(1, 3)
 
 
+def test_exact_gamma2_ratio_whole_pair_matches_factorial_of_first():
+    # reference: the factorial of the first argument, the second paired with c
+    for a in range(1, 9):
+        for b in range(1, 9):
+            for c in range(1, a + b + 6):
+                got = exact_gamma2_ratio(a, b, c)
+                want = math.factorial(a - 1) * gamma_quotient(b, c)
+                assert got == want and type(got) is type(want) is Fraction
+    assert exact_gamma2_ratio(10 ** 8 + 1, 1, 10 ** 8 + 2) == Fraction(1, 10 ** 8 + 1)
+
+
 def test_exact_gamma2_ratio_half_pair_gives_pi():
     v = exact_gamma2_ratio(Fraction(1, 2), Fraction(1, 2), 1)
     assert v == PiRational(0, 1)

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from altpoly.errors import DivergenceError
+from altpoly import quad
+from altpoly.errors import CoefficientOverflowError, DivergenceError, RootFindingError
 from altpoly.exppoly import (
     ExpPolySystem,
+    associated_poly,
     e_eval,
     e_norm,
     e_zeros,
@@ -16,6 +18,7 @@ from altpoly.exppoly import (
     project,
     rule_table,
     semi_axis_rule,
+    zero_sets,
 )
 from altpoly.polycore import PolyParams, ajp_eval
 from altpoly.quad import integrate_semi_axis
@@ -112,6 +115,41 @@ def test_zero_set_structure():
         assert max(zs.residuals) < 1e-13
         for lam, x in zip(zs.lambdas, zs.source_x):
             assert lam == pytest.approx(-math.log(x), rel=1e-15)
+
+
+def test_zero_sets_match_e_zeros_and_the_horner_guard():
+    pairs = [(F(0), F(0)), (F(1, 2), F(3, 2)), (F(161, 3), F(161, 12)), (2.5, 0.0), (F(-1, 2), 7)]
+    for n in (1, 2, 5, 12, 20):
+        stacked = zero_sets(pairs, n)
+        for (a, b), zs in zip(pairs, stacked):
+            assert zs == e_zeros(a, b, n)
+            # the guard's reference: DensePoly Horner on the rounded exact member
+            member = associated_poly(a, b, n).to_floats()
+            scale = max(abs(c) for c in member.coeffs)
+            assert zs.residuals == tuple(abs(member(x)) / scale for x in zs.source_x)
+            assert zs.lambdas == tuple(-math.log(x) for x in zs.source_x)
+
+
+def test_e_zeros_takes_no_beta_moment(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("beta_moment called")
+
+    monkeypatch.setattr(quad, "beta_moment", refuse)
+    assert len(e_zeros(F(3, 2), F(1, 2), 6).lambdas) == 6
+    with pytest.raises(AssertionError):
+        quad.gauss_jacobi_rule(6, F(3, 2), F(1, 2))
+
+
+def test_zeros_of_exponents_too_large_for_floats():
+    with pytest.raises(RootFindingError, match=r"a = 1e\+200, b = 0, m = 3"):
+        e_zeros(1e200, 0, 3)
+    with pytest.raises(CoefficientOverflowError, match="n=3, k=0"):
+        e_zeros(F(10 ** 120), 0, 3)
+    # the zero (a+1)/(a+2) rounds to x = 1, lambda = 0
+    with pytest.raises(RootFindingError, match="open interval"):
+        e_zeros(1e120, 0, 1)
+    with pytest.raises(DivergenceError, match="a = -1, b = 0, m = 2"):
+        e_zeros(-1, 0, 2)
 
 
 # --------------------------------------------------------------- quadrature

@@ -1,10 +1,13 @@
 import json
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from altpoly.errors import DivergenceError
+from altpoly import quad
+from altpoly.errors import DivergenceError, RootFindingError
 from altpoly.exact import PiRational
 from altpoly.marginal import a_coefficients
 from altpoly.poly import DensePoly
@@ -13,7 +16,9 @@ from altpoly.quad import (
     QuadRule,
     beta_moment,
     gauss_jacobi_rule,
+    golub_welsch,
     integrate_semi_axis,
+    jacobi_matrices,
     integrate_unit,
     weighted_inner_product,
 )
@@ -153,3 +158,67 @@ def test_rule_serialization_stable():
     payload = json.loads(rule.to_json())
     assert payload["domain"] == "unit-interval"
     assert payload["nodes"] == sorted(payload["nodes"])
+
+
+def _jacobi_matrix_loop(m, a, b):
+    """Reference: one Jacobi matrix entry by entry in Python floats, the
+    single-matrix builder the stacked one replaced."""
+    diag, offsq = [0.0] * m, [0.0] * max(m - 1, 0)
+    apb = a + b
+    diag[0] = (b - a) / (apb + 2)
+    if m > 1:
+        offsq[0] = 4 * (a + 1) * (b + 1) / ((apb + 2) ** 2 * (apb + 3))
+    for i in range(1, m):
+        s = 2 * i + apb
+        diag[i] = (b * b - a * a) / (s * (s + 2))
+        if i < m - 1:
+            t = 2 * (i + 1) + apb
+            offsq[i] = 4 * (i + 1) * (i + 1 + a) * (i + 1 + b) * (i + 1 + apb) / \
+                ((t * t - 1) * t * t)
+    off = np.sqrt(offsq)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+STACK_PAIRS = [(F(-1, 2), F(0)), (F(0), F(0)), (F(1, 2), F(3, 2)), (F(3), F(2)),
+               (F(161, 3), F(161, 6)), (0.999, -0.9), (22.0, 5.5), (F(7, 3), F(64))]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 20, 50, 100, 136])
+def test_stacked_rules_equal_single_rules_bit_for_bit(m):
+    a = [float(p) for p, _ in STACK_PAIRS]
+    b = [float(q) for _, q in STACK_PAIRS]
+    mats = jacobi_matrices(m, a, b)
+    x, v0sq = golub_welsch(mats)
+    for r, (p, q) in enumerate(STACK_PAIRS):
+        assert np.array_equal(mats[r], _jacobi_matrix_loop(m, a[r], b[r]))
+        vals, vecs = np.linalg.eigh(_jacobi_matrix_loop(m, a[r], b[r]))
+        assert np.array_equal(x[r], (1 - vals[::-1]) / 2)
+        assert np.array_equal(v0sq[r], vecs[0, ::-1] ** 2)
+        rule = gauss_jacobi_rule(m, p, q)
+        assert rule.nodes == tuple(x[r].tolist())
+        assert rule.weights == tuple((float(beta_moment(p, q)) * v0sq[r]).tolist())
+
+
+def test_exponents_too_large_for_floats_are_refused():
+    for a, m in ((1e200, 3), (F(10 ** 200), 3), (F(10 ** 400), 1)):
+        with pytest.raises(RootFindingError, match=re.escape(f"a = {a}, b = 0, m = {m}")):
+            gauss_jacobi_rule(m, a, 0)
+
+
+def test_beta_moment_at_a_huge_whole_exponent():
+    # one factor, not the factorial of 10**8
+    assert beta_moment(10 ** 8, 0) == F(1, 10 ** 8 + 1)
+    assert beta_moment(0, 10 ** 8) == F(1, 10 ** 8 + 1)
+    assert beta_moment(10 ** 8, 1) == F(1, (10 ** 8 + 1) * (10 ** 8 + 2))
+    assert len(gauss_jacobi_rule(3, 10 ** 8, 0).nodes) == 3
+
+
+def test_rule_checks_the_weight_before_solving(monkeypatch):
+    def no_solve(mats):
+        raise AssertionError("eigen-solve reached")
+
+    monkeypatch.setattr(quad, "golub_welsch", no_solve)
+    with pytest.raises(ValueError, match="at least one node"):
+        gauss_jacobi_rule(0, 0, 0)
+    with pytest.raises(DivergenceError, match="a = -1, b = 0, m = 2"):
+        gauss_jacobi_rule(2, -1, 0)

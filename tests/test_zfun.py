@@ -2,9 +2,11 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from altpoly.errors import FeasibilityError
+from altpoly import exppoly, zfun
+from altpoly.errors import FeasibilityError, RootFindingError
 from altpoly.exppoly import ExpPolySystem, e_eval
 from altpoly.zfun import (
     etilde_eval,
@@ -187,3 +189,84 @@ def test_member_matrix_matches_pointwise_members():
     for k in (-1, 4):
         with pytest.raises(ValueError):
             spec.member_eval(k, 0.5)
+
+
+def _scan(n, omega, candidates):
+    """Reference search: one lambda_max per feasible candidate, reduced in
+    sorted order (the loop the stacked search replaced)."""
+    best = None
+    for alpha in sorted(candidates):
+        if not zfun._feasible(alpha, omega):
+            continue
+        lam = lambda_max(alpha, alpha * omega, n)
+        if lam > 1:
+            continue
+        if best is None or lam > best[1]:
+            best = (alpha, lam)
+    if best is None:
+        raise FeasibilityError(
+            f"no candidate keeps the largest zero below 1 (n={n}, omega={omega})")
+    return best
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except FeasibilityError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_stacked_search_matches_per_candidate_scan(n):
+    for omega in (F(0), F(1, 4), F(1, 2), F(1), F(2)):
+        for candidates in (whole_candidates(64), rational_candidates(64, 4)):
+            assert _outcome(z_search, n, omega, candidates) == \
+                _outcome(_scan, n, omega, candidates), (n, omega, len(candidates))
+
+
+def test_scan_covers_a_largest_zero_that_does_not_fall():
+    # n = 1: lambda_max is ln 2 for every alpha at omega = 1 (ties go to the
+    # smallest alpha) and grows with alpha at omega = 2
+    flat = [lambda_max(a, a, 1) for a in whole_candidates(8)]
+    rising = [lambda_max(a, 2 * a, 1) for a in whole_candidates(8)]
+    assert max(flat) - min(flat) < 1e-15
+    assert all(x < y for x, y in zip(rising, rising[1:]))
+    assert z_search(1, 1, whole_candidates(8))[0] == 0
+
+
+def test_a_failing_guard_on_any_candidate_fails_the_search(monkeypatch):
+    rounded = exppoly.rounded_jacobi_coefficients
+
+    def spoiled(m, a, b):
+        coeffs = rounded(m, a, b)
+        if a == 5:
+            coeffs[0] *= 1 + 1e-9      # residual about 1e-9 at every zero
+        return coeffs
+
+    assert z_search(3, 0, whole_candidates(10))[0] != 5
+    monkeypatch.setattr(exppoly, "rounded_jacobi_coefficients", spoiled)
+    with pytest.raises(RootFindingError, match="zero residual too large"):
+        z_search(3, 0, whole_candidates(10))
+    assert z_search(3, 0, whole_candidates(4)) == _scan(3, 0, whole_candidates(4))
+
+
+def test_z_build_is_one_eigen_solve_per_candidate_block(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    spec = z_build(8, F(1, 2), whole_candidates(64))
+    block = zfun._STACK_ENTRIES // 64
+    assert len(calls) == -(-65 // block) == 1
+    assert calls[0] == (65, 8, 8)
+    assert spec.zeros == exppoly.e_zeros(spec.alpha_n, spec.beta_n, 8)
+    # blocks bound the stack: n = 30 takes at most 2**17 // 900 = 145 candidates
+    calls.clear()
+    with pytest.raises(FeasibilityError):
+        z_search(30, 0, rational_candidates(40, 4))
+    assert max(shape[0] for shape in calls) == zfun._STACK_ENTRIES // 900
+    assert sum(shape[0] for shape in calls) == len(rational_candidates(40, 4))
