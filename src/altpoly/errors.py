@@ -34,8 +34,8 @@ class CoefficientOverflowError(AltpolyError, OverflowError):
 
 
 class RootFindingError(AltpolyError, RuntimeError):
-    """Zero finding failed: the eigen-solve failed, two zeros coincide, or a
-    zero's residual is above the required bound."""
+    """Zeros or a Gauss rule failed: the eigen-solve failed, two zeros coincide,
+    a residual is above its bound, or a node or weight leaves the double range."""
 
 
 class FeasibilityError(AltpolyError, ValueError):

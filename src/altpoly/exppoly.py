@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import CoefficientOverflowError, DivergenceError, RootFindingError
 from .exact import is_exact
-from .marginal import a_coefficients, t_coefficients
+from .marginal import a_coefficients, t_scaling
 from .poly import DensePoly
 from .polycore import PolyParams, ajp_coefficients, ajp_norm_h, rounded_jacobi_coefficients
 from .quad import (
@@ -52,9 +52,16 @@ class ExpPolySystem:
         return ajp_coefficients(PolyParams(a, self.beta, self.n, k))
 
 
-def e_eval(sys: ExpPolySystem, k: int, t):
-    """Member value at t >= 0 (k = 0 evaluates the associated function)."""
-    return sys.member_poly(k)(math.exp(-float(t)))
+def e_eval(sys: ExpPolySystem, k: int, t) -> float:
+    """Member value at t >= 0, x = exp(-t): k = 1..n from member_values, the
+    k = 0 associated function exact at x and rounded once, k = n + 1 zero."""
+    n = sys.n
+    if not 0 <= k <= n + 1:
+        raise ValueError(f"k = {k} outside 0..n+1 for n = {n}")
+    x = math.exp(-float(t))
+    if k == 0:
+        return float(associated_poly(sys.alpha, sys.beta, n)(Fraction(x)))
+    return float(member_values(sys.alpha, sys.beta, n, (x,))[k - 1, 0]) if k <= n else 0.0
 
 
 def e_norm(sys: ExpPolySystem, k: int):
@@ -190,14 +197,14 @@ def rule_table(n: int) -> list[tuple]:
     return rows
 
 
-def ea_eval(n: int, k: int, t):
-    """A-kind exponential member: integer-coefficient polynomial at exp(-t)."""
-    return a_coefficients(n, k)(math.exp(-float(t)))
+def ea_eval(n: int, k: int, t) -> float:
+    """A-kind exponential member: the (0, 0) system's member, by e_eval."""
+    return e_eval(ExpPolySystem(0, 0, n), k, t)
 
 
-def et_eval(n: int, k: int, t):
-    """T-kind exponential member at exp(-t)."""
-    return t_coefficients(n, k)(math.exp(-float(t)))
+def et_eval(n: int, k: int, t) -> float:
+    """T-kind exponential member: t_scaling(n, k) times the (-1/2, -1/2) one."""
+    return float(t_scaling(n, k)) * e_eval(ExpPolySystem(-0.5, -0.5, n), k, t)
 
 
 def ea_derivative_relation_residual(n: int, k: int, t) -> float:

@@ -35,7 +35,6 @@ from .errors import (
 from .exact import (
     ExactnessError,
     exact_gamma2_ratio,
-    falling_factorial,
     float_gamma2_ratio,
     is_exact,
     over_common_denominator,
@@ -95,20 +94,14 @@ class PolyParams:
         return self.k == self.n + 1
 
 
-def falling(a, m: int):
-    """Falling factorial (a)_m; the convention used by every formula here."""
-    return falling_factorial(a, m)
-
-
 def ajp_coefficients(p: PolyParams) -> DensePoly:
     """Monomial coefficients of the member polynomial.
 
-    Exact parameters: x^k times the shifted Jacobi polynomial
-    P_{n-k}^{(alpha+2k+1, beta)}(1-2x), from the integer kernel, one
-    Fraction per coefficient. Float parameters expand
-    sum_j (-1)^j C(n-k, j) (alpha+n+k+1)_{n-k-j} (beta+n-k)_j
-    x^(k+j) (1-x)^(n-k-j) / (n-k)!  with falling factorials throughout, and
-    raise CoefficientOverflowError when a coefficient leaves the double range.
+    x^k times the shifted Jacobi polynomial P_{n-k}^{(alpha+2k+1, beta)}(1-2x),
+    from the integer kernel: one Fraction per coefficient for exact
+    parameters; for float parameters the exact value at their binary values,
+    rounded once, and CoefficientOverflowError when one leaves the double
+    range.
 
     Results are cached; the key carries the arithmetic mode because exact and
     float parameters can compare equal (Fraction(1,2) == 0.5) yet must not
@@ -122,23 +115,13 @@ def _ajp_coefficients_cached(p: PolyParams, _exact: bool) -> DensePoly:
     if p.is_sentinel:
         return DensePoly.zero()
     n, k, a, b = p.n, p.k, p.alpha, p.beta
-    m = n - k
     if p.exact:
-        return DensePoly(_shifted_jacobi_lifted(m, a + 2 * k + 1, b, k))
-    out = [0.0] * (n + 1)
-    fact_m = math.factorial(m)
+        return DensePoly(_shifted_jacobi_lifted(n - k, a + 2 * k + 1, b, k))
+    shifted = Fraction(a) + 2 * k + 1       # alpha's binary value, shifted exactly
     try:
-        for j in range(m + 1):
-            pref = (-1) ** j * math.comb(m, j) * falling(a + n + k + 1, m - j) * falling(b + m, j)
-            pref = pref / fact_m
-            # expand (1-x)^(m-j) onto powers k+j .. n
-            for i in range(m - j + 1):
-                out[k + j + i] += pref * ((-1) ** i * math.comb(m - j, i))
+        return DensePoly([0.0] * k + rounded_jacobi_coefficients(n - k, shifted, b))
     except OverflowError as exc:
         raise CoefficientOverflowError(n, k, a, b) from exc
-    if not all(map(math.isfinite, out)):
-        raise CoefficientOverflowError(n, k, a, b)
-    return DensePoly(out)
 
 
 def ajp_eval(p: PolyParams, x):

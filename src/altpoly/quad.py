@@ -251,8 +251,9 @@ def gauss_jacobi_rule(m: int, a, b) -> QuadRule:
     polynomial degree <= 2m-1. Golub--Welsch on a stack of one Jacobi matrix
     (jacobi_matrices, golub_welsch), mapped from [-1,1]; the weights are the
     Beta moment mu0 times the squared first eigenvector components.
-    Exponents whose Jacobi matrix leaves the double range raise
-    RootFindingError naming a, b and m.
+    RootFindingError naming a, b and m refuses a Jacobi matrix that leaves
+    the double range, nodes that round to x = 0 or 1 or coincide (exponents
+    from about 1e16) and a weight that underflows (m = 30 from a = b = 502).
     """
     import numpy as np
 
@@ -261,8 +262,12 @@ def gauss_jacobi_rule(m: int, a, b) -> QuadRule:
     if not np.isfinite(mats).all():
         raise range_error(m, a, b)
     x, v0sq = golub_welsch(mats)
-    w = float(beta_moment(a, b)) * v0sq[0]
-    return QuadRule(tuple(float(v) for v in x[0]), tuple(float(v) for v in w),
+    x, w = x[0], float(beta_moment(a, b)) * v0sq[0]
+    if not (0 < x[0] and x[-1] < 1 and (x[1:] > x[:-1]).all()):
+        raise RootFindingError(f"nodes round to 0 or 1 or coincide for a = {a}, b = {b}, m = {m}")
+    if not (w > 0).all():
+        raise RootFindingError(f"a weight underflows to 0 for a = {a}, b = {b}, m = {m}")
+    return QuadRule(tuple(float(v) for v in x), tuple(float(v) for v in w),
                     UNIT_INTERVAL, ("gauss-jacobi", float(a), float(b)))
 
 

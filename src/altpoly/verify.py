@@ -390,18 +390,16 @@ def suite_marginal(rec: Recorder, nmax: int):
 
 def suite_exp(rec: Recorder, nmax: int):
     nmax = min(nmax, 8)
-    # substitution consistency
+    # substitution consistency: e_eval against the exact member at the same x
     for (a, b) in ((Fraction(1), Fraction(0)), (Fraction(2), Fraction(1))):
         sys = exppoly.ExpPolySystem(a, b, 3)
         for k in range(0, 4):
-            worst = 0.0
-            for t in (0.0, 0.3, 1.7):
-                via_e = exppoly.e_eval(sys, k, t)
-                via_p = polycore.ajp_eval(PolyParams(a - 1, b, 3, k), math.exp(-t))
-                worst = max(worst, abs(via_e - float(via_p)))
+            worst = max(float(abs(Fraction(exppoly.e_eval(sys, k, t))
+                                  - sys.member_poly(k)(Fraction(math.exp(-t)))))
+                        for t in (0.0, 0.3, 1.7))
             rec.add("substitution-consistency",
                     {"alpha": str(a), "beta": str(b), "k": k},
-                    worst == 0.0, f"max abs {worst:.3g}")
+                    worst <= 1e-14, f"max abs {worst:.3g}")
     # orthogonality on the semi-axis, exact for whole exponents
     for a in (1, 2, 3):
         for b in (0, 1):
@@ -444,17 +442,11 @@ def suite_exp(rec: Recorder, nmax: int):
             worst_semi = max(worst_semi, abs(s - 1 / m) * m)
         rec.add("semi-axis-rule-exactness", {"n": n},
                 worst_semi < 1e-9, f"worst rel {worst_semi:.3g}")
-        # discrete orthogonality of the zero-exponent system
-        syse = exppoly.ExpPolySystem(0, 0, n)
-        members = [syse.member_poly(k).to_floats() for k in range(n + 1)]
-        worst_disc = 0.0
-        for k in range(1, n + 1):
-            for l in range(k, n + 1):
-                s = sum(v * members[k](math.exp(-t)) * members[l](math.exp(-t))
-                        for t, v in zip(semi.nodes, semi.weights))
-                want = 1 / (2 * k) if k == l else 0.0
-                scale = 1 / (2 * k)
-                worst_disc = max(worst_disc, abs(s - want) / scale)
+        # discrete orthogonality of the zero-exponent system, relative to 1/(2k)
+        members = exppoly.member_values(0, 0, n, [math.exp(-t) for t in semi.nodes])
+        gram = (members * semi.weights) @ members.T
+        worst_disc = max(abs(gram[k - 1, l - 1] - (1 / (2 * k) if k == l else 0.0)) * 2 * k
+                         for k in range(1, n + 1) for l in range(k, n + 1))
         rec.add("discrete-orthogonality", {"n": n},
                 worst_disc < 1e-9, f"worst rel {worst_disc:.3g}")
     # derivative relation of the zero-exponent exponential system

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CollocationError, FeasibilityError
-from .exppoly import ExpPolySystem, ZeroSet, associated_poly, e_eval, e_zeros, zero_sets
+from .exppoly import ExpPolySystem, ZeroSet, e_eval, e_zeros, member_values, zero_sets
 from .exact import is_exact
 
 GAMMA_UNSCALED_TOL = 1e-12
@@ -164,28 +164,21 @@ class ZSystemSpec:
         return float(self.member_matrix((t,))[0, k])
 
     def member_matrix(self, ts):
-        """member_eval(k, t) for each t (rows) and k = 0..n (columns), as a
-        numpy array: float Horner at x = exp(-factor t), each member's
-        coefficients taken once."""
+        """member_eval(k, t) for each t (rows) and k = 0..n (columns), as a numpy
+        array; the members come from one member_values call at x = exp(-factor t)."""
         import numpy as np
 
         factor = self.gamma_n if self.scaled else 1.0
-        xs = np.array([math.exp(-(factor * float(t))) for t in ts])
+        xs = [math.exp(-(factor * float(t))) for t in ts]
         out = np.ones((len(xs), self.n + 1))
-        system = ExpPolySystem(self.alpha_n, self.beta_n, self.n)
-        for k in range(1, self.n + 1):
-            acc = np.zeros(len(xs))
-            for c in reversed(system.member_poly(k).to_floats().coeffs):
-                acc = acc * xs + c
-            out[:, k] = acc
+        out[:, 1:] = member_values(self.alpha_n, self.beta_n, self.n, xs).T
         return out
 
     def associated_eval(self, t) -> float:
-        """The k = 0 associated function, exact at x = exp(-factor t) and rounded
-        once: float Horner noise reaches 1e-9 by n = 8, the endpoint check's bound."""
+        """The k = 0 associated function: e_eval at factor t, exact at x and
+        rounded once (float Horner noise reaches the endpoint check's 1e-9)."""
         factor = self.gamma_n if self.scaled else 1.0
-        x = Fraction(math.exp(-(factor * float(t))))
-        return float(associated_poly(self.alpha_n, self.beta_n, self.n)(x))
+        return e_eval(ExpPolySystem(self.alpha_n, self.beta_n, self.n), 0, factor * float(t))
 
     def collocation_nodes(self) -> tuple:
         """t = 0 plus the zeros of the associated function mapped into (0,1]."""

@@ -308,11 +308,11 @@ def test_verify_that_runs_nothing_is_usage_error():
 
 def test_float_overflow_exit_1_with_typed_error():
     cp = run_cli("coeffs", "--family", "ajp", "--alpha", "1.5", "--beta", "0.7",
-                 "--n", "200", "--mode", "float")
+                 "--n", "450", "--mode", "float")
     assert cp.returncode == 1
     err = json.loads(cp.stderr)
     assert err["error"] == "CoefficientOverflowError"
-    assert "n=200" in err["message"] and "alpha = 1.5" in err["message"]
+    assert "n=450" in err["message"] and "alpha = 1.5" in err["message"]
 
 
 @pytest.mark.parametrize("args,error,names", [
@@ -337,3 +337,27 @@ def test_quad_at_a_huge_whole_exponent_is_quick():
                         capture_output=True, text=True, timeout=30)
     assert cp.returncode == 0, cp.stderr
     assert len(cp.stdout.splitlines()) == 4
+
+
+def test_quad_with_a_node_at_the_endpoint_exits_1_with_typed_error():
+    cp = run_cli("quad", "--family", "ajp", "--alpha", "1e20", "--beta", "0", "--n", "1",
+                 "--m", "3")
+    assert cp.returncode == 1 and cp.stdout == ""
+    err = json.loads(cp.stderr)
+    assert err["error"] == "RootFindingError"
+    assert f"round to 0 or 1 or coincide for a = {10 ** 20}, b = 0, m = 3" in err["message"]
+
+
+def test_tabulate_exp_a_at_n30_matches_the_exact_member():
+    from fractions import Fraction
+
+    from altpoly.marginal import a_coefficients
+
+    cp = run_cli("tabulate", "--family", "exp-a", "--n", "30", "--k", "1")
+    assert cp.returncode == 0, cp.stderr
+    exact = a_coefficients(30, 1)
+    rows = [line.split(",") for line in cp.stdout.splitlines()[1:]]
+    assert len(rows) == 129
+    for t, value in rows:
+        want = exact(Fraction(math.exp(-float(t))))
+        assert abs(Fraction(float(value)) - want) < 1e-12, t

@@ -155,9 +155,21 @@ def test_inner_product_against_moment_sum(alpha, beta):
             assert got == moment_sum(p, q, alpha, beta), (alpha, beta, p, q)
 
 
-@pytest.mark.parametrize("n", [150, 200])
+@pytest.mark.parametrize("alpha,beta,sizes", [(1.5, 0.7, (8, 20, 50, 100, 150, 200)),
+                                               (0.1, 2.3, (8, 20, 50, 100))])
+def test_float_member_is_the_exact_member_rounded_once(alpha, beta, sizes):
+    # the exact member at the binary values of alpha and beta (alpha + 1 is
+    # not a float at 0.1), each coefficient rounded once; at n = 200 the
+    # largest one is 4.5e151
+    for n in sizes:
+        want = binomial_route(n, F(alpha) + 1, F(beta))
+        got = ajp_coefficients(PolyParams(alpha, beta, n, 0))
+        assert got.coeffs == tuple(float(c) for c in want.coeffs), n
+
+
+@pytest.mark.parametrize("n", [450, 500])
 def test_float_member_overflow_is_refused(n):
-    # at n = 150 the expansion reaches inf, at n = 200 (n-k)! has no float
+    # the exact coefficients at (1.5, 0.7) leave the double range from n = 430
     with pytest.raises(CoefficientOverflowError, match=f"n={n}.*alpha = 1.5, beta = 0.7"):
         ajp_coefficients(PolyParams(1.5, 0.7, n, 0))
     assert isinstance(CoefficientOverflowError(n, 0, 1.5, 0.7), OverflowError)

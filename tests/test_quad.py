@@ -222,3 +222,13 @@ def test_rule_checks_the_weight_before_solving(monkeypatch):
         gauss_jacobi_rule(0, 0, 0)
     with pytest.raises(DivergenceError, match="a = -1, b = 0, m = 2"):
         gauss_jacobi_rule(2, -1, 0)
+
+
+def test_nodes_at_the_endpoint_and_underflowing_weights_are_refused():
+    # a node that rounds to x = 1 (a = 1e20) or two that coincide, and
+    # mu0 = B(637, 637) underflowing to 0: each was a bare ValueError from QuadRule
+    for m, a, b, cause in ((3, 1e20, 0, "round to 0 or 1"), (3, 0, 1e20, "round to 0 or 1"),
+                           (10, -0.5, 1e16, "coincide"), (30, 636, 636, "weight underflows")):
+        with pytest.raises(RootFindingError,
+                           match=f"{cause}.*{re.escape(f'a = {a}, b = {b}, m = {m}')}"):
+            gauss_jacobi_rule(m, a, b)
