@@ -14,10 +14,10 @@ import enum
 import math
 from fractions import Fraction
 
-from .errors import DivergenceError, RecurrenceError
+from .errors import DivergenceError
 from .exact import PiRational, double_factorial, falling_factorial
 from .poly import DensePoly
-from .polycore import PolyParams, ajp_coefficients
+from .polycore import PolyParams, _downward_recurrence, ajp_coefficients
 
 
 class MarginalKind(enum.Enum):
@@ -52,20 +52,19 @@ def a_coefficients(n: int, k: int) -> DensePoly:
 
 def a_recurrence(n: int) -> list[DensePoly]:
     """A-kind members for k = n down to 0 by the downward recurrence
-    starting from x^n and (2n-1)x^(n-1) - 2n x^n."""
+    starting from x^n and (2n-1)x^(n-1) - 2n x^n, on the exact integer
+    kernel of polycore."""
     if n < 1:
         raise ValueError("recurrence needs n >= 1")
-    seq = [DensePoly.monomial(n), DensePoly([0] * (n - 1) + [2 * n - 1, -2 * n])]
-    for k in range(n - 1, 0, -1):
-        cur, prev = seq[-1], seq[-2]
-        if cur.coeffs and cur.coeffs[0]:
-            raise RecurrenceError(f"A member k={k} has a nonzero constant term")
-        combo = (
-            cur.shift_down().scale((2 * k - 1) * (2 * k + 1))
-            - cur.scale(2 * (n * n + k * k + n))
-        ).scale(2 * k) - prev.scale((2 * k - 1) * (n - k) * (n + k + 1))
-        seq.append(combo.scale(Fraction(1, (2 * k + 1) * (n + k) * (n - k + 1))))
-    return seq
+    first = [0] * (n - 1) + [2 * n - 1, -2 * n]
+    return _downward_recurrence(n, (first, 1), lambda k: _a_step(n, k), label="A member")
+
+
+def _a_step(n: int, k: int):
+    """Integer factors (m1, m2, m3, den) of the A-kind step member(k) ->
+    member(k-1): den member(k-1) = m1 member(k)/x - m2 member(k) - m3 member(k+1)."""
+    return (2 * k * (2 * k - 1) * (2 * k + 1), 4 * k * (n * n + k * k + n),
+            (2 * k - 1) * (n - k) * (n + k + 1), (2 * k + 1) * (n + k) * (n - k + 1))
 
 
 def a_norm(n: int, k: int, l: int) -> Fraction:
@@ -105,22 +104,20 @@ def t_coefficients(n: int, k: int) -> DensePoly:
 
 def t_recurrence(n: int) -> list[DensePoly]:
     """T-kind members for k = n down to 0 by the downward recurrence
-    starting from x^n and (4n-3)x^(n-1) - (4n-2)x^n."""
+    starting from x^n and (4n-3)x^(n-1) - (4n-2)x^n, on the exact integer
+    kernel of polycore."""
     if n < 1:
         raise ValueError("recurrence needs n >= 1")
-    seq = [DensePoly.monomial(n),
-           DensePoly([0] * (n - 1) + [4 * n - 3, -(4 * n - 2)])]
-    for k in range(n - 1, 0, -1):
-        cur, prev = seq[-1], seq[-2]
-        if cur.coeffs and cur.coeffs[0]:
-            raise RecurrenceError(f"T member k={k} has a nonzero constant term")
-        combo = (
-            cur.shift_down().scale((4 * k - 3) * (4 * k + 1))
-            - cur.scale(2 * (4 * n * n + 4 * k * k - 2 * k - 1))
-        ).scale(4 * k - 1) - prev.scale(4 * (n - k) * (n + k) * (4 * k - 3))
-        seq.append(combo.scale(
-            Fraction(1, (2 * (n + k) - 1) * (2 * (n - k) + 1) * (4 * k + 1))))
-    return seq
+    first = [0] * (n - 1) + [4 * n - 3, -(4 * n - 2)]
+    return _downward_recurrence(n, (first, 1), lambda k: _t_step(n, k), label="T member")
+
+
+def _t_step(n: int, k: int):
+    """Integer factors (m1, m2, m3, den) of the T-kind step, as for _a_step."""
+    return ((4 * k - 1) * (4 * k - 3) * (4 * k + 1),
+            2 * (4 * k - 1) * (4 * n * n + 4 * k * k - 2 * k - 1),
+            4 * (n - k) * (n + k) * (4 * k - 3),
+            (2 * (n + k) - 1) * (2 * (n - k) + 1) * (4 * k + 1))
 
 
 def t_norm(n: int, k: int, l: int):

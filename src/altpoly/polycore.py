@@ -12,8 +12,10 @@ terminating hypergeometric sum of the shifted Jacobi polynomial, whose x^j
 coefficient is a product of integers over the common denominator
 d^m m!, d = lcm(den a, den b). A member is x^k times the kernel at
 (n - k, alpha + 2k + 1, beta); the direct family and the reciprocity route
-call the same kernel. The kernel and the exact downward recurrence work on
-Python integers and build one Fraction per output coefficient at the end.
+call the same kernel. The kernel and the one exact downward-recurrence
+kernel (_downward_recurrence, which marginal's A and T recurrences share)
+work on Python integers and build one Fraction per output coefficient at
+the end.
 Gamma-function ratios in the norm and integral formulas are evaluated as
 products of rational factors, never through a floating gamma, so exact mode
 stays exact.
@@ -132,83 +134,107 @@ def ajp_eval(p: PolyParams, x):
 def ajp_recurrence(alpha, beta, n: int, up_to_k: int = 0) -> list[DensePoly]:
     """Downward three-term recurrence on coefficient vectors.
 
-    Returns members for k = n down to up_to_k (descending order). The 1/x
-    factor in the recurrence is a left shift, applied only after checking the
-    constant term is zero. Exact parameters run on primitive integer vectors
-    (see _exact_recurrence); float parameters on float coefficients.
+    Returns members for k = n down to up_to_k (descending order), from x^n
+    and the k = n - 1 member. Both branches step with _recurrence_factors:
+    exact parameters run on the integer kernel _downward_recurrence, float
+    ones on float coefficient lists. The 1/x factor of a step is a left
+    shift, applied only after checking the constant term is zero.
+    RecurrenceError when a step's denominator vanishes (a negative whole
+    alpha with alpha + 2k + 2 = 0 or alpha + n + k + 1 = 0).
     """
     a, b = _param(alpha), _param(beta)
     if n < 0 or not 0 <= up_to_k <= n:
         raise ValueError("need 0 <= up_to_k <= n")
     if is_exact(a) and is_exact(b):
-        return _exact_recurrence(a, b, n, up_to_k)
+        (big_a, big_b), d = over_common_denominator((a, b))
+        first = [0] * (n - 1) + [big_a + 2 * n * d, -(big_a + big_b + (2 * n + 1) * d)]
+        return _downward_recurrence(
+            n, (first, d), lambda k: _recurrence_factors(big_a, big_b, d, n, k), up_to_k)
     a, b = float(a), float(b)
     seq = [DensePoly.monomial(n)]
     if up_to_k == n:
         return seq
-    seq.append(DensePoly([0] * (n - 1) + [a + 2 * n, -(a + b + 2 * n + 1)]))
+    prev, cur = [0] * n + [1], [0] * (n - 1) + [a + 2 * n, -(a + b + 2 * n + 1)]
+    seq.append(DensePoly(cur))
     for k in range(n - 1, up_to_k, -1):
-        cur, prev = seq[-1], seq[-2]
-        const = cur.coeffs[0] if cur.coeffs else 0
-        if const:
-            # float mode tolerates roundoff residue relative to the coefficient scale
-            scale = max(abs(c) for c in cur.coeffs)
-            if abs(const) > 1e-9 * scale:
-                raise RecurrenceError(
-                    f"member k={k} has nonzero constant term, cannot apply 1/x step")
-        shifted = DensePoly(cur.coeffs[1:])
-        c1, c2, c3, c4, denom = _recurrence_factors(a, b, n, k)
-        combo = (shifted.scale(c1) - cur.scale(c2)).scale(c3) - prev.scale(c4)
-        seq.append(combo.scale(1 / denom))
+        # float mode tolerates roundoff residue relative to the coefficient scale
+        if cur[0] and abs(cur[0]) > 1e-9 * max(abs(c) for c in cur):
+            raise RecurrenceError(
+                f"member k={k} has a nonzero constant term, cannot apply 1/x step")
+        m1, m2, m3, den = _recurrence_factors(a, b, 1, n, k)
+        if not den:
+            raise RecurrenceError(f"the step to member k={k - 1} divides by zero")
+        prev, cur = cur, [(m1 * s - m2 * y - m3 * z) / den
+                          for s, y, z in zip(cur[1:] + [0], cur, prev)]
+        seq.append(DensePoly(cur))
     return seq
 
 
-def _recurrence_factors(a, b, n: int, k: int):
-    """Factors of the step member(k) -> member(k-1):
-    x member(k-1) denom = c3 (c1 member(k) - c2 x member(k)) - c4 x member(k+1)."""
-    return ((a + 2 * k) * (a + 2 * k + 2),
-            (a + 2 * n + 2) * (a + b + 2 * k + 1) + 2 * (n - k) * (n - k + 1),
-            a + 2 * k + 1,
-            (a + b + n + k + 2) * (b + n - k) * (a + 2 * k),
-            (n - k + 1) * (a + n + k + 1) * (a + 2 * k + 2))
+def _recurrence_factors(big_a, big_b, d, n: int, k: int):
+    """Factors (m1, m2, m3, den) of the step member(k) -> member(k-1),
+
+        den member(k-1) = m1 member(k)/x - m2 member(k) - m3 member(k+1),
+
+    at alpha = A/d and beta = B/d, each scaled by d^3: integers for integer
+    A, B and d. Float parameters pass (alpha, beta, 1)."""
+    a2k = big_a + 2 * k * d
+    a2k1 = a2k + d
+    return (a2k1 * a2k * (a2k1 + d),
+            a2k1 * ((big_a + (2 * n + 2) * d) * (big_a + big_b + (2 * k + 1) * d)
+                    + 2 * (n - k) * (n - k + 1) * d * d),
+            (big_a + big_b + (n + k + 2) * d) * (big_b + (n - k) * d) * a2k,
+            d * (n - k + 1) * (big_a + (n + k + 1) * d) * (a2k1 + d))
 
 
-def _primitive(scale: Fraction, vec: list[int]):
-    """The same vector as (scale * g, vec / g), g the gcd of the entries."""
-    g = math.gcd(*vec)
-    if g == 0:
-        return Fraction(0), vec
-    if g == 1:
-        return scale, vec
-    return scale * g, [v // g for v in vec]
+def _downward_recurrence(n: int, first, factors, up_to_k: int = 0,
+                         label: str = "member") -> list[DensePoly]:
+    """Exact members k = n down to up_to_k (descending) of a downward
+    three-term recurrence that starts from x^n.
 
+    first = (vec, den) is the k = n - 1 member as an int vector of length
+    n + 1 over den > 0; factors(k) gives integers (m1, m2, m3, den) with
+    den member(k-1) = m1 member(k)/x - m2 member(k) - m3 member(k+1). Each
+    member is held as num/den times a primitive int vector, so a step is one
+    gcd of the two scales, one integer combination of three vectors and one
+    vector gcd; one Fraction per coefficient is built at the end.
+    RecurrenceError when a member about to be divided by x has a nonzero
+    constant term, or a step's den is zero."""
 
-def _exact_recurrence(a: Fraction, b: Fraction, n: int, up_to_k: int) -> list[DensePoly]:
-    """The downward recurrence with each member held as an exact scale times a
-    primitive int vector of length n + 1. A step combines the left-shifted,
-    the current and the previous vector with integer multipliers (the step's
-    rational factors over their common denominator) and divides out the gcd;
-    one Fraction per coefficient is built at the end."""
-    members = [(Fraction(1), [0] * n + [1])]
+    def held(num, den, vec):
+        """num/den times vec as (num', den', primitive vec), den' > 0."""
+        h = math.gcd(*vec)
+        if not h:
+            return 0, 1, vec
+        if h > 1:
+            vec = [v // h for v in vec]
+        num *= h
+        r = math.gcd(num, den)
+        if den < 0:
+            r = -r
+        return num // r, den // r, vec
+
+    members = [(1, 1, [0] * n + [1])]
     if up_to_k < n:
-        lead, den = over_common_denominator((a + 2 * n, -(a + b + 2 * n + 1)))
-        members.append(_primitive(Fraction(1, den), [0] * (n - 1) + lead))
+        members.append(held(1, first[1], first[0]))
     for k in range(n - 1, up_to_k, -1):
-        (s_cur, cur), (s_prev, prev) = members[-1], members[-2]
+        (p1, q1, cur), (p2, q2, prev) = members[-1], members[-2]
         if cur[0]:
             raise RecurrenceError(
-                f"member k={k} has nonzero constant term, cannot apply 1/x step")
-        c1, c2, c3, c4, denom = _recurrence_factors(a, b, n, k)
-        (m1, m2, m3), den = over_common_denominator(
-            (s_cur * c3 * c1 / denom, -s_cur * c3 * c2 / denom, -s_prev * c4 / denom))
-        vec = [m1 * x + m2 * y + m3 * z for x, y, z in zip(cur[1:] + [0], cur, prev)]
-        members.append(_primitive(Fraction(1, den), vec))
+                f"{label} k={k} has a nonzero constant term, cannot apply 1/x step")
+        m1, m2, m3, den = factors(k)
+        if not den:
+            raise RecurrenceError(f"the step to {label} k={k - 1} divides by zero")
+        # the two scales over the common denominator q1 q2, less their gcd g
+        u1, u2 = p1 * q2, p2 * q1
+        g = math.gcd(u1, u2) or 1
+        c1, c2, c3 = u1 // g * m1, u1 // g * m2, u2 // g * m3
+        vec = [c1 * s - c2 * y - c3 * z for s, y, z in zip(cur[1:] + [0], cur, prev)]
+        members.append(held(g, q1 * q2 * den, vec))
     zero = Fraction(0)
     out = []
     while members:
-        s, vec = members.pop()          # each int vector is freed once converted
-        out.append(DensePoly([Fraction(s.numerator * v, s.denominator) if v else zero
-                              for v in vec]))
+        p, q, vec = members.pop()       # each int vector is freed once converted
+        out.append(DensePoly([Fraction(p * v, q) if v else zero for v in vec]))
     return out[::-1]
 
 

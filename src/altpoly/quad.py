@@ -181,9 +181,10 @@ def check_jacobi_weight(m: int, a, b) -> tuple[float, float]:
 
 
 def range_error(m: int, a, b) -> RootFindingError:
-    """The refusal for exponents whose Jacobi matrix leaves the double range."""
-    return RootFindingError(f"exponents too large for floats: the Jacobi matrix for "
-                            f"a = {a}, b = {b}, m = {m} leaves the double range")
+    """The refusal for exponents whose Jacobi matrix, or Beta moment, leaves
+    the double range."""
+    return RootFindingError(f"exponents too large for floats: the Jacobi matrix or Beta "
+                            f"moment for a = {a}, b = {b}, m = {m} leaves the double range")
 
 
 def _first_offsq(a: float, b: float) -> float:
@@ -251,9 +252,10 @@ def gauss_jacobi_rule(m: int, a, b) -> QuadRule:
     polynomial degree <= 2m-1. Golub--Welsch on a stack of one Jacobi matrix
     (jacobi_matrices, golub_welsch), mapped from [-1,1]; the weights are the
     Beta moment mu0 times the squared first eigenvector components.
-    RootFindingError naming a, b and m refuses a Jacobi matrix that leaves
-    the double range, nodes that round to x = 0 or 1 or coincide (exponents
-    from about 1e16) and a weight that underflows (m = 30 from a = b = 502).
+    RootFindingError naming a, b and m refuses a Jacobi matrix or a Beta
+    moment that leaves the double range, nodes that round to x = 0 or 1 or
+    coincide (exponents from about 1e16) and a weight that underflows
+    (m = 30 from a = b = 502).
     """
     import numpy as np
 
@@ -262,7 +264,11 @@ def gauss_jacobi_rule(m: int, a, b) -> QuadRule:
     if not np.isfinite(mats).all():
         raise range_error(m, a, b)
     x, v0sq = golub_welsch(mats)
-    x, w = x[0], float(beta_moment(a, b)) * v0sq[0]
+    try:
+        mu0 = float(beta_moment(a, b))
+    except OverflowError as exc:        # the float lgamma fallback, m = 1 only
+        raise range_error(m, a, b) from exc
+    x, w = x[0], mu0 * v0sq[0]
     if not (0 < x[0] and x[-1] < 1 and (x[1:] > x[:-1]).all()):
         raise RootFindingError(f"nodes round to 0 or 1 or coincide for a = {a}, b = {b}, m = {m}")
     if not (w > 0).all():

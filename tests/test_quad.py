@@ -205,6 +205,14 @@ def test_exponents_too_large_for_floats_are_refused():
             gauss_jacobi_rule(m, a, 0)
 
 
+def test_float_beta_moment_overflow_is_refused():
+    # m = 1: the Jacobi matrix is finite, but the moment's float lgamma
+    # fallback overflows; it was a bare OverflowError
+    for a, b in ((1e306, 0), (0, 1e306)):
+        with pytest.raises(RootFindingError, match=re.escape(f"a = {a}, b = {b}, m = 1")):
+            gauss_jacobi_rule(1, a, b)
+
+
 def test_beta_moment_at_a_huge_whole_exponent():
     # one factor, not the factorial of 10**8
     assert beta_moment(10 ** 8, 0) == F(1, 10 ** 8 + 1)
