@@ -89,7 +89,7 @@ def _need_index(family: str, n: int, k: int):
     """Members are indexed by n >= 0 and k = 0..n; the ajp and exp families
     also take k = n+1, the zero member that starts the downward recurrence.
     Exponential systems and Z systems need n >= 1."""
-    if family in ("exp", "z"):
+    if family in EXP_FAMILIES or family == "z":
         _need_n(n)
     if n < 0:
         raise UsageError(f"--n must be at least 0, got {n}")
@@ -238,6 +238,7 @@ def cmd_project(args) -> str:
 def cmd_plot_data(args) -> str:
     if args.family not in ("a", "t"):
         raise UsageError("plot-data supports --family a or t")
+    _need_n(args.n)
     kind = MarginalKind.A if args.family == "a" else MarginalKind.T
     rows = marginal.plot_table(kind, args.n, args.points,
                                exact=args.mode == "exact")
@@ -270,6 +271,30 @@ def _sample_count(text: str) -> int:
     return value
 
 
+def _candidate_limit(text: str) -> int:
+    """--limit: the largest candidate exponent; below 0 the set is empty."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def _finite(text: str) -> float:
+    """--rate: a finite float (inf and nan give no target function)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _time_span(text: str) -> float:
+    """--tmax: the exponential members live on t >= 0, so a finite t > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="altpoly",
@@ -297,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tabulate", help="sample a family member on a grid")
     common(p)
     p.add_argument("--points", type=_sample_count, default=129)
-    p.add_argument("--tmax", type=float, default=5.0)
+    p.add_argument("--tmax", type=_time_span, default=5.0)
     p.add_argument("--omega", default=None)
-    p.add_argument("--limit", type=int, default=64)
+    p.add_argument("--limit", type=_candidate_limit, default=64)
 
     p = sub.add_parser("zeros", help="zeros of the associated function")
     common(p, kflag=False)
@@ -319,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", required=True)
     p.add_argument("--candidates", choices=["whole", "rational", "real"],
                    default="whole")
-    p.add_argument("--limit", type=int, default=64)
+    p.add_argument("--limit", type=_candidate_limit, default=64)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="json")
 
@@ -328,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--target", choices=["exp", "texp"], default="exp")
-    p.add_argument("--rate", type=float, default=1.0)
+    p.add_argument("--rate", type=_finite, default=1.0)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("plot-data", help="figure data for the marginal families")

@@ -9,13 +9,13 @@ downward three-term recurrence follows.
 Arithmetic is exact (fractions) whenever alpha and beta are rational; float
 otherwise. Every exact coefficient vector comes from one kernel: the
 terminating hypergeometric sum of the shifted Jacobi polynomial, whose x^j
-coefficient is a product of integers over the common denominator
-d^m m!, d = lcm(den a, den b). A member is x^k times the kernel at
-(n - k, alpha + 2k + 1, beta); the direct family and the reciprocity route
-call the same kernel. The kernel and the one exact downward-recurrence
-kernel (_downward_recurrence, which marginal's A and T recurrences share)
-work on Python integers and build one Fraction per output coefficient at
-the end.
+coefficients are integers over the common denominator d^m m!,
+d = lcm(den a, den b), each the previous one times the small term ratio.
+A member is x^k times the kernel at (n - k, alpha + 2k + 1, beta); the
+direct family and the reciprocity route call the same kernel. The kernel
+and the one exact downward-recurrence kernel (_downward_recurrence, which
+marginal's A and T recurrences share) work on Python integers and build
+one Fraction per output coefficient at the end.
 Gamma-function ratios in the norm and integral formulas are evaluated as
 products of rational factors, never through a floating gamma, so exact mode
 stays exact.
@@ -312,21 +312,45 @@ def _jacobi_kernel(m: int, a: Fraction, b: Fraction) -> tuple[list[int], int]:
     hypergeometric sum of Szego, Orthogonal Polynomials, 4.21. With
     d = lcm(den a, den b), A = d a and B = d b, the falling factor is
     prod_{t=j+1..m} (d t + A) / d^{m-j} and the rising one
-    prod_{i<j} (d (m+1+i) + A + B) / d^j, so D = d^m m!. O(m) integer
-    products; a polynomial identity in a and b, so any rational parameters
-    work, negative ones included.
+    prod_{i<j} (d (m+1+i) + A + B) / d^j, so D = d^m m!.
+
+    The coefficients are walked by their term ratio,
+
+        c_{j+1} = -c_j (m-j) (d (m+1+j) + A + B) / ((j+1) (d (j+1) + A)),
+
+    an exact division (the quotient is the next integer coefficient), so each
+    step is one product and one division of a big integer by a small one.
+    Zero factors bound the nonzero powers: d t + A = 0 (a = -t, 1 <= t <= m)
+    zeroes every power below t, and d (m+1+i) + A + B = 0 (a + b = -(m+1+i),
+    0 <= i < m) every power above i; the walk starts at the lowest nonzero
+    power, built as a product. A polynomial identity in a and b, so any
+    rational parameters work, negative ones included.
     """
     (big_a, big_b), d = over_common_denominator((a, b))
-    rising = [1]
-    for i in range(m):
-        rising.append(rising[-1] * (d * (m + 1 + i) + big_a + big_b))
+    ab = big_a + big_b
+    lo, hi = 0, m
+    if big_a < 0:
+        t, rem = divmod(-big_a, d)
+        if not rem and t <= m:
+            lo = t
+    if ab < 0:
+        i, rem = divmod(-ab, d)
+        if not rem and m < i <= 2 * m:
+            hi = i - m - 1
     nums = [0] * (m + 1)
-    falling_part, binom = 1, 1          # prod_{t=j+1..m} (d t + A) and C(m, j), at j = m
-    for j in range(m, -1, -1):
-        c = binom * falling_part * rising[j]
-        nums[j] = -c if j & 1 else c
-        falling_part *= d * j + big_a
-        binom = binom * j // (m - j + 1)
+    if lo <= hi:
+        c = -math.comb(m, lo) if lo & 1 else math.comb(m, lo)
+        for t in range(lo + 1, m + 1):
+            c *= d * t + big_a
+        for i in range(lo):
+            c *= d * (m + 1 + i) + ab
+        nums[lo] = c
+        rising, falling = d * (m + 1 + lo) + ab, d * (lo + 1) + big_a     # at j = lo
+        for j in range(lo, hi):
+            c = c * ((j - m) * rising) // ((j + 1) * falling)
+            nums[j + 1] = c
+            rising += d
+            falling += d
     return nums, d ** m * math.factorial(m)
 
 

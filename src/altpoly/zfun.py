@@ -60,9 +60,24 @@ def rational_candidates(limit: int = 64, max_den: int = 4) -> tuple:
     return tuple(sorted(vals))
 
 
-def _feasible(alpha, omega) -> bool:
-    a = Fraction(alpha) if is_exact(alpha) else float(alpha)
-    return a > -1 and (Fraction(omega) if is_exact(omega) else float(omega)) * a > -1
+def _feasible_candidates(cands, omega) -> list:
+    """The candidates alpha, in order, with alpha > -1 and omega * alpha > -1:
+    exact for a rational alpha and omega (compared as integers, with no
+    Fraction built per candidate), one float product when either is a float."""
+    if not is_exact(omega):
+        om = float(omega)
+        return [alpha for alpha in cands if alpha > -1 and om * alpha > -1]
+    p, q = Fraction(omega).as_integer_ratio()
+    om = p / q
+    feasible = []
+    for alpha in cands:
+        if is_exact(alpha):
+            num, den = alpha.numerator, alpha.denominator
+            if num > -den and p * num > -q * den:
+                feasible.append(alpha)
+        elif alpha > -1 and om * float(alpha) > -1:
+            feasible.append(alpha)
+    return feasible
 
 
 # Jacobi-matrix entries per stacked eigen-solve of the search (1 MiB of
@@ -75,7 +90,7 @@ def _search(n: int, omega, candidates) -> tuple:
     cands = sorted(candidates)
     if not cands:
         raise FeasibilityError("empty candidate set")
-    feasible = [alpha for alpha in cands if _feasible(alpha, omega)]
+    feasible = _feasible_candidates(cands, omega)
     size = max(1, _STACK_ENTRIES // max(1, n * n))
     best = None
     for start in range(0, len(feasible), size):

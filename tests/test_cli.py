@@ -216,12 +216,49 @@ def test_exact_commands_leave_numpy_out(args, code):
     (("tabulate", "--family", "exp-t", "--n", "2", "--k", "3"), "--k"),
     (("coeffs", "--family", "ajp", "--alpha", "1", "--beta", "0", "--n", "-1"), "--n"),
     (("tabulate", "--family", "exp", "--alpha", "1", "--beta", "0", "--n", "0"), "--n"),
+    (("tabulate", "--family", "exp-a", "--n", "0"), "--n"),
+    (("tabulate", "--family", "exp-t", "--n", "0"), "--n"),
+    (("plot-data", "--n", "0"), "--n"),
+    (("plot-data", "--family", "t", "--n", "-1"), "--n"),
 ])
 def test_bad_index_and_count_flags_are_usage_errors(args, flag):
     cp = run_cli(*args)
     assert cp.returncode == 2, cp.stderr
     assert cp.stdout == ""
     assert f"error: {flag} must" in cp.stderr
+
+
+@pytest.mark.parametrize("args,flag", [
+    (("zbuild", "--n", "3", "--omega", "0", "--limit", "-1"), "--limit"),
+    (("zbuild", "--n", "3", "--omega", "0", "--candidates", "rational", "--limit", "-1"),
+     "--limit"),
+    (("tabulate", "--family", "z", "--n", "3", "--omega", "0", "--limit", "-2"), "--limit"),
+    (("tabulate", "--family", "exp", "--alpha", "1", "--beta", "0", "--n", "3",
+      "--tmax", "-1"), "--tmax"),
+    (("tabulate", "--family", "exp-a", "--n", "3", "--tmax", "0"), "--tmax"),
+    (("tabulate", "--family", "exp-t", "--n", "3", "--tmax", "nan"), "--tmax"),
+    (("tabulate", "--family", "exp-t", "--n", "3", "--tmax", "inf"), "--tmax"),
+    (("project", "--alpha", "1", "--beta", "0", "--n", "3", "--rate", "inf"), "--rate"),
+    (("project", "--alpha", "1", "--beta", "0", "--n", "3", "--rate=-inf"), "--rate"),
+    (("project", "--alpha", "1", "--beta", "0", "--n", "3", "--rate", "nan"), "--rate"),
+])
+def test_bad_limit_and_float_flags_are_usage_errors(args, flag):
+    # an empty candidate set, values at t < 0 (x > 1, outside the members'
+    # domain), NaN rows, or "rate": Infinity (not JSON) are bad input
+    cp = run_cli(*args)
+    assert cp.returncode == 2, cp.stderr
+    assert cp.stdout == ""
+    assert f"error: argument {flag}: must" in cp.stderr
+
+
+def test_limit_and_float_flag_edges_still_run():
+    # --limit 0 is the one candidate 0, which the search reaches and refuses
+    cp = run_cli("zbuild", "--n", "3", "--omega", "0", "--limit", "0")
+    assert cp.returncode == 1 and "no candidate keeps" in json.loads(cp.stderr)["message"]
+    cp = run_cli("tabulate", "--family", "exp-a", "--n", "2", "--k", "1", "--tmax", "1e-3",
+                 "--points", "2")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.splitlines()[2].startswith("0.001,")
 
 
 def test_index_range_edges_still_run():

@@ -21,10 +21,11 @@ from fractions import Fraction as F
 import pytest
 
 from altpoly.errors import CoefficientOverflowError
-from altpoly.exact import falling_factorial
+from altpoly.exact import falling_factorial, over_common_denominator
 from altpoly.poly import DensePoly
 from altpoly.polycore import (
     PolyParams,
+    _jacobi_kernel,
     ajp_coefficients,
     ajp_recurrence,
     direct_coefficients,
@@ -79,6 +80,52 @@ def all_fractions(poly):
 
 def edge_ks(n):
     return sorted({0, min(1, n), max(n - 1, 0), n})
+
+
+def product_kernel(m, a, b):
+    """The kernel's (nums, D) with each coefficient built as the product
+    C(m, j) * prod_{t>j} (d t + A) * prod_{i<j} (d (m+1+i) + A + B)."""
+    (big_a, big_b), d = over_common_denominator((a, b))
+    rising = [1]
+    for i in range(m):
+        rising.append(rising[-1] * (d * (m + 1 + i) + big_a + big_b))
+    nums = [0] * (m + 1)
+    falling_part, binom = 1, 1          # prod_{t=j+1..m} (d t + A) and C(m, j), at j = m
+    for j in range(m, -1, -1):
+        c = binom * falling_part * rising[j]
+        nums[j] = -c if j & 1 else c
+        falling_part *= d * j + big_a
+        binom = binom * j // (m - j + 1)
+    return nums, d ** m * math.factorial(m)
+
+
+def kernel_cases(m):
+    """(a, b) pairs for the ratio walk at degree m: halves, thirds, binary
+    floats, and every placement of the zero windows."""
+    yield from [(F(1, 2), F(3, 2)), (F(-7, 2), F(1, 2)), (F(1, 3), F(-2, 3)),
+                (F(-5, 3), F(7, 3)), (F(0), F(0)), (F(1), F(0)),
+                (F(1.5), F(0.7)), (F(0.1), F(2.3)), (F(-0.999), F(1e-3))]
+    # a negative whole a = -t: d t + A = 0 zeroes the powers below t, for
+    # t below, at and above m
+    for t in sorted({1, max(m // 2, 1), max(m - 1, 1), m, m + 1, m + 5}):
+        yield F(-t), F(1, 2)
+        yield F(-t), F(3)
+    # a negative whole a + b = -(m+1+i) zeroes the powers above i, inside
+    # m+1..2m and just outside it
+    for s in sorted({m, m + 1, (3 * m) // 2 + 1, 2 * m, 2 * m + 1}):
+        yield F(1, 3), -s - F(1, 3)
+        yield F(2), F(-s - 2)
+        yield F(-max(m // 3, 1)), F(-s + max(m // 3, 1))   # both windows at once
+    # the reciprocity route's (-alpha-beta-2n-2, beta), for degree m = n - k
+    for alpha, beta, k in ((F(3, 2), F(1, 3), 0), (F(0), F(2), 3), (F(-1, 2), F(1, 2), 1)):
+        n = m + k
+        yield -alpha - beta - 2 * n - 2, beta
+
+
+@pytest.mark.parametrize("m", list(range(41)) + [60, 100, 200])
+def test_ratio_walk_kernel_matches_product_form(m):
+    for a, b in kernel_cases(m):
+        assert _jacobi_kernel(m, a, b) == product_kernel(m, a, b), (m, a, b)
 
 
 @pytest.mark.parametrize("a,b", PARAM_PAIRS)

@@ -12,6 +12,7 @@ the true projection error is 0.
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from altpoly.exact import PiRational
@@ -35,6 +36,48 @@ def test_member_values_match_exact_members(alpha, beta, n):
             want = member(x)
             assert want != 0
             assert abs(got - want) <= 1e-12 * abs(want), (k, x)
+
+
+def per_step_member_values(alpha, beta, n, xs):
+    """member_values with every step factor formed inside its degree step,
+    from the slice of rows that step raises."""
+    x = np.asarray(xs, dtype=float)
+    b = float(beta)
+    k = np.arange(1, n + 1)[:, None]
+    a = float(alpha) + 2 * k
+    out = np.empty((n, x.size))
+    out[n - 1] = 1.0
+    prev = np.ones((n, x.size))
+    if n > 1:
+        cur = (a[:n - 1] + 1) - (a[:n - 1] + b + 2) * x
+        out[n - 2] = cur[n - 2]
+    for d in range(2, n):
+        rows = n - d
+        ar = a[:rows]
+        s = 2 * d - 2 + ar + b
+        lead = 2 * d * (d + ar + b) * s
+        lin = (s + 1) * (s + 2) * s
+        const = (s + 1) * (ar * ar - b * b)
+        back = 2 * (d - 1 + ar) * (d - 1 + b) * (s + 2)
+        prev, cur = cur[:rows], ((lin * (1 - 2 * x) + const) * cur[:rows]
+                                 - back * prev[:rows]) / lead
+        out[rows - 1] = cur[rows - 1]
+    return out * x ** k
+
+
+EDGE_GRID = (0.0, 1.0, 1e-300, 5e-324, 0.5, 1 - 2 ** -53, 1e-8, 0.25, 0.9)
+
+
+@pytest.mark.parametrize("alpha,beta", [(F(1, 2), F(3, 2)), (F(-9, 10), F(0)), (F(305, 4), F(0)),
+                                        (0, 0), (-0.5, -0.5), (1.5, 0.7), (-0.999, 0.0),
+                                        (23.0, 11.5)])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 30, 100])
+def test_tabulated_member_values_bit_identical_to_per_step(alpha, beta, n):
+    grid = EDGE_GRID + tuple(np.linspace(0.0, 1.0, 41))
+    got = member_values(alpha, beta, n, grid)
+    want = per_step_member_values(alpha, beta, n, grid)
+    assert got.shape == want.shape == (n, len(grid))
+    assert np.array_equal(got, want)
 
 
 def _rational_ratio(num, den) -> F:

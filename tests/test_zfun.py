@@ -7,6 +7,7 @@ import pytest
 
 from altpoly import exppoly, zfun
 from altpoly.errors import FeasibilityError, RootFindingError
+from altpoly.exact import is_exact
 from altpoly.exppoly import ExpPolySystem, e_eval
 from altpoly.zfun import (
     etilde_eval,
@@ -191,12 +192,31 @@ def test_member_matrix_matches_pointwise_members():
             spec.member_eval(k, 0.5)
 
 
+def _feasible(alpha, omega) -> bool:
+    """Reference feasibility check: both exponents as Fraction or float."""
+    a = Fraction(alpha) if is_exact(alpha) else float(alpha)
+    return a > -1 and (Fraction(omega) if is_exact(omega) else float(omega)) * a > -1
+
+
+@pytest.mark.parametrize("omega", [F(-1, 2), 0, 0.5, F(1, 2), 2, 2.0, -0.5])
+def test_feasible_filter_matches_per_candidate_check(omega):
+    # int, Fraction and float candidates, including the omega * alpha = -1
+    # boundary at omega = -1/2 (alpha = 2) and omega = 2 (alpha = -1/2)
+    cands = sorted([-3, -1, 0, 1, 2, 3, 7, F(-3, 2), F(-1, 2), F(-1, 3), F(1, 2), F(2),
+                    F(5, 2), -1.0, -0.75, -0.5, -0.4999999999999999, 0.0, 1.9999999999999998,
+                    2.0, 2.5, 1e300, 10 ** 30])
+    want = [alpha for alpha in cands if _feasible(alpha, omega)]
+    got = zfun._feasible_candidates(cands, omega)
+    assert got == want and [type(a) for a in got] == [type(a) for a in want]
+    assert got, omega
+
+
 def _scan(n, omega, candidates):
     """Reference search: one lambda_max per feasible candidate, reduced in
     sorted order (the loop the stacked search replaced)."""
     best = None
     for alpha in sorted(candidates):
-        if not zfun._feasible(alpha, omega):
+        if not _feasible(alpha, omega):
             continue
         lam = lambda_max(alpha, alpha * omega, n)
         if lam > 1:
