@@ -5,6 +5,9 @@ plot-data. Output is CSV or JSON on stdout (or --out), byte-deterministic
 for fixed inputs: floats print in shortest round-trip form, exact rationals
 as p/q. Exit codes: 0 success, 1 computational failure (machine-readable
 JSON on stderr), 2 usage error.
+
+Each handler imports the library modules it runs, so a cold start compiles
+only those, and a usage error that argparse rejects imports none.
 """
 
 from __future__ import annotations
@@ -17,13 +20,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import exppoly, marginal, verify, zfun
 from .errors import AltpolyError, DivergenceError
-from .exact import PiRational
-from .marginal import MarginalKind
-from .poly import DensePoly
-from .polycore import PolyParams, ajp_coefficients
-from .quad import gauss_jacobi_rule
 
 AJP_FAMILIES = {"ajp", "a", "t"}
 EXP_FAMILIES = {"exp", "exp-a", "exp-t"}
@@ -34,7 +31,11 @@ def _fmt(value) -> str:
     round-trip for floats."""
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (int, Fraction, PiRational)):
+    if isinstance(value, (int, Fraction)):
+        return str(value)
+    # only a value that is none of the above can be a PiRational
+    from .exact import PiRational
+    if isinstance(value, PiRational):
         return str(value)
     return repr(value)
 
@@ -63,15 +64,19 @@ def _csv(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _family_poly(family: str, alpha, beta, n: int, k: int) -> DensePoly:
+def _family_poly(family: str, alpha, beta, n: int, k: int):
+    """The member as a DensePoly."""
     if family == "ajp":
         if alpha is None or beta is None:
             raise UsageError("--alpha and --beta are required for family ajp")
+        from .polycore import PolyParams, ajp_coefficients
         return ajp_coefficients(PolyParams(alpha, beta, n, k))
     if family == "a":
-        return marginal.a_coefficients(n, k)
+        from .marginal import a_coefficients
+        return a_coefficients(n, k)
     if family == "t":
-        return marginal.t_coefficients(n, k)
+        from .marginal import t_coefficients
+        return t_coefficients(n, k)
     raise UsageError(f"family {family!r} has no plain-polynomial coefficients")
 
 
@@ -124,6 +129,7 @@ def cmd_tabulate(args) -> str:
             rows.append((x, poly(x)))
         return _csv(["x", "value"], rows)
     if args.family in EXP_FAMILIES:
+        from . import exppoly
         if args.family == "exp":
             if args.alpha is None or args.beta is None:
                 raise UsageError("--alpha and --beta are required for family exp")
@@ -141,6 +147,7 @@ def cmd_tabulate(args) -> str:
     if args.family == "z":
         if args.omega is None:
             raise UsageError("--omega is required for family z")
+        from . import zfun
         spec = zfun.z_build(n, args.omega, zfun.whole_candidates(args.limit))
         header = ["t"] + [f"Z{n}{j}" for j in range(0, n + 1)]
         ts = [i / (args.points - 1) for i in range(args.points)]
@@ -156,7 +163,8 @@ def cmd_zeros(args) -> str:
     if args.alpha is None or args.beta is None:
         raise UsageError("--alpha and --beta are required")
     _need_n(args.n)
-    zs = exppoly.e_zeros(args.alpha, args.beta, args.n)
+    from .exppoly import e_zeros
+    zs = e_zeros(args.alpha, args.beta, args.n)
     pairs = sorted(zip(zs.source_x, zs.lambdas))
     if args.format == "json":
         return json.dumps({"alpha": zs.alpha, "beta": zs.beta, "n": zs.n,
@@ -169,7 +177,8 @@ def cmd_zeros(args) -> str:
 def cmd_quad(args) -> str:
     if args.family == "exp":
         _need_n(args.n)
-        rows = exppoly.rule_table(args.n)
+        from .exppoly import rule_table
+        rows = rule_table(args.n)
         if args.format == "json":
             return json.dumps({"n": args.n, "rows": [
                 {"s": s, "x": x, "t": t, "w": w, "v": v}
@@ -180,6 +189,7 @@ def cmd_quad(args) -> str:
             raise UsageError("--alpha and --beta are required for family ajp")
         if args.m < 1:
             raise UsageError(f"--m must be at least 1, got {args.m}")
+        from .quad import gauss_jacobi_rule
         rule = gauss_jacobi_rule(args.m, args.alpha, args.beta)
         if args.format == "json":
             return rule.to_json() + "\n"
@@ -188,6 +198,7 @@ def cmd_quad(args) -> str:
 
 
 def cmd_verify(args) -> tuple[str, int]:
+    from . import verify
     try:
         summary = verify.run_suite(args.suite, args.nmax)
     except verify.NoChecksError as exc:
@@ -198,6 +209,7 @@ def cmd_verify(args) -> tuple[str, int]:
 
 def cmd_zbuild(args) -> str:
     _need_n(args.n)
+    from . import zfun
     if args.candidates == "real":
         spec = zfun.z_build_real(args.n, args.omega)
     elif args.candidates == "rational":
@@ -222,6 +234,7 @@ def _target_function(args):
 
 def cmd_project(args) -> str:
     _need_n(args.n)
+    from . import exppoly
     sys_ = exppoly.ExpPolySystem(args.alpha, args.beta, args.n)
     # the target's squared weighted norm, of exp(-(alpha + 2 rate) t) times
     # (1 - exp(-t))**beta and a power of t, is finite only for alpha + 2 rate > 0
@@ -239,9 +252,9 @@ def cmd_plot_data(args) -> str:
     if args.family not in ("a", "t"):
         raise UsageError("plot-data supports --family a or t")
     _need_n(args.n)
+    from .marginal import MarginalKind, plot_table
     kind = MarginalKind.A if args.family == "a" else MarginalKind.T
-    rows = marginal.plot_table(kind, args.n, args.points,
-                               exact=args.mode == "exact")
+    rows = plot_table(kind, args.n, args.points, exact=args.mode == "exact")
     fam = args.family.upper()
     header = ["x"] + [f"{fam}{args.n}{k}" for k in range(1, args.n + 1)]
     return _csv(header, [(x,) + tuple(vals) for x, vals in rows])

@@ -217,12 +217,12 @@ def _core_direct_family(rec, nmax):
                                  "k": k, "l": l},
                                 ip == expect, f"got {ip}, want {expect}")
                     # pointwise route comparison on a uniform grid
+                    jacobi = polycore.shifted_jacobi_coefficients(k - n, a + 2 * n, b)
                     worst = 0.0
                     for i in range(33):
                         x = i / 32
                         direct = float(pk(x))
-                        via_jacobi = x ** n * float(
-                            polycore.shifted_jacobi(k - n, a + 2 * n, b, x))
+                        via_jacobi = x ** n * float(jacobi(x))
                         worst = max(worst, abs(direct - via_jacobi))
                     rec.add("direct-pointwise",
                             {"alpha": str(a), "beta": str(b), "n": n, "k": k},

@@ -63,19 +63,20 @@ def rational_candidates(limit: int = 64, max_den: int = 4) -> tuple:
 def _feasible_candidates(cands, omega) -> list:
     """The candidates alpha, in order, with alpha > -1 and omega * alpha > -1:
     exact for a rational alpha and omega (compared as integers, with no
-    Fraction built per candidate), one float product when either is a float."""
+    Fraction built per candidate), one float product when either is a float.
+    A rational omega is rounded to a float only for a float candidate, so an
+    omega beyond the float range filters rational candidates all the same."""
     if not is_exact(omega):
         om = float(omega)
         return [alpha for alpha in cands if alpha > -1 and om * alpha > -1]
     p, q = Fraction(omega).as_integer_ratio()
-    om = p / q
     feasible = []
     for alpha in cands:
         if is_exact(alpha):
             num, den = alpha.numerator, alpha.denominator
             if num > -den and p * num > -q * den:
                 feasible.append(alpha)
-        elif alpha > -1 and om * float(alpha) > -1:
+        elif alpha > -1 and p / q * float(alpha) > -1:
             feasible.append(alpha)
     return feasible
 

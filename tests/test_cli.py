@@ -186,6 +186,16 @@ def test_cli_import_leaves_numpy_out():
     assert cp.returncode == 0, cp.stderr
 
 
+def _imported_modules(args):
+    """Exit code of a cold ``altpoly`` run and the set of modules it imported."""
+    # -X importtime lists every module the run imported on stderr
+    cp = subprocess.run([sys.executable, "-X", "importtime", "-m", "altpoly", *args],
+                        capture_output=True, text=True)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in cp.stderr.splitlines()
+                if line.startswith("import time:")}
+    return cp.returncode, imported
+
+
 @pytest.mark.parametrize("args,code", [
     (("coeffs", "--family", "ajp", "--alpha", "1/2", "--beta", "0", "--n", "4"), 0),
     (("tabulate", "--family", "ajp", "--alpha", "1", "--beta", "0", "--n", "3",
@@ -195,14 +205,46 @@ def test_cli_import_leaves_numpy_out():
     (("coeffs", "--family", "ajp", "--n", "2", "--k", "9"), 2),
 ])
 def test_exact_commands_leave_numpy_out(args, code):
-    # -X importtime lists every module the run imported on stderr
-    cp = subprocess.run([sys.executable, "-X", "importtime", "-m", "altpoly", *args],
-                        capture_output=True, text=True)
-    assert cp.returncode == code
-    imported = {line.rsplit("|", 1)[-1].strip() for line in cp.stderr.splitlines()
-                if line.startswith("import time:")}
+    returncode, imported = _imported_modules(args)
+    assert returncode == code
     assert "altpoly.cli" in imported
     assert "numpy" not in imported
+
+
+def test_cli_import_loads_no_library_module():
+    cp = subprocess.run([sys.executable, "-c",
+                         "import altpoly.cli, sys; "
+                         "loaded = {'altpoly.verify', 'altpoly.zfun', 'altpoly.exppoly', "
+                         "'numpy'} & set(sys.modules); assert not loaded, loaded"],
+                        capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("tabulate", "--family", "ajp", "--alpha", "0", "--beta", "0", "--n", "3", "--points", "1"),
+    ("tabulate", "--family", "ajp", "--alpha", "0", "--beta", "0", "--n", "3", "--points", "0"),
+    ("coeffs", "--family", "ajp", "--alpha", "x", "--beta", "0", "--n", "2"),
+    ("tabulate", "--family", "z", "--n", "3", "--omega", "0", "--limit", "-1"),
+    ("zbuild", "--n", "3"),
+    ("nope",),
+    ("coeffs", "--family", "exp", "--n", "2"),
+    ("zeros", "--family", "ajp", "--alpha", "1", "--beta", "0", "--n", "2"),
+])
+def test_usage_error_imports_only_cli_and_errors(args):
+    returncode, imported = _imported_modules(args)
+    assert returncode == 2
+    package = {name for name in imported if name.split(".")[0] == "altpoly"}
+    assert "altpoly.cli" in package
+    assert package <= {"altpoly", "altpoly.__main__", "altpoly.cli", "altpoly.errors"}
+
+
+@pytest.mark.parametrize("family", ["ajp", "a", "t"])
+def test_coeffs_imports_no_exp_zfun_or_verify(family):
+    returncode, imported = _imported_modules(
+        ("coeffs", "--family", family, "--alpha", "1/2", "--beta", "0", "--n", "4", "--k", "1"))
+    assert returncode == 0
+    assert "altpoly.polycore" in imported
+    assert not {"altpoly.exppoly", "altpoly.zfun", "altpoly.verify"} & imported
 
 
 @pytest.mark.parametrize("args,flag", [
@@ -359,6 +401,9 @@ def test_float_overflow_exit_1_with_typed_error():
      "RootFindingError", f"a = {10 ** 200}, b = 0, m = 3"),
     (("zeros", "--family", "exp", "--alpha", "1e120", "--beta", "0", "--n", "3"),
      "CoefficientOverflowError", f"alpha = {10 ** 120}, beta = 0"),
+    # an exact omega beyond the float range: the second exponent is refused
+    pytest.param(("zbuild", "--n", "3", "--omega", "1e400"),
+                 "RootFindingError", f"a = 1, b = {10 ** 400}, m = 3", id="zbuild-omega-1e400"),
 ])
 def test_exponents_too_large_for_floats_exit_1_with_typed_error(args, error, names):
     cp = run_cli(*args)

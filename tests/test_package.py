@@ -1,0 +1,70 @@
+"""The package's public names: each resolves on first use from its submodule."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import altpoly
+
+# the names the package exported by eager import, by home submodule
+EXPORTS = {
+    "errors": ["AltpolyError", "CollocationError", "DivergenceError", "FeasibilityError",
+               "NonNormalizableError", "RecurrenceError", "RootFindingError"],
+    "exact": ["PiRational", "double_factorial", "falling_factorial"],
+    "exppoly": ["ExpPolySystem", "ProjectionResult", "ZeroSet", "e_eval", "e_norm", "e_zeros",
+                "ea_derivative_relation_residual", "ea_eval", "et_eval",
+                "legendre_type_quadrature", "member_values", "project", "semi_axis_rule"],
+    "marginal": ["MarginalKind", "a_coefficients", "a_norm", "a_recurrence",
+                 "a_single_integral", "is_normalizable", "t_coefficients", "t_norm",
+                 "t_recurrence", "t_single_integral"],
+    "poly": ["DensePoly"],
+    "polycore": ["PolyParams", "ajp_coefficients", "ajp_derivative", "ajp_eval", "ajp_norm_h",
+                 "ajp_recurrence", "ajp_single_integral", "direct_norm_d", "ode_residual",
+                 "shifted_jacobi", "weight_eval"],
+    "quad": ["QuadRule", "beta_moment", "gauss_jacobi_rule", "integrate_semi_axis",
+             "integrate_unit", "weighted_inner_product"],
+    "zfun": ["ZSystemSpec", "lambda_max", "etilde_eval", "weight_peak", "z_build",
+             "z_build_real", "z_collocation_fit", "z_search", "z_search_real"],
+}
+PAIRS = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+
+@pytest.mark.parametrize("module,name", PAIRS)
+def test_every_export_resolves_to_its_home_object(module, name):
+    home = getattr(importlib.import_module(f"altpoly.{module}"), name)
+    assert getattr(altpoly, name) is home
+    assert name in dir(altpoly)
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from altpoly import *", namespace)
+    for module, name in PAIRS:
+        assert namespace[name] is getattr(importlib.import_module(f"altpoly.{module}"), name)
+    assert sorted(altpoly.__all__) == sorted(name for _, name in PAIRS)
+
+
+def test_version():
+    assert altpoly.__version__ == "0.1.0"
+
+
+def test_bare_import_loads_no_submodule_and_resolves_them_on_use():
+    code = ("import altpoly, sys\n"
+            "assert [m for m in sys.modules if m.startswith('altpoly.')] == []\n"
+            "assert altpoly.quad.beta_moment(1, 0) == 1 / 2\n"
+            "assert altpoly.verify.run_suite is sys.modules['altpoly.verify'].run_suite\n"
+            "from altpoly import zfun, ZSystemSpec\n"
+            "assert ZSystemSpec is zfun.ZSystemSpec\n"
+            "assert 'numpy' not in sys.modules\n")
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        altpoly.no_such_name
+    assert not hasattr(altpoly, "_EXPORT")
+    with pytest.raises(ImportError):
+        exec("from altpoly import no_such_name", {})

@@ -211,6 +211,15 @@ def test_feasible_filter_matches_per_candidate_check(omega):
     assert got, omega
 
 
+def test_omega_beyond_the_float_range_gets_a_typed_refusal():
+    # the exact filter never rounds omega, so rational candidates pass it
+    # and the first nonzero second exponent is refused by name
+    omega = F(10) ** 400
+    assert zfun._feasible_candidates(whole_candidates(3), omega) == list(whole_candidates(3))
+    with pytest.raises(RootFindingError, match=f"a = 1, b = {10 ** 400}, m = 3"):
+        z_build(3, omega, whole_candidates(64))
+
+
 def _scan(n, omega, candidates):
     """Reference search: one lambda_max per feasible candidate, reduced in
     sorted order (the loop the stacked search replaced)."""
