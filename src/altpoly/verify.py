@@ -1,9 +1,16 @@
-"""Named verification suites aggregating every module invariant.
+"""The invariant table behind `altpoly verify` and the acceptance gate.
 
-Each check appends a record (name, params, ok, detail); the CLI `verify`
-subcommand renders the summary as JSON and exits nonzero if anything failed.
-Exact identities are asserted with equality on rationals (or rational
-multiples of pi); floating checks carry the tolerances stated with them.
+Each Row of ROWS is one invariant of the paper: a name, a suite, a parameter
+grid up to a top index n, a check and a tolerance. A row without a tolerance
+is exact: its check returns (got, want), compared with == on rationals or
+rational multiples of pi. A row with a tolerance gets a measured error from
+its check, which passes below the tolerance. `run_suite` runs the rows of a
+suite with n capped by --nmax and by each row's own cap; `run_rows` runs
+named rows at the n it is given, as the acceptance criteria and the module
+tests do. Every point counts as one check; a failed one, including a check
+that raises, is recorded with its row name, params and detail. Checks reach
+the library through module attributes (polycore.ajp_coefficients), so a
+tracer or a patched function sees every call.
 """
 
 from __future__ import annotations
@@ -15,518 +22,502 @@ from . import exppoly, marginal, polycore, quad, zfun
 from .poly import DensePoly
 from .polycore import PolyParams
 
-EXACT_WEIGHTS = [Fraction(a) for a in (0, 1, 2)]
-HALF_WEIGHTS = [Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)]
+F = Fraction
+INT = (0, 1, 2)
+HALF = (F(-1, 2), F(1, 2), F(3, 2))
+ZERO = DensePoly.zero()
 
 
 class Recorder:
+    """Counts the checks of a run and keeps the failed ones."""
+
     def __init__(self):
-        self.checks = []
+        self.total = 0
+        self.failures = []
 
-    def add(self, name: str, params: dict, ok: bool, detail: str = ""):
-        self.checks.append({"name": name, "params": params, "ok": bool(ok),
-                            "detail": detail})
-
-    def summary(self, suite: str, nmax: int) -> dict:
-        failed = [c for c in self.checks if not c["ok"]]
-        return {
-            "suite": suite,
-            "nmax": nmax,
-            "total": len(self.checks),
-            "passed": len(self.checks) - len(failed),
-            "failed": len(failed),
-            "failures": [
-                {"name": c["name"], "params": c["params"], "detail": c["detail"]}
-                for c in failed
-            ],
-        }
+    def summary(self) -> dict:
+        failed = len(self.failures)
+        return {"total": self.total, "passed": self.total - failed, "failed": failed,
+                "failures": self.failures}
 
 
-def _member(alpha, beta, n, k):
-    return polycore.ajp_coefficients(PolyParams(alpha, beta, n, k))
+class Row:
+    """One invariant. grid(n) yields the points up to the top index n, each
+    a tuple of check arguments recorded under keys; check(*point) returns
+    (got, want) when tol is None, else an error that must stay below tol.
+    cap bounds n under run_suite; run_rows ignores it."""
+
+    def __init__(self, name, suite, keys, grid, check, tol=None, cap=None):
+        self.name, self.suite, self.keys = name, suite, keys
+        self.grid, self.check, self.tol, self.cap = grid, check, tol, cap
+
+    def top(self, nmax: int) -> int:
+        return nmax if self.cap is None else min(nmax, self.cap)
+
+    def judge(self, point) -> tuple[bool, str]:
+        value = self.check(*point)
+        if self.tol is None:
+            got, want = value
+            return (True, "") if got == want else (False, f"got {got}, want {want}")
+        if value < self.tol:
+            return True, ""
+        return False, f"{value:.3g}, tol {self.tol:g}"
 
 
-def _norm_ratio(value, scale) -> float:
-    s = float(scale)
-    return abs(float(value)) / s if s else abs(float(value))
+_shared: dict = {}
 
 
-# ---------------------------------------------------------------- core suite
-
-def suite_core(rec: Recorder, nmax: int):
-    _core_monomial_orthogonality(rec, min(nmax, 10))
-    _core_orthogonality_exact(rec, min(nmax, 10))
-    _core_orthogonality_halfint(rec, min(nmax, 10))
-    _core_shift_invariance(rec, min(nmax, 6))
-    _core_identities(rec, min(nmax, 8))
-    _core_direct_family(rec, min(nmax, 8))
-    _core_reciprocity(rec, min(nmax, 8))
-    _core_recurrence_matches_expansion(rec, min(nmax, 15))
+def _once(fn, *args):
+    """fn(*args), built once per run for the rows that share it (a rule, a
+    family member, a Z system); each run empties the store when it ends, so
+    nothing, a patched function's result included, outlives the run."""
+    key = (fn, args)
+    if key not in _shared:
+        _shared[key] = fn(*args)
+    return _shared[key]
 
 
-def _core_monomial_orthogonality(rec, nmax):
-    for a in EXACT_WEIGHTS:
-        for b in EXACT_WEIGHTS:
-            for n in range(1, nmax + 1):
-                for k in range(0, n):
-                    member = _member(a, b, n, k)
-                    for l in range(k + 1, n + 1):
-                        ip = quad.weighted_inner_product(
-                            member, DensePoly.monomial(l), a, b)
-                        rec.add("monomial-orthogonality",
-                                {"alpha": str(a), "beta": str(b), "n": n,
-                                 "k": k, "l": l},
-                                ip == 0, f"got {ip}")
+# -------------------------------------------------------------------- grids
+
+def _pairs(alphas, betas):
+    return [(a, b) for a in alphas for b in betas]
 
 
-def _core_orthogonality_exact(rec, nmax):
-    for a in EXACT_WEIGHTS:
-        for b in EXACT_WEIGHTS:
-            for n in range(0, nmax + 1):
-                members = [_member(a, b, n, k) for k in range(n + 1)]
-                for k in range(n + 1):
-                    for l in range(k, n + 1):
-                        ip = quad.weighted_inner_product(members[k], members[l], a, b)
-                        if k == l:
-                            expect = polycore.ajp_norm_h(PolyParams(a, b, n, k))
-                        else:
-                            expect = Fraction(0)
-                        rec.add("orthogonality-exact",
-                                {"alpha": str(a), "beta": str(b), "n": n,
-                                 "k": k, "l": l},
-                                ip == expect, f"got {ip}, want {expect}")
+def _nk(pairs, top, n0=0):
+    """(a, b, n, k) for each weight pair, n = n0..top and k = 0..n."""
+    return ((a, b, n, k) for a, b in pairs for n in range(n0, top + 1) for k in range(n + 1))
 
 
-def _core_orthogonality_halfint(rec, nmax):
-    # half-integer exponents route through the exact pi-rational arithmetic;
-    # the stated normalized tolerance is checked on the float values
-    for a in HALF_WEIGHTS:
-        for b in HALF_WEIGHTS:
-            for n in range(1, nmax + 1):
-                members = {}
-                norms = {}
-                for k in range(n + 1):
-                    p = PolyParams(a, b, n, k)
-                    if float(a) + 2 * k + 1 <= 0:
-                        continue
-                    members[k] = _member(a, b, n, k)
-                    norms[k] = polycore.ajp_norm_h(p)
-                for k in sorted(members):
-                    for l in sorted(members):
-                        if l < k:
-                            continue
-                        ip = quad.weighted_inner_product(members[k], members[l], a, b)
-                        if k == l:
-                            rel = abs(float(ip) - float(norms[k])) / float(norms[k])
-                            ok = rel < 1e-10
-                            detail = f"diagonal rel err {rel:.3g}"
-                        else:
-                            ratio = _norm_ratio(ip, math.sqrt(float(norms[k]) * float(norms[l])))
-                            ok = ratio < 1e-10
-                            detail = f"normalized off-diagonal {ratio:.3g}"
-                        rec.add("orthogonality-half-integer",
-                                {"alpha": str(a), "beta": str(b), "n": n,
-                                 "k": k, "l": l}, ok, detail)
+def _nkl(pairs, top, n0=0):
+    """(a, b, n, k, l) with l = k..n: each pair of members once."""
+    return ((a, b, n, k, l) for a, b, n, k in _nk(pairs, top, n0) for l in range(k, n + 1))
 
 
-def _core_shift_invariance(rec, nmax):
-    for a in EXACT_WEIGHTS:
-        for b in EXACT_WEIGHTS:
-            for p_shift in (1, 2):
-                for n in range(0, nmax + 1):
-                    for k in range(0, n + 1):
-                        base = _member(a, b, n, k)
-                        shifted = _member(a - 2 * p_shift, b, n + p_shift, k + p_shift)
-                        ok = base.shift_up(p_shift) == shifted
-                        h1 = polycore.ajp_norm_h(PolyParams(a, b, n, k))
-                        h2 = polycore.ajp_norm_h(
-                            PolyParams(a - 2 * p_shift, b, n + p_shift, k + p_shift))
-                        rec.add("shift-invariance",
-                                {"alpha": str(a), "beta": str(b), "n": n, "k": k,
-                                 "p": p_shift},
-                                ok and h1 == h2,
-                                "coefficient or norm mismatch" if not (ok and h1 == h2) else "")
+def _ns(top):
+    return ((n,) for n in range(1, top + 1))
 
 
-def _core_identities(rec, nmax):
-    for a in EXACT_WEIGHTS:
-        for b in EXACT_WEIGHTS:
-            for n in range(0, nmax + 1):
-                for k in range(0, n + 1):
-                    params = PolyParams(a, b, n, k)
-                    member = _member(a, b, n, k)
-                    # lower-index composition: member = x^k * shifted Jacobi
-                    composed = polycore.shifted_jacobi_coefficients(
-                        n - k, a + 2 * k + 1, b).shift_up(k)
-                    rec.add("composition-identity",
-                            {"alpha": str(a), "beta": str(b), "n": n, "k": k},
-                            member == composed, "")
-                    if k == 0:
-                        sub = polycore.shifted_jacobi_coefficients(n, a + 1, b)
-                        rec.add("classical-subset",
-                                {"alpha": str(a), "beta": str(b), "n": n},
-                                member == sub, "")
-                    if k < n:
-                        res = polycore.diff_formula_residual(params)
-                        rec.add("differentiation-formula",
-                                {"alpha": str(a), "beta": str(b), "n": n, "k": k},
-                                res.is_zero, str(res))
-                    res1 = polycore.dd_raising_residual(params)
-                    rec.add("diff-difference-raising",
-                            {"alpha": str(a), "beta": str(b), "n": n, "k": k},
-                            res1.is_zero, str(res1))
-                    if k >= 1:
-                        res2 = polycore.dd_lowering_residual(params)
-                        rec.add("diff-difference-lowering",
-                                {"alpha": str(a), "beta": str(b), "n": n, "k": k},
-                                res2.is_zero, str(res2))
-                    ode = polycore.ode_residual_poly(params)
-                    rec.add("ode-residual",
-                            {"alpha": str(a), "beta": str(b), "n": n, "k": k},
-                            ode.is_zero, str(ode))
-                    sign = polycore.endpoint_sign(params)
-                    want = (-1) ** (n - k)
-                    ok = sign == want
-                    if b == 0:
-                        ok = ok and polycore.ajp_eval(params, Fraction(1)) == want
-                    rec.add("endpoint-sign",
-                            {"alpha": str(a), "beta": str(b), "n": n, "k": k},
-                            ok, f"sign {sign}, want {want}")
+def _tri(top, k0=0):
+    """(n, k) for n = 1..top and k = k0..n."""
+    return ((n, k) for n in range(1, top + 1) for k in range(k0, n + 1))
 
 
-def _core_direct_family(rec, nmax):
-    for a in EXACT_WEIGHTS:
-        for b in EXACT_WEIGHTS:
-            for n in range(0, min(nmax, 4) + 1):
-                polys = {k: polycore.direct_coefficients(a, b, n, k)
-                         for k in range(n, n + 4)}
-                for k, pk in polys.items():
-                    # sign characterization at x = 1
-                    v = pk(Fraction(1))
-                    ok_sign = (v > 0) - (v < 0) == (-1) ** (k - n)
-                    rec.add("direct-sign",
-                            {"alpha": str(a), "beta": str(b), "n": n, "k": k},
-                            ok_sign, f"value at 1: {v}")
-                    for l, pl in polys.items():
-                        if l < k:
-                            continue
-                        ip = quad.weighted_inner_product(pk, pl, a, b)
-                        expect = polycore.direct_norm_d(a, b, n, k) if k == l else Fraction(0)
-                        rec.add("direct-orthogonality",
-                                {"alpha": str(a), "beta": str(b), "n": n,
-                                 "k": k, "l": l},
-                                ip == expect, f"got {ip}, want {expect}")
-                    # pointwise route comparison on a uniform grid
-                    jacobi = polycore.shifted_jacobi_coefficients(k - n, a + 2 * n, b)
-                    worst = 0.0
-                    for i in range(33):
-                        x = i / 32
-                        direct = float(pk(x))
-                        via_jacobi = x ** n * float(jacobi(x))
-                        worst = max(worst, abs(direct - via_jacobi))
-                    rec.add("direct-pointwise",
-                            {"alpha": str(a), "beta": str(b), "n": n, "k": k},
-                            worst < 1e-12, f"max abs {worst:.3g}")
+def _norm_grid(top):
+    """(n, k, l) for n = 1..top, k = 0..n and l = 1..n: the singular k = 0
+    member has no norm, but is orthogonal to the others."""
+    return ((n, k, l) for n, k in _tri(top) for l in range(1, n + 1))
 
 
-def _core_reciprocity(rec, nmax):
-    for a in EXACT_WEIGHTS:
-        for b in EXACT_WEIGHTS:
-            for n in range(0, nmax + 1):
-                for k in range(0, n + 1):
-                    member = _member(a, b, n, k)
-                    rebuilt = polycore.reciprocity_coefficients(a, b, n, k)
-                    rec.add("reciprocity",
-                            {"alpha": str(a), "beta": str(b), "n": n, "k": k},
-                            member == rebuilt, "")
+def _upper(n):
+    return [(k, l) for k in range(1, n + 1) for l in range(k, n + 1)]
 
 
-def _core_recurrence_matches_expansion(rec, nmax):
-    for a in EXACT_WEIGHTS:
-        for b in EXACT_WEIGHTS:
-            for n in range(1, nmax + 1):
-                seq = polycore.ajp_recurrence(a, b, n)
-                ok = all(seq[n - k] == _member(a, b, n, k) for k in range(n, -1, -1))
-                rec.add("recurrence-vs-expansion",
-                        {"alpha": str(a), "beta": str(b), "n": n}, ok, "")
-    for af, bf in ((0.5, 0.5), (1.25, 0.75)):
-        for n in range(1, min(nmax, 12) + 1):
-            seq = polycore.ajp_recurrence(af, bf, n)
-            worst = 0.0
-            for k in range(n, -1, -1):
-                ref = _member(af, bf, n, k)
-                got = seq[n - k]
-                ref_scale = max(abs(c) for c in ref.coeffs)
-                for i in range(n + 1):
-                    gc = got.coeffs[i] if i < len(got.coeffs) else 0.0
-                    rc = ref.coeffs[i] if i < len(ref.coeffs) else 0.0
-                    worst = max(worst, abs(gc - rc) / ref_scale)
-            rec.add("recurrence-vs-expansion-float",
-                    {"alpha": af, "beta": bf, "n": n},
-                    worst < 1e-9, f"worst rel {worst:.3g}")
+INT2 = _pairs(INT, INT)
+ABN = ("alpha", "beta", "n")
+ABNK = ABN + ("k",)
+ABNKL = ABNK + ("l",)
 
 
-# ---------------------------------------------------------------- quad suite
+# ------------------------------------------------------------- core checks
 
-def suite_quad(rec: Recorder, nmax: int):
-    pairs = [Fraction(0), Fraction(1, 2), Fraction(-1, 2)]
-    for a in pairs:
-        for b in pairs:
-            bm_ab = quad.beta_moment(a, b)
-            bm_ba = quad.beta_moment(b, a)
-            rec.add("beta-moment-symmetry", {"a": str(a), "b": str(b)},
-                    bm_ab == bm_ba, f"{bm_ab} vs {bm_ba}")
-            for m in (1, 2, 5, 12, 20):
-                rule = quad.gauss_jacobi_rule(m, a, b)
-                sw = sum(rule.weights)
-                ok = abs(sw - float(bm_ab)) <= 1e-12 * abs(float(bm_ab))
-                rec.add("rule-weight-sum", {"a": str(a), "b": str(b), "m": m},
-                        ok, f"sum {sw!r}")
-                worst = 0.0
-                for j in range(0, 2 * m):
-                    approx = quad.integrate_unit(lambda x: x ** j, rule)
-                    exact_val = float(quad.beta_moment(a + j, b))
-                    worst = max(worst, abs(approx - exact_val) / exact_val)
-                rec.add("rule-monomial-exactness",
-                        {"a": str(a), "b": str(b), "m": m},
-                        worst < 1e-12, f"worst rel {worst:.3g}")
-    # inner product vs quadrature agreement on family members
-    for n in range(1, min(nmax, 6) + 1):
-        for k in range(n + 1):
-            for l in range(k, n + 1):
-                member_k = _member(Fraction(0), Fraction(1), n, k)
-                member_l = _member(Fraction(0), Fraction(1), n, l)
-                exact_ip = quad.weighted_inner_product(member_k, member_l,
-                                                       Fraction(0), Fraction(1))
-                rule = quad.gauss_jacobi_rule(n + 1, 0.0, 1.0)
-                approx = quad.integrate_unit(
-                    lambda x: float(member_k(x)) * float(member_l(x)), rule)
-                ok = abs(approx - float(exact_ip)) < 1e-10
-                rec.add("inner-product-vs-quadrature",
-                        {"n": n, "k": k, "l": l}, ok,
-                        f"{approx!r} vs {float(exact_ip)!r}")
-    # semi-axis transform: numeric route vs exact pullback for polynomials
-    for n in (1, 2, 3):
-        member = _member(Fraction(0), Fraction(0), n, 1)
-        exact_val = quad.integrate_semi_axis(member * member, 1, 0)
-        numeric = quad.integrate_semi_axis(
-            lambda t: float(member(math.exp(-t))) ** 2, 1.0, 0.0, m=2 * n + 8)
-        ok = abs(numeric - float(exact_val)) < 1e-10
-        rec.add("semi-axis-transform", {"n": n}, ok,
-                f"{numeric!r} vs {float(exact_val)!r}")
+def _member(a, b, n, k):
+    return _once(_ajp, polycore.ajp_coefficients, a, b, n, k)
 
 
-# ------------------------------------------------------------ marginal suite
-
-def suite_marginal(rec: Recorder, nmax: int):
-    neg1 = Fraction(-1)
-    zero = Fraction(0)
-    for n in range(1, min(nmax, 12) + 1):
-        seq = marginal.a_recurrence(n)
-        ok_all = True
-        for k in range(n, -1, -1):
-            expansion = marginal.a_coefficients(n, k)
-            family = _member(neg1, zero, n, k)
-            if not (expansion == seq[n - k] == family):
-                ok_all = False
-        rec.add("a-three-routes-agree", {"n": n}, ok_all, "")
-    for n in range(1, min(nmax, 10) + 1):
-        ok = marginal.a_coefficients(n, 0) == marginal.shifted_legendre_coefficients(n)
-        rec.add("a-singular-is-shifted-legendre", {"n": n}, ok, "")
-        ok_t = marginal.t_coefficients(n, 0) == marginal.shifted_chebyshev_coefficients(n)
-        rec.add("t-singular-is-shifted-chebyshev", {"n": n}, ok_t, "")
-    for n in range(1, min(nmax, 10) + 1):
-        rec_seq = marginal.t_recurrence(n)
-        ok = all(rec_seq[n - k] == marginal.t_coefficients(n, k)
-                 for k in range(n, -1, -1))
-        rec.add("t-recurrence-vs-scaled-family", {"n": n}, ok, "")
-    # differential relations and ODEs in the marginal regime
-    for n in range(1, min(nmax, 8) + 1):
-        for k in range(0, n + 1):
-            params = PolyParams(neg1, zero, n, k)
-            ok1 = polycore.dd_raising_residual(params).is_zero
-            ok2 = k == 0 or polycore.dd_lowering_residual(params).is_zero
-            ok3 = polycore.ode_residual_poly(params).is_zero
-            rec.add("a-differential-relations", {"n": n, "k": k},
-                    ok1 and ok2 and ok3, "")
-            t_member = marginal.t_coefficients(n, k)
-            res = polycore.ode_apply(Fraction(-3, 2), Fraction(-1, 2), n, k, t_member)
-            rec.add("t-ode", {"n": n, "k": k}, res.is_zero, "")
-    # orthogonality values against the Beta-moment oracle
-    for n in range(1, min(nmax, 8) + 1):
-        a_members = [marginal.a_coefficients(n, k) for k in range(n + 1)]
-        t_members = [marginal.t_coefficients(n, k) for k in range(n + 1)]
-        for k in range(0, n + 1):
-            for l in range(max(k, 1), n + 1):
-                oracle = quad.weighted_inner_product(a_members[k], a_members[l],
-                                                     neg1, zero)
-                stated = marginal.a_norm(n, k, l)
-                rec.add("a-orthogonality", {"n": n, "k": k, "l": l},
-                        oracle == stated, f"oracle {oracle}, stated {stated}")
-                oracle_t = quad.weighted_inner_product(
-                    t_members[k], t_members[l], Fraction(-3, 2), Fraction(-1, 2))
-                stated_t = marginal.t_norm(n, k, l)
-                ok_exact = oracle_t == stated_t
-                ft, fo = float(stated_t), float(oracle_t)
-                ok_float = abs(fo - ft) <= 1e-12 * max(abs(ft), 1e-30)
-                rec.add("t-orthogonality", {"n": n, "k": k, "l": l},
-                        ok_exact and ok_float,
-                        f"oracle {oracle_t}, stated {stated_t}")
-            if k >= 1:
-                oracle = quad.weighted_inner_product(a_members[k], DensePoly.one(),
-                                                     neg1, zero)
-                rec.add("a-single-integral", {"n": n, "k": k},
-                        oracle == marginal.a_single_integral(n, k),
-                        f"oracle {oracle}")
-                oracle_t = quad.weighted_inner_product(
-                    t_members[k], DensePoly.one(), Fraction(-3, 2), Fraction(-1, 2))
-                stated_t = marginal.t_single_integral(n, k)
-                rec.add("t-single-integral", {"n": n, "k": k},
-                        oracle_t == stated_t,
-                        f"oracle {oracle_t}, stated {stated_t}")
+def _norm(a, b, n, k):
+    return _once(_ajp, polycore.ajp_norm_h, a, b, n, k)
 
 
-# ----------------------------------------------------------------- exp suite
-
-def suite_exp(rec: Recorder, nmax: int):
-    nmax = min(nmax, 8)
-    # substitution consistency: e_eval against the exact member at the same x
-    for (a, b) in ((Fraction(1), Fraction(0)), (Fraction(2), Fraction(1))):
-        sys = exppoly.ExpPolySystem(a, b, 3)
-        for k in range(0, 4):
-            worst = max(float(abs(Fraction(exppoly.e_eval(sys, k, t))
-                                  - sys.member_poly(k)(Fraction(math.exp(-t)))))
-                        for t in (0.0, 0.3, 1.7))
-            rec.add("substitution-consistency",
-                    {"alpha": str(a), "beta": str(b), "k": k},
-                    worst <= 1e-14, f"max abs {worst:.3g}")
-    # orthogonality on the semi-axis, exact for whole exponents
-    for a in (1, 2, 3):
-        for b in (0, 1):
-            for n in range(1, nmax + 1):
-                sys = exppoly.ExpPolySystem(a, b, n)
-                for k in range(1, n + 1):
-                    for l in range(k, n + 1):
-                        prod = sys.member_poly(k) * sys.member_poly(l)
-                        got = quad.integrate_semi_axis(prod, a, b)
-                        want = exppoly.e_norm(sys, k) if k == l else Fraction(0)
-                        rec.add("semi-axis-orthogonality",
-                                {"alpha": a, "beta": b, "n": n, "k": k, "l": l},
-                                got == want, f"got {got}, want {want}")
-    # zero sets
-    for n in range(1, nmax + 1):
-        zs = exppoly.e_zeros(1, 0, n)
-        ok = (len(zs.lambdas) == n
-              and all(l > 0 for l in zs.lambdas)
-              and all(zs.lambdas[i] < zs.lambdas[i + 1] for i in range(n - 1))
-              and max(zs.residuals) < 1e-13)
-        rec.add("zero-set", {"alpha": 1, "beta": 0, "n": n}, ok,
-                f"max residual {max(zs.residuals):.3g}")
-    rec.add("zero-closed-form-ln2", {},
-            abs(exppoly.e_zeros(0, 0, 1).lambdas[0] - math.log(2)) < 1e-12, "")
-    # quadrature exactness and the missing constant
-    for n in range(1, nmax + 1):
-        rule = exppoly.legendre_type_quadrature(n)
-        worst = 0.0
-        for m in range(1, 2 * n + 1):
-            s = sum(w * x ** m for x, w in zip(rule.nodes, rule.weights))
-            worst = max(worst, abs(s - 1 / (m + 1)) * (m + 1))
-        sum_w = sum(rule.weights)
-        ok = worst < 1e-9 and abs(sum_w - 1) > 1e-3
-        rec.add("gauss-type-rule", {"n": n}, ok,
-                f"worst rel {worst:.3g}, weight sum {sum_w!r}")
-        semi = exppoly.semi_axis_rule(n)
-        worst_semi = 0.0
-        for m in range(2, 2 * n + 2):
-            s = sum(v * math.exp(-m * t) for t, v in zip(semi.nodes, semi.weights))
-            worst_semi = max(worst_semi, abs(s - 1 / m) * m)
-        rec.add("semi-axis-rule-exactness", {"n": n},
-                worst_semi < 1e-9, f"worst rel {worst_semi:.3g}")
-        # discrete orthogonality of the zero-exponent system, relative to 1/(2k)
-        members = exppoly.member_values(0, 0, n, [math.exp(-t) for t in semi.nodes])
-        gram = (members * semi.weights) @ members.T
-        worst_disc = max(abs(gram[k - 1, l - 1] - (1 / (2 * k) if k == l else 0.0)) * 2 * k
-                         for k in range(1, n + 1) for l in range(k, n + 1))
-        rec.add("discrete-orthogonality", {"n": n},
-                worst_disc < 1e-9, f"worst rel {worst_disc:.3g}")
-    # derivative relation of the zero-exponent exponential system
-    for n in range(1, nmax + 1):
-        for k in range(1, n + 1):
-            worst = max(abs(exppoly.ea_derivative_relation_residual(n, k, t))
-                        for t in (0.0, 0.4, 2.0))
-            rec.add("exp-derivative-relation", {"n": n, "k": k},
-                    worst < 1e-12, f"max abs {worst:.3g}")
-    # exponential-form marginal norms pull back exactly
-    half = Fraction(-1, 2)
-    for n in range(1, min(nmax, 6) + 1):
-        ok_a = all(
-            quad.integrate_semi_axis(
-                marginal.a_coefficients(n, k) * marginal.a_coefficients(n, l), 0, 0)
-            == (Fraction(1, 2 * k) if k == l else 0)
-            for k in range(1, n + 1) for l in range(k, n + 1))
-        ok_a = ok_a and all(
-            quad.integrate_semi_axis(marginal.a_coefficients(n, k), 0, 0)
-            == Fraction(1, k) for k in range(1, n + 1))
-        rec.add("a-exponential-norms", {"n": n}, ok_a, "")
-        ok_t = all(
-            quad.integrate_semi_axis(
-                marginal.t_coefficients(n, k) * marginal.t_coefficients(n, l),
-                half, half) == marginal.t_norm(n, k, l)
-            for k in range(1, n + 1) for l in range(k, n + 1))
-        ok_t = ok_t and all(
-            quad.integrate_semi_axis(marginal.t_coefficients(n, k), half, half)
-            == marginal.t_single_integral(n, k) for k in range(1, n + 1))
-        rec.add("t-exponential-norms", {"n": n}, ok_t, "")
+def _ajp(fn, a, b, n, k):
+    return fn(PolyParams(a, b, n, k))
 
 
-# ---------------------------------------------------------------- zfun suite
+def _orthogonality(a, b, n, k, l):
+    ip = quad.weighted_inner_product(_member(a, b, n, k), _member(a, b, n, l), a, b)
+    return ip, (_norm(a, b, n, k) if k == l else 0)
 
-def suite_zfun(rec: Recorder, nmax: int):
-    nmax = min(nmax, 5)
-    for a in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)):
-        lam = zfun.lambda_max(a, 0, 1)
-        closed = math.log(float((a + 2) / (a + 1)))
-        rec.add("lambda-closed-form", {"alpha": str(a)},
-                abs(lam - closed) < 1e-12, f"{lam!r} vs {closed!r}")
+
+def _shift_invariance(a, b, n, k, p):
+    lifted = (a - 2 * p, b, n + p, k + p)
+    return ((_member(a, b, n, k).shift_up(p), _norm(a, b, n, k)),
+            (_member(*lifted), _norm(*lifted)))
+
+
+def _direct(a, b, n, k):
+    return _once(polycore.direct_coefficients, a, b, n, k)
+
+
+def _direct_sign(a, b, n, k):
+    v = _direct(a, b, n, k)(F(1))
+    return (v > 0) - (v < 0), (-1) ** (k - n)
+
+
+def _direct_orthogonality(a, b, n, k, l):
+    ip = quad.weighted_inner_product(_direct(a, b, n, k), _direct(a, b, n, l), a, b)
+    return ip, (polycore.direct_norm_d(a, b, n, k) if k == l else 0)
+
+
+def _direct_pointwise(a, b, n, k):
+    # the direct member against x^n times the shifted Jacobi factor in floats
+    jacobi = polycore.shifted_jacobi_coefficients(k - n, a + 2 * n, b)
+    direct = _direct(a, b, n, k)
+    return max(abs(float(direct(x)) - x ** n * float(jacobi(x)))
+               for x in (i / 32 for i in range(33)))
+
+
+def _direct_grid(top):
+    """(a, b, n, k) for k = n..n+3, the first four direct-family members."""
+    return ((a, b, n, k) for a, b in INT2 for n in range(top + 1) for k in range(n, n + 4))
+
+
+def _recurrence_float(a, b, n):
+    worst = 0.0
+    for got, k in zip(polycore.ajp_recurrence(a, b, n), range(n, -1, -1)):
+        ref = _member(a, b, n, k).coeffs
+        scale = max(abs(c) for c in ref)
+        pad = (0.0,) * (n + 1)
+        worst = max(worst, max(abs(g - r) for g, r in
+                               zip((got.coeffs + pad)[:n + 1], (ref + pad)[:n + 1])) / scale)
+    return worst
+
+
+# ------------------------------------------------------------- quad checks
+
+QUAD_PAIRS = _pairs((F(0), F(1, 2), F(-1, 2)), (F(0), F(1, 2), F(-1, 2)))
+
+
+def _rule_grid(_top):
+    return ((a, b, m) for a, b in QUAD_PAIRS for m in (1, 2, 5, 12, 20))
+
+
+def _weight_sum(a, b, m):
+    moment = float(quad.beta_moment(a, b))
+    return abs(sum(_once(quad.gauss_jacobi_rule, m, a, b).weights) - moment) / abs(moment)
+
+
+def _monomial_exactness(a, b, m):
+    rule = _once(quad.gauss_jacobi_rule, m, a, b)
+    worst = 0.0
+    for j in range(2 * m):
+        want = float(quad.beta_moment(a + j, b))
+        worst = max(worst, abs(quad.integrate_unit(lambda x: x ** j, rule) - want) / want)
+    return worst
+
+
+def _inner_product_vs_quadrature(n, k, l):
+    pk, pl = _member(F(0), F(1), n, k), _member(F(0), F(1), n, l)
+    exact = float(quad.weighted_inner_product(pk, pl, F(0), F(1)))
+    rule = _once(quad.gauss_jacobi_rule, n + 1, 0.0, 1.0)
+    return abs(quad.integrate_unit(lambda x: float(pk(x)) * float(pl(x)), rule) - exact)
+
+
+def _semi_axis_transform(n):
+    # numeric route against the exact pullback of a squared polynomial
+    member = _member(F(0), F(0), n, 1)
+    exact = quad.integrate_semi_axis(member * member, 1, 0)
+    numeric = quad.integrate_semi_axis(
+        lambda t: float(member(math.exp(-t))) ** 2, 1.0, 0.0, m=2 * n + 8)
+    return abs(numeric - float(exact))
+
+
+# --------------------------------------------------------- marginal checks
+
+T_WEIGHT = (F(-3, 2), F(-1, 2))
+
+
+def _a(n, k):
+    return _once(marginal.a_coefficients, n, k)
+
+
+def _t(n, k):
+    return _once(marginal.t_coefficients, n, k)
+
+
+def _a_relations(n, k):
+    p = PolyParams(-1, 0, n, k)
+    lowering = polycore.dd_lowering_residual(p) if k else ZERO
+    return (polycore.dd_raising_residual(p), lowering, polycore.ode_residual_poly(p)), (ZERO,) * 3
+
+
+def _a_orthogonality(n, k, l):
+    oracle = quad.weighted_inner_product(_a(n, k), _a(n, l), -1, 0)
+    want = F(1, 2 * k) if k == l else 0
+    return (oracle, marginal.a_norm(n, k, l)), (want, want)
+
+
+def _t_orthogonality(n, k, l):
+    return quad.weighted_inner_product(_t(n, k), _t(n, l), *T_WEIGHT), marginal.t_norm(n, k, l)
+
+
+def _a_single_integral(n, k):
+    oracle = quad.weighted_inner_product(_a(n, k), DensePoly.one(), -1, 0)
+    return (oracle, marginal.a_single_integral(n, k)), (F(1, k),) * 2
+
+
+def _t_single_integral(n, k):
+    oracle = quad.weighted_inner_product(_t(n, k), DensePoly.one(), *T_WEIGHT)
+    return oracle, marginal.t_single_integral(n, k)
+
+
+# -------------------------------------------------------------- exp checks
+
+def _substitution(a, b, k):
+    # e_eval against the exact member at the same x
+    sys = exppoly.ExpPolySystem(a, b, 3)
+    member = sys.member_poly(k)
+    return max(float(abs(F(exppoly.e_eval(sys, k, t)) - member(F(math.exp(-t)))))
+               for t in (0.0, 0.3, 1.7))
+
+
+def _exp_member(a, b, n, k) -> tuple[DensePoly, int]:
+    """The member's x-coefficients as integers over one denominator, whose
+    products are cheap."""
+    coeffs = exppoly.ExpPolySystem(a, b, n).member_poly(k).coeffs
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return DensePoly(tuple(c.numerator * (den // c.denominator) for c in coeffs)), den
+
+
+def _semi_axis_orthogonality(a, b, n, k, l):
+    (pk, dk), (pl, dl) = _once(_exp_member, a, b, n, k), _once(_exp_member, a, b, n, l)
+    got = quad.integrate_semi_axis(pk * pl, a, b) / (dk * dl)
+    return got, (exppoly.e_norm(exppoly.ExpPolySystem(a, b, n), k) if k == l else 0)
+
+
+def _zero_set(a, b, n):
+    zs = exppoly.e_zeros(a, b, n)
+    lam = zs.lambdas
+    simple = len(lam) == n and lam[0] > 0 and all(x < y for x, y in zip(lam, lam[1:]))
+    return max(zs.residuals) if simple else math.inf
+
+
+def _gauss_type_rule(n):
+    rule = exppoly.legendre_type_quadrature(n)
+    worst = max(abs(sum(w * x ** m for x, w in zip(rule.nodes, rule.weights)) - 1 / (m + 1))
+                * (m + 1) for m in range(1, 2 * n + 1))
+    # exact on x .. x^(2n) and deliberately not on constants
+    return worst if abs(sum(rule.weights) - 1) > 1e-3 else math.inf
+
+
+def _semi_axis_exactness(n):
+    rule = _once(exppoly.semi_axis_rule, n)
+    return max(abs(sum(v * math.exp(-m * t) for t, v in zip(rule.nodes, rule.weights)) - 1 / m)
+               * m for m in range(2, 2 * n + 2))
+
+
+def _discrete_orthogonality(n):
+    # the zero-exponent system on the semi-axis rule, relative to 1/(2k)
+    rule = _once(exppoly.semi_axis_rule, n)
+    members = exppoly.member_values(0, 0, n, [math.exp(-t) for t in rule.nodes])
+    gram = (members * rule.weights) @ members.T
+    return max(abs(gram[k - 1, l - 1] - (1 / (2 * k) if k == l else 0.0)) * 2 * k
+               for k, l in _upper(n))
+
+
+def _a_exponential_norms(n):
+    # unweighted semi-axis integrals pull back to the 1/x inner products
+    integral = quad.integrate_semi_axis
+    got = ([integral(_a(n, k) * _a(n, l), 0, 0) for k, l in _upper(n)]
+           + [integral(_a(n, k), 0, 0) for k in range(1, n + 1)])
+    want = ([F(1, 2 * k) if k == l else 0 for k, l in _upper(n)]
+            + [F(1, k) for k in range(1, n + 1)])
+    return got, want
+
+
+def _t_exponential_norms(n):
+    # the T exponential weight is the (-1/2, -1/2) semi-axis weight
+    integral, half = quad.integrate_semi_axis, F(-1, 2)
+    got = ([integral(_t(n, k) * _t(n, l), half, half) for k, l in _upper(n)]
+           + [integral(_t(n, k), half, half) for k in range(1, n + 1)])
+    want = ([marginal.t_norm(n, k, l) for k, l in _upper(n)]
+            + [marginal.t_single_integral(n, k) for k in range(1, n + 1)])
+    return got, want
+
+
+# ------------------------------------------------------------- zfun checks
+
+def _search_permutation():
     base = list(zfun.whole_candidates(10))
     shuffled = base[::2] + base[1::2]
-    r1 = zfun.z_search(1, 0, base)
-    r2 = zfun.z_search(1, 0, shuffled[::-1])
-    rec.add("search-permutation-determinism", {}, r1 == r2, f"{r1} vs {r2}")
-    for omega in (Fraction(0), Fraction(1, 2), Fraction(1)):
-        for n in range(1, nmax + 1):
-            spec = zfun.z_build(n, omega, zfun.whole_candidates(64))
-            endpoint = abs(spec.associated_eval(1.0))
-            nodes = spec.collocation_nodes()[1:]
-            ok = (endpoint < 1e-9
-                  and all(0 < t <= 1 + 1e-12 for t in nodes)
-                  and spec.gamma_n <= 1 + 1e-12)
-            rec.add("z-system-endpoint", {"n": n, "omega": str(omega)},
-                    ok, f"|Z_n0(1)| = {endpoint:.3g}")
-            # the member at t = 1 against the exact member at x = exp(-gamma),
-            # rounded once: an oracle independent of member_values
-            worst = 0.0
-            sys = exppoly.ExpPolySystem(spec.alpha_n, spec.beta_n, n)
-            x = Fraction(math.exp(-(spec.gamma_n if spec.scaled else 1.0)))
-            for k in range(1, n + 1):
-                lhs = spec.member_eval(k, 1.0)
-                rhs = float(sys.member_poly(k)(x))
-                worst = max(worst, abs(lhs - rhs))
-            rec.add("z-scaling-consistency", {"n": n, "omega": str(omega)},
-                    worst < 1e-12, f"max abs {worst:.3g}")
+    return zfun.z_search(1, 0, base), zfun.z_search(1, 0, shuffled[::-1])
 
 
-SUITES = {
-    "core": suite_core,
-    "quad": suite_quad,
-    "marginal": suite_marginal,
-    "exp": suite_exp,
-    "zfun": suite_zfun,
-}
+def _z_system(n, omega):
+    return zfun.z_build(n, omega, zfun.whole_candidates(64))
+
+
+def _z_grid(top):
+    return ((n, omega) for omega in (F(0), F(1, 2), F(1)) for n in range(1, top + 1))
+
+
+def _z_endpoint(n, omega):
+    spec = _once(_z_system, n, omega)
+    nodes = spec.collocation_nodes()
+    inside = (len(nodes) == n + 1 and all(0 < t <= 1 + 1e-12 for t in nodes[1:])
+              and spec.gamma_n <= 1 + 1e-12)
+    return abs(spec.associated_eval(1.0)) if inside else math.inf
+
+
+def _z_scaling(n, omega):
+    # the member at t = 1 against the exact member at x = exp(-gamma),
+    # rounded once: an oracle independent of member_values
+    spec = _once(_z_system, n, omega)
+    sys = exppoly.ExpPolySystem(spec.alpha_n, spec.beta_n, n)
+    x = F(math.exp(-(spec.gamma_n if spec.scaled else 1.0)))
+    return max(abs(spec.member_eval(k, 1.0) - float(sys.member_poly(k)(x)))
+               for k in range(1, n + 1))
+
+
+# -------------------------------------------------------------------- table
+
+ROWS = [
+    # core: the alternative family at integer and half-integer weights
+    Row("monomial-orthogonality", "core", ABNKL,
+        lambda top: ((a, b, n, k, l) for a, b, n, k in _nk(INT2, top, 1)
+                     for l in range(k + 1, n + 1)),
+        lambda a, b, n, k, l: (quad.weighted_inner_product(
+            _member(a, b, n, k), DensePoly.monomial(l), a, b), 0), cap=10),
+    Row("orthogonality-exact", "core", ABNKL, lambda top: _nkl(INT2, top),
+        _orthogonality, cap=10),
+    Row("orthogonality-half-integer", "core", ABNKL, lambda top: _nkl(_pairs(HALF, HALF), top),
+        _orthogonality, cap=10),
+    Row("shift-invariance", "core", ABNK + ("p",),
+        lambda top: ((a, b, n, k, p) for a, b in INT2 for p in (1, 2)
+                     for n in range(top + 1) for k in range(n + 1)),
+        _shift_invariance, cap=6),
+    Row("composition-identity", "core", ABNK, lambda top: _nk(INT2, top),
+        lambda a, b, n, k: (_member(a, b, n, k), polycore.shifted_jacobi_coefficients(
+            n - k, a + 2 * k + 1, b).shift_up(k)), cap=8),
+    Row("differentiation-formula", "core", ABNK,
+        lambda top: (p for p in _nk(_pairs(INT + (F(5, 2),), INT), top) if p[3] < p[2]),
+        lambda a, b, n, k: (polycore.diff_formula_residual(PolyParams(a, b, n, k)), ZERO),
+        cap=8),
+    Row("diff-difference-raising", "core", ABNK, lambda top: _nk(INT2, top),
+        lambda a, b, n, k: (polycore.dd_raising_residual(PolyParams(a, b, n, k)), ZERO),
+        cap=8),
+    Row("diff-difference-lowering", "core", ABNK,
+        lambda top: (p for p in _nk(INT2, top) if p[3] >= 1),
+        lambda a, b, n, k: (polycore.dd_lowering_residual(PolyParams(a, b, n, k)), ZERO),
+        cap=8),
+    Row("ode-residual", "core", ABNK, lambda top: _nk(INT2, top),
+        lambda a, b, n, k: (polycore.ode_residual_poly(PolyParams(a, b, n, k)), ZERO), cap=8),
+    Row("endpoint-sign", "core", ABNK, lambda top: _nk(INT2, top),
+        lambda a, b, n, k: (polycore.endpoint_sign(PolyParams(a, b, n, k)), (-1) ** (n - k)),
+        cap=8),
+    Row("endpoint-value", "core", ABNK, lambda top: _nk(_pairs(INT, (F(0),)), top),
+        lambda a, b, n, k: (polycore.ajp_eval(PolyParams(a, b, n, k), F(1)), (-1) ** (n - k)),
+        cap=8),
+    Row("direct-sign", "core", ABNK, _direct_grid, _direct_sign, cap=4),
+    Row("direct-orthogonality", "core", ABNKL,
+        lambda top: ((a, b, n, k, l) for a, b, n, k in _direct_grid(top)
+                     for l in range(k, n + 4)),
+        _direct_orthogonality, cap=4),
+    Row("direct-pointwise", "core", ABNK, _direct_grid, _direct_pointwise, tol=1e-12, cap=4),
+    Row("reciprocity", "core", ABNK, lambda top: _nk(INT2, top),
+        lambda a, b, n, k: (_member(a, b, n, k),
+                            polycore.reciprocity_coefficients(a, b, n, k)), cap=8),
+    Row("recurrence-vs-expansion", "core", ABN,
+        lambda top: ((a, b, n) for a, b in INT2 for n in range(1, top + 1)),
+        lambda a, b, n: (polycore.ajp_recurrence(a, b, n),
+                         [_member(a, b, n, k) for k in range(n, -1, -1)]), cap=15),
+    Row("recurrence-vs-expansion-float", "core", ABN,
+        lambda top: ((a, b, n) for a, b in ((0.5, 0.5), (1.25, 0.75))
+                     for n in range(1, top + 1)),
+        _recurrence_float, tol=1e-9, cap=12),
+
+    # quad: Beta moments, Gauss-Jacobi rules and the semi-axis pullback
+    Row("beta-moment-symmetry", "quad", ("a", "b"), lambda _top: QUAD_PAIRS,
+        lambda a, b: (quad.beta_moment(a, b), quad.beta_moment(b, a))),
+    Row("rule-weight-sum", "quad", ("a", "b", "m"), _rule_grid, _weight_sum, tol=1e-12),
+    Row("rule-monomial-exactness", "quad", ("a", "b", "m"), _rule_grid, _monomial_exactness,
+        tol=1e-12),
+    Row("inner-product-vs-quadrature", "quad", ("n", "k", "l"),
+        lambda top: ((n, k, l) for n in range(1, top + 1) for k in range(n + 1)
+                     for l in range(k, n + 1)),
+        _inner_product_vs_quadrature, tol=1e-10, cap=6),
+    Row("semi-axis-transform", "quad", ("n",), lambda _top: _ns(3), _semi_axis_transform,
+        tol=1e-10),
+
+    # marginal: the A (1/x weight) and T (Chebyshev-type weight) families
+    Row("a-recurrence-vs-expansion", "marginal", ("n",), _ns,
+        lambda n: (marginal.a_recurrence(n),
+                   [marginal.a_coefficients(n, k) for k in range(n, -1, -1)]), cap=12),
+    Row("a-is-family-member", "marginal", ("n", "k"), _tri,
+        lambda n, k: (_a(n, k), _member(-1, 0, n, k)), cap=12),
+    Row("a-singular-is-shifted-legendre", "marginal", ("n",), _ns,
+        lambda n: (marginal.a_coefficients(n, 0), marginal.shifted_legendre_coefficients(n)),
+        cap=10),
+    Row("t-singular-is-shifted-chebyshev", "marginal", ("n",), _ns,
+        lambda n: (marginal.t_coefficients(n, 0), marginal.shifted_chebyshev_coefficients(n)),
+        cap=10),
+    Row("t-recurrence-vs-scaled-family", "marginal", ("n",), _ns,
+        lambda n: (marginal.t_recurrence(n),
+                   [marginal.t_coefficients(n, k) for k in range(n, -1, -1)]), cap=10),
+    Row("a-differential-relations", "marginal", ("n", "k"), _tri, _a_relations, cap=8),
+    Row("t-ode", "marginal", ("n", "k"), _tri,
+        lambda n, k: (polycore.ode_apply(*T_WEIGHT, n, k, _t(n, k)), ZERO), cap=8),
+    Row("a-orthogonality", "marginal", ("n", "k", "l"), _norm_grid, _a_orthogonality, cap=8),
+    Row("t-orthogonality", "marginal", ("n", "k", "l"), _norm_grid, _t_orthogonality, cap=8),
+    Row("a-single-integral", "marginal", ("n", "k"), lambda top: _tri(top, 1),
+        _a_single_integral, cap=8),
+    Row("t-single-integral", "marginal", ("n", "k"), lambda top: _tri(top, 1),
+        _t_single_integral, cap=8),
+
+    # exp: the exponential systems on the semi-axis and their rules
+    Row("substitution-consistency", "exp", ("alpha", "beta", "k"),
+        lambda _top: ((a, b, k) for a, b in ((F(1), F(0)), (F(2), F(1))) for k in range(4)),
+        _substitution, tol=1e-14),
+    Row("semi-axis-orthogonality", "exp", ABNKL,
+        lambda top: ((a, b, n, k, l) for a in (1, 2, 3) for b in (0, 1, 2)
+                     for n in range(1, top + 1) for k, l in _upper(n)),
+        _semi_axis_orthogonality, cap=8),
+    Row("zero-set", "exp", ABN,
+        lambda top: ((a, b, n) for a, b in ((F(0), F(0)), (F(1), F(0)), (F(1, 2), F(1, 2)),
+                                            (F(2), F(1)))
+                     for n in range(1, top + 1)),
+        _zero_set, tol=1e-13, cap=8),
+    Row("gauss-type-rule", "exp", ("n",), _ns, _gauss_type_rule, tol=1e-9, cap=8),
+    Row("semi-axis-rule-exactness", "exp", ("n",), _ns, _semi_axis_exactness, tol=1e-9, cap=8),
+    Row("discrete-orthogonality", "exp", ("n",), _ns, _discrete_orthogonality, tol=1e-9,
+        cap=8),
+    Row("exp-derivative-relation", "exp", ("n", "k"), lambda top: _tri(top, 1),
+        lambda n, k: max(abs(exppoly.ea_derivative_relation_residual(n, k, t))
+                         for t in (0.0, 0.4, 2.0)), tol=1e-13, cap=8),
+    Row("a-exponential-norms", "exp", ("n",), _ns, _a_exponential_norms, cap=6),
+    Row("t-exponential-norms", "exp", ("n",), _ns, _t_exponential_norms, cap=6),
+
+    # zfun: largest zeros, the exponent search and the built Z systems
+    Row("lambda-closed-form", "zfun", ("alpha",),
+        lambda _top: ((a,) for a in (F(0), F(1, 2), F(1), F(2), F(5))),
+        lambda a: abs(zfun.lambda_max(a, 0, 1) - math.log(float((a + 2) / (a + 1)))),
+        tol=1e-12),
+    Row("search-permutation-determinism", "zfun", (), lambda _top: [()], _search_permutation),
+    Row("z-system-endpoint", "zfun", ("n", "omega"), _z_grid, _z_endpoint, tol=1e-9, cap=5),
+    Row("z-scaling-consistency", "zfun", ("n", "omega"), _z_grid, _z_scaling, tol=1e-12,
+        cap=5),
+]
+
+ROW = {row.name: row for row in ROWS}
+SUITES = ("core", "quad", "marginal", "exp", "zfun")
 
 
 class NoChecksError(ValueError):
-    """A suite ran no checks at the requested nmax; nothing was verified."""
+    """A suite or row ran no checks at the requested n; nothing was verified."""
+
+
+def _record(rec: Recorder, row: Row, top: int) -> int:
+    """Run row's grid up to top into rec; returns the number of points run."""
+    count = 0
+    for count, point in enumerate(row.grid(top), 1):
+        try:
+            ok, detail = row.judge(point)
+        except Exception as exc:    # a check that raises has failed
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        if not ok:
+            params = {key: str(v) if isinstance(v, Fraction) else v
+                      for key, v in zip(row.keys, point)}
+            rec.failures.append({"name": row.name, "params": params, "detail": detail})
+    rec.total += count
+    return count
 
 
 def run_suite(name: str, nmax: int = 8) -> dict:
@@ -536,15 +527,30 @@ def run_suite(name: str, nmax: int = 8) -> dict:
     no checks at this nmax: a check that ran nothing is not a pass.
     """
     if name == "all":
-        names = list(SUITES)
+        names = SUITES
     elif name in SUITES:
-        names = [name]
+        names = (name,)
     else:
         raise ValueError(f"unknown suite {name!r}")
     rec = Recorder()
-    for suite in names:
-        before = len(rec.checks)
-        SUITES[suite](rec, nmax)
-        if len(rec.checks) == before:
-            raise NoChecksError(f"suite {suite} runs no checks at --nmax {nmax}")
-    return rec.summary(name, nmax)
+    try:
+        for suite in names:
+            if not sum(_record(rec, row, row.top(nmax)) for row in ROWS if row.suite == suite):
+                raise NoChecksError(f"suite {suite} runs no checks at --nmax {nmax}")
+    finally:
+        _shared.clear()
+    return {"suite": name, "nmax": nmax, **rec.summary()}
+
+
+def run_rows(ranges: dict) -> dict:
+    """Run each named row up to its given top index, the row's cap aside, and
+    return the summary (total, passed, failed, failures). Raises
+    NoChecksError when a row runs no checks at its index."""
+    rec = Recorder()
+    try:
+        for name, top in ranges.items():
+            if not _record(rec, ROW[name], top):
+                raise NoChecksError(f"row {name} runs no checks at n = {top}")
+    finally:
+        _shared.clear()
+    return rec.summary()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from altpoly import quad
+from altpoly import quad, verify
 from altpoly.errors import CoefficientOverflowError, DivergenceError, RootFindingError
 from altpoly.exppoly import (
     ExpPolySystem,
@@ -11,7 +11,6 @@ from altpoly.exppoly import (
     e_eval,
     e_norm,
     e_zeros,
-    ea_derivative_relation_residual,
     ea_eval,
     et_eval,
     legendre_type_quadrature,
@@ -73,13 +72,8 @@ def test_e_norm_rejects_associated_function():
 
 
 def test_e_norm_matches_semi_axis_integral():
-    for a in (1, 2, 3):
-        for b in (0, 1):
-            for n in range(1, 9):
-                sys = ExpPolySystem(a, b, n)
-                for k in range(1, n + 1):
-                    prod = sys.member_poly(k) * sys.member_poly(k)
-                    assert integrate_semi_axis(prod, a, b) == e_norm(sys, k)
+    # the diagonal of the row, alpha in {1, 2, 3} and beta in {0, 1, 2}
+    assert not verify.run_rows({"semi-axis-orthogonality": 8})["failures"]
 
 
 # -------------------------------------------------------------------- zeros
@@ -175,14 +169,7 @@ def test_rule_n2_matches_brute_force():
 
 
 def test_rule_exact_on_monomials_not_constants():
-    for n in range(1, 9):
-        rule = legendre_type_quadrature(n)
-        for m in range(1, 2 * n + 1):
-            got = sum(w * x ** m for x, w in zip(rule.nodes, rule.weights))
-            assert got == pytest.approx(1 / (m + 1), rel=1e-9), (n, m)
-        assert abs(sum(rule.weights) - 1) > 1e-3
-        assert sum(w * x for x, w in zip(rule.nodes, rule.weights)) == \
-            pytest.approx(0.5, rel=1e-9)
+    assert not verify.run_rows({"gauss-type-rule": 8})["failures"]
 
 
 def test_semi_axis_rule_n1():
@@ -197,11 +184,7 @@ def test_semi_axis_rule_n1():
 
 
 def test_semi_axis_rule_exactness():
-    for n in range(1, 9):
-        rule = semi_axis_rule(n)
-        for m in range(2, 2 * n + 2):
-            got = sum(v * math.exp(-m * t) for t, v in zip(rule.nodes, rule.weights))
-            assert got == pytest.approx(1 / m, rel=1e-9)
+    assert not verify.run_rows({"semi-axis-rule-exactness": 8})["failures"]
 
 
 def test_discrete_orthogonality():
@@ -238,39 +221,22 @@ def test_ea_et_eval():
 
 
 def test_ea_derivative_relation():
-    for n in range(1, 7):
-        for k in range(1, n + 1):
-            for t in (0.0, 0.4, 2.0):
-                assert ea_derivative_relation_residual(n, k, t) == pytest.approx(0, abs=1e-13)
+    assert not verify.run_rows({"exp-derivative-relation": 6})["failures"]
 
 
 def test_a_exponential_norms_and_integrals():
     # unweighted semi-axis integrals of the zero-exponent system pull back to
     # the 1/x inner products: delta_kl/(2k) and 1/k
-    from altpoly.marginal import a_coefficients
-    for n in range(1, 8):
-        for k in range(1, n + 1):
-            for l in range(k, n + 1):
-                prod = a_coefficients(n, k) * a_coefficients(n, l)
-                want = F(1, 2 * k) if k == l else F(0)
-                assert integrate_semi_axis(prod, 0, 0) == want
-            assert integrate_semi_axis(a_coefficients(n, k), 0, 0) == F(1, k)
+    assert not verify.run_rows({"a-exponential-norms": 7})["failures"]
 
 
 def test_t_exponential_norms_and_integrals():
     # the T exponential weight 1/sqrt(exp(-t)(1-exp(-t))) is the (-1/2, -1/2)
-    # semi-axis weight; integrals pull back to the T-kind values exactly
+    # semi-axis weight; integrals pull back to the T-kind values exactly (the
+    # t-exponential-norms row); frozen spot value: n = k = 1 single integral is pi
     from altpoly.exact import PiRational
-    from altpoly.marginal import t_coefficients, t_norm, t_single_integral
+    from altpoly.marginal import t_coefficients
     half = F(-1, 2)
-    for n in range(1, 7):
-        for k in range(1, n + 1):
-            for l in range(k, n + 1):
-                prod = t_coefficients(n, k) * t_coefficients(n, l)
-                assert integrate_semi_axis(prod, half, half) == t_norm(n, k, l)
-            got = integrate_semi_axis(t_coefficients(n, k), half, half)
-            assert got == t_single_integral(n, k)
-    # frozen spot value: n = k = 1 single integral is pi
     assert integrate_semi_axis(t_coefficients(1, 1), half, half) == PiRational(0, 1)
 
 

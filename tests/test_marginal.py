@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from altpoly import verify
 from altpoly.errors import DivergenceError
 from altpoly.exact import PiRational
 from altpoly.marginal import (
     MarginalKind,
     a_coefficients,
     a_norm,
-    a_recurrence,
     a_single_integral,
     is_normalizable,
     plot_table,
@@ -16,19 +16,10 @@ from altpoly.marginal import (
     shifted_legendre_coefficients,
     t_coefficients,
     t_norm,
-    t_recurrence,
     t_scaling,
     t_single_integral,
 )
 from altpoly.poly import DensePoly
-from altpoly.polycore import (
-    PolyParams,
-    ajp_coefficients,
-    dd_lowering_residual,
-    dd_raising_residual,
-    ode_apply,
-    ode_residual_poly,
-)
 from altpoly.quad import weighted_inner_product
 
 F = Fraction
@@ -44,27 +35,16 @@ def test_a_expansion_examples():
 
 
 def test_a_recurrence_matches_expansion():
-    for n in range(1, 13):
-        seq = a_recurrence(n)
-        for k in range(n, -1, -1):
-            assert seq[n - k] == a_coefficients(n, k)
+    assert not verify.run_rows({"a-recurrence-vs-expansion": 12})["failures"]
 
 
 def test_a_equals_marginal_family_member():
-    for n in range(1, 13):
-        for k in range(0, n + 1):
-            assert a_coefficients(n, k) == ajp_coefficients(PolyParams(-1, 0, n, k))
+    assert not verify.run_rows({"a-is-family-member": 12})["failures"]
 
 
 def test_a_norm_values_and_oracle():
     assert a_norm(2, 1, 1) == F(1, 2)
     assert a_norm(2, 1, 2) == 0
-    for n in range(1, 9):
-        for k in range(0, n + 1):
-            for l in range(1, n + 1):
-                oracle = weighted_inner_product(
-                    a_coefficients(n, k), a_coefficients(n, l), -1, 0)
-                assert oracle == a_norm(n, k, l), (n, k, l)
     with pytest.raises(DivergenceError):
         a_norm(3, 0, 0)
 
@@ -73,27 +53,17 @@ def test_a_single_integral():
     assert a_single_integral(2, 1) == 1
     assert a_single_integral(2, 2) == F(1, 2)
     assert a_single_integral(5, 5) == F(1, 5)
-    for n in range(1, 10):
-        for k in range(1, n + 1):
-            oracle = weighted_inner_product(a_coefficients(n, k), DensePoly.one(), -1, 0)
-            assert oracle == F(1, k)
     with pytest.raises(DivergenceError):
         a_single_integral(4, 0)
 
 
 def test_a_singular_member_is_shifted_legendre():
-    for n in range(0, 11):
-        assert a_coefficients(n, 0) == shifted_legendre_coefficients(n)
+    assert a_coefficients(0, 0) == shifted_legendre_coefficients(0)
+    assert not verify.run_rows({"a-singular-is-shifted-legendre": 10})["failures"]
 
 
 def test_a_differential_relations_exact():
-    for n in range(1, 9):
-        for k in range(0, n + 1):
-            params = PolyParams(-1, 0, n, k)
-            assert dd_raising_residual(params).is_zero
-            if k >= 1:
-                assert dd_lowering_residual(params).is_zero
-            assert ode_residual_poly(params).is_zero
+    assert not verify.run_rows({"a-differential-relations": 8})["failures"]
 
 
 # ------------------------------------------------------------------- T-kind
@@ -119,40 +89,26 @@ def test_t_member_against_shifted_jacobi_route():
 
 
 def test_t_recurrence_matches_scaled_family():
-    for n in range(1, 11):
-        seq = t_recurrence(n)
-        for k in range(n, -1, -1):
-            assert seq[n - k] == t_coefficients(n, k)
+    assert not verify.run_rows({"t-recurrence-vs-scaled-family": 10})["failures"]
 
 
 def test_t_singular_member_is_shifted_chebyshev():
-    for n in range(0, 11):
-        assert t_coefficients(n, 0) == shifted_chebyshev_coefficients(n)
+    assert t_coefficients(0, 0) == shifted_chebyshev_coefficients(0)
+    assert not verify.run_rows({"t-singular-is-shifted-chebyshev": 10})["failures"]
 
 
 def test_t_norm_against_beta_oracle():
     assert t_norm(1, 1, 1) == PiRational(0, F(1, 2))
     assert t_norm(2, 1, 2) == 0
     assert t_norm(2, 2, 2) == PiRational(0, F(5, 16))
-    for n in range(1, 8):
-        for k in range(0, n + 1):
-            for l in range(1, n + 1):
-                oracle = weighted_inner_product(
-                    t_coefficients(n, k), t_coefficients(n, l), F(-3, 2), F(-1, 2))
-                stated = t_norm(n, k, l)
-                assert oracle == stated, (n, k, l)
-                assert float(oracle) == pytest.approx(float(stated), rel=1e-12, abs=1e-30)
     with pytest.raises(DivergenceError):
         t_norm(2, 0, 0)
 
 
 def test_t_norm_edge_cases_use_double_factorial_conventions():
-    # k = l = n hits (2n-k-l)!! = 0!! and (2n-k-l-1)!! = (-1)!!
-    for n in range(1, 7):
-        oracle = weighted_inner_product(
-            t_coefficients(n, n), t_coefficients(n, n), F(-3, 2), F(-1, 2))
-        assert t_norm(n, n, n) == oracle
-    # k = 1 in the single integral hits (2k-3)!! = (-1)!!
+    # k = l = n hits (2n-k-l)!! = 0!! and (2n-k-l-1)!! = (-1)!!: the
+    # t-orthogonality row's diagonal; k = 1 in the single integral hits
+    # (2k-3)!! = (-1)!!
     oracle = weighted_inner_product(
         t_coefficients(1, 1), DensePoly.one(), F(-3, 2), F(-1, 2))
     assert t_single_integral(1, 1) == oracle == PiRational(0, 1)
@@ -166,20 +122,12 @@ def test_t_single_integral():
         t_coefficients(2, 2), DensePoly.one(), F(-3, 2), F(-1, 2))
     assert oracle == PiRational(0, F(1, 2))
     assert t_single_integral(2, 2) == oracle
-    for n in range(1, 9):
-        for k in range(1, n + 1):
-            oracle = weighted_inner_product(
-                t_coefficients(n, k), DensePoly.one(), F(-3, 2), F(-1, 2))
-            assert t_single_integral(n, k) == oracle
     with pytest.raises(DivergenceError):
         t_single_integral(3, 0)
 
 
 def test_t_ode():
-    for n in range(1, 9):
-        for k in range(0, n + 1):
-            res = ode_apply(F(-3, 2), F(-1, 2), n, k, t_coefficients(n, k))
-            assert res.is_zero
+    assert not verify.run_rows({"t-ode": 8})["failures"]
 
 
 def test_t_endpoint_values_are_unit():

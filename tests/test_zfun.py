@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from altpoly import exppoly, zfun
+from altpoly import exppoly, verify, zfun
 from altpoly.errors import FeasibilityError, RootFindingError
 from altpoly.exact import is_exact
 from altpoly.exppoly import ExpPolySystem, e_eval
@@ -27,10 +27,8 @@ F = Fraction
 
 
 def test_lambda_max_closed_form():
-    for a in (F(0), F(1, 2), F(1), F(2), F(5)):
-        got = lambda_max(a, 0, 1)
-        want = math.log(float((a + 2) / (a + 1)))
-        assert got == pytest.approx(want, abs=1e-12)
+    # ln((a + 2) / (a + 1)) at n = 1 for a in {0, 1/2, 1, 2, 5}
+    assert not verify.run_rows({"lambda-closed-form": 1})["failures"]
 
 
 def test_etilde_examples():
@@ -109,13 +107,7 @@ def test_z_build_reference_configuration():
 
 
 def test_z_build_endpoint_grid():
-    for omega in (F(0), F(1, 2), F(1)):
-        for n in range(1, 6):
-            spec = z_build(n, omega, whole_candidates())
-            assert abs(spec.associated_eval(1.0)) < 1e-9
-            nodes = spec.collocation_nodes()
-            assert len(nodes) == n + 1
-            assert all(0 < t <= 1 + 1e-12 for t in nodes[1:])
+    assert not verify.run_rows({"z-system-endpoint": 5})["failures"]
 
 
 def test_scaling_consistency_identity():
