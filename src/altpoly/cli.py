@@ -80,6 +80,20 @@ def _family_poly(family: str, alpha, beta, n: int, k: int):
     raise UsageError(f"family {family!r} has no plain-polynomial coefficients")
 
 
+def _family_values(args, xs):
+    """Float values of the member at the points xs, from the one float
+    evaluator (polycore.jacobi_rows)."""
+    n, k = args.n, args.k
+    if args.family == "ajp":
+        if args.alpha is None or args.beta is None:
+            raise UsageError("--alpha and --beta are required for family ajp")
+        from .polycore import PolyParams, ajp_values
+        return ajp_values(PolyParams(args.alpha, args.beta, n, k), xs)
+    from .marginal import MarginalKind, member_rows
+    kind = MarginalKind.A if args.family == "a" else MarginalKind.T
+    return member_rows(kind, n, xs, k, k)[0]
+
+
 class UsageError(Exception):
     pass
 
@@ -119,15 +133,12 @@ def cmd_tabulate(args) -> str:
     n, k = args.n, args.k
     _need_index(args.family, n, k)
     if args.family in AJP_FAMILIES:
-        poly = _family_poly(args.family, args.alpha, args.beta, n, k)
-        rows = []
-        for i in range(args.points):
-            if args.mode == "exact" and poly.mode == "exact":
-                x = Fraction(i, args.points - 1)
-            else:
-                x = i / (args.points - 1)
-            rows.append((x, poly(x)))
-        return _csv(["x", "value"], rows)
+        if args.mode == "exact":
+            poly = _family_poly(args.family, args.alpha, args.beta, n, k)
+            xs = [Fraction(i, args.points - 1) for i in range(args.points)]
+            return _csv(["x", "value"], [(x, poly(x)) for x in xs])
+        xs = [i / (args.points - 1) for i in range(args.points)]
+        return _csv(["x", "value"], zip(xs, _family_values(args, xs).tolist()))
     if args.family in EXP_FAMILIES:
         from . import exppoly
         if args.family == "exp":

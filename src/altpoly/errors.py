@@ -14,10 +14,11 @@ class NonNormalizableError(DivergenceError):
 
 
 class RecurrenceError(AltpolyError, RuntimeError):
-    """A downward recurrence produced a polynomial that cannot be divided by x.
+    """A recurrence cannot take its next step.
 
     Raised when an intermediate polynomial acquires a nonzero constant term
-    before the left-shift step; this indicates corrupted parameters.
+    before the left-shift step, which indicates corrupted parameters, or
+    when a step's denominator vanishes.
     """
 
 
@@ -31,6 +32,12 @@ class CoefficientOverflowError(AltpolyError, OverflowError):
         super().__init__(
             f"float coefficients of member (n={n}, k={k}) overflow the double range "
             f"for alpha = {alpha}, beta = {beta}; {note}")
+
+
+class ValueRangeError(AltpolyError, OverflowError):
+    """A float member value is not finite: the three-term recurrence of
+    P_m^(a,b)(1-2x) left the double range (huge a or b) or was given a
+    point that is not finite."""
 
 
 class RootFindingError(AltpolyError, RuntimeError):

@@ -18,7 +18,13 @@ from .errors import CoefficientOverflowError, DivergenceError, RootFindingError
 from .exact import is_exact
 from .marginal import a_coefficients, t_scaling
 from .poly import DensePoly
-from .polycore import PolyParams, ajp_coefficients, ajp_norm_h, rounded_jacobi_coefficients
+from .polycore import (
+    PolyParams,
+    ajp_coefficients,
+    ajp_norm_h,
+    jacobi_rows,
+    rounded_jacobi_coefficients,
+)
 from .quad import (
     SEMI_AXIS,
     UNIT_INTERVAL,
@@ -226,53 +232,9 @@ def member_values(alpha, beta, n: int, xs):
     """Float values of the system members k = 1..n at the points xs in
     [0, 1], as an n x len(xs) numpy array whose row k - 1 is the member in
     x = exp(-t): x**k * P_{n-k}^{(alpha+2k, beta)}(1-2x), the composition
-    identity for the (alpha - 1, beta) alternative family.
-
-    The Jacobi factors come from the classical three-term recurrence (DLMF
-    18.9.2; Gautschi, Orthogonal Polynomials, 2004), stable on [0, 1] where
-    float Horner on the expanded monomials is not. Each step raises the
-    degree of every member that still needs it, at every point at once, so
-    n members cost n vector steps; member k is read off at degree n - k.
-    The step factors lead, lin, const and back depend only on the member and
-    the degree, so they are tabulated once as (member x degree) arrays, and
-    y = 1 - 2x is formed once; a step is then five in-place operations on
-    row slices, ((lin y + const) P_{d-1} - back P_{d-2}) / lead, in that
-    association.
-    """
-    import numpy as np
-
-    x = np.asarray(xs, dtype=float)
-    b = float(beta)
-    k = np.arange(1, n + 1)[:, None]
-    a = float(alpha) + 2 * k
-    # step factors of P_d for member row r at column d - 2, d = 2..n-1;
-    # entries with r >= n - d are never read
-    deg = np.arange(2, n)
-    s = 2 * deg - 2 + a + b
-    lead = 2 * deg * (deg + a + b) * s
-    lin = (s + 1) * (s + 2) * s
-    const = (s + 1) * (a * a - b * b)
-    back = 2 * (deg - 1 + a) * (deg - 1 + b) * (s + 2)
-    y = 1 - 2 * x
-    out = np.empty((n, x.size))
-    out[n - 1] = 1.0
-    prev, cur, nxt = np.ones((n, x.size)), (a + 1) - (a + b + 2) * x, np.empty((n, x.size))
-    if n > 1:
-        out[n - 2] = cur[n - 2]     # P_1
-    for d in range(2, n):
-        # P_d from P_{d-1} and P_{d-2}, for the rows of degree n - k >= d
-        rows, c = n - d, d - 2
-        step = nxt[:rows]
-        np.multiply(lin[:rows, c:c + 1], y, out=step)
-        step += const[:rows, c:c + 1]
-        step *= cur[:rows]
-        prev = prev[:rows]
-        prev *= back[:rows, c:c + 1]
-        step -= prev
-        step /= lead[:rows, c:c + 1]
-        prev, cur, nxt = cur, step, prev
-        out[rows - 1] = cur[rows - 1]
-    return out * x ** k
+    identity for the (alpha - 1, beta) alternative family. The rows k >= 1
+    of polycore.jacobi_rows at a = alpha, by the three-term recurrence."""
+    return jacobi_rows(alpha, beta, n, xs, 1)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import DivergenceError
 from .exact import PiRational, double_factorial, falling_factorial
 from .poly import DensePoly
-from .polycore import PolyParams, _downward_recurrence, ajp_coefficients
+from .polycore import PolyParams, _downward_recurrence, ajp_coefficients, jacobi_rows
 
 
 class MarginalKind(enum.Enum):
@@ -181,18 +181,31 @@ def shifted_chebyshev_coefficients(m: int) -> DensePoly:
     return cur
 
 
+def member_rows(kind: MarginalKind, n: int, xs, lo: int = 1, hi: int | None = None):
+    """Float values of the members k = lo..hi (hi = n by default) at the
+    points xs, row k - lo for member k: polycore.jacobi_rows at the family's
+    weight, the T rows times t_scaling(n, k) rounded once."""
+    rows = jacobi_rows(kind.alpha + 1, kind.beta, n, xs, lo, hi)
+    if kind is MarginalKind.T:
+        for k, row in enumerate(rows, lo):
+            row *= float(t_scaling(n, k))
+    return rows
+
+
 def plot_table(kind: MarginalKind, n: int, points: int, exact: bool = False):
     """Rows (x, member values k = 1..n) on a uniform grid including both
-    endpoints; the raw data behind the family figures."""
+    endpoints; the raw data behind the family figures. Exact values by
+    Horner on the exact members at x = i/(points - 1), else floats from
+    member_rows at the float x."""
     if points < 2:
         raise ValueError("need at least two sample points")
-    members = [a_coefficients(n, k) if kind is MarginalKind.A else t_coefficients(n, k)
-               for k in range(1, n + 1)]
-    rows = []
-    for i in range(points):
-        x = Fraction(i, points - 1) if exact else i / (points - 1)
-        rows.append((x, tuple(member(x) for member in members)))
-    return rows
+    if exact:
+        members = [a_coefficients(n, k) if kind is MarginalKind.A else t_coefficients(n, k)
+                   for k in range(1, n + 1)]
+        xs = [Fraction(i, points - 1) for i in range(points)]
+        return [(x, tuple(member(x) for member in members)) for x in xs]
+    xs = [i / (points - 1) for i in range(points)]
+    return list(zip(xs, map(tuple, member_rows(kind, n, xs).T.tolist())))
 
 
 def _check_indices(n: int, k: int, l: int):

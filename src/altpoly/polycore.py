@@ -19,6 +19,16 @@ one Fraction per output coefficient at the end.
 Gamma-function ratios in the norm and integral formulas are evaluated as
 products of rational factors, never through a floating gamma, so exact mode
 stays exact.
+
+Every float member value comes from one evaluator, jacobi_rows: the
+three-term recurrence of P_m^(a,b)(1-2x) in x, over a vector of points and a
+range of members at once. ajp_eval, shifted_jacobi and endpoint_sign use it
+whenever the parameters or x are floats (exact ones at an exact x keep exact
+Horner), as do exppoly.member_values, marginal's figure data and the CLI's
+float tabulate. Float Horner on the expanded coefficients cancels on [0, 1]
+(off by 2e5 at n = 30 for members of size 7); float coefficients remain only
+for `coeffs --mode float`, the float ajp_recurrence and the zero guard of
+exppoly.zero_sets.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ from .errors import (
     DivergenceError,
     NonNormalizableError,
     RecurrenceError,
+    ValueRangeError,
 )
 from .exact import (
     ExactnessError,
@@ -127,8 +138,122 @@ def _ajp_coefficients_cached(p: PolyParams, _exact: bool) -> DensePoly:
 
 
 def ajp_eval(p: PolyParams, x):
-    """Evaluate by Horner on the expanded coefficients."""
-    return ajp_coefficients(p)(x)
+    """Value of the member at x: exact Horner on the exact coefficients when
+    the parameters and x are exact, else a float from ajp_values."""
+    if p.exact and is_exact(x):
+        return ajp_coefficients(p)(x)
+    return float(ajp_values(p, (float(x),))[0])
+
+
+def ajp_values(p: PolyParams, xs):
+    """Float values of the member at the points xs, as a numpy array:
+    x^k P_{n-k}^{(alpha+2k+1, beta)}(1-2x), the one row k of jacobi_rows."""
+    if p.is_sentinel:
+        import numpy as np
+        return np.zeros(len(xs))
+    return jacobi_rows(p.alpha + 1, p.beta, p.n, xs, p.k, p.k)[0]
+
+
+def jacobi_rows(a, b, n: int, xs, lo: int = 0, hi: int | None = None):
+    """Float values of x^k P_{n-k}^{(a+2k, b)}(1-2x) for k = lo..hi (hi = n
+    by default) at the points xs, as a numpy array whose row k - lo is the
+    k-th. These are the alternative-family members at alpha = a - 1 and the
+    exponential-system members at alpha = a, and this is the one float
+    evaluator of member values.
+
+    The Jacobi factors come from the classical three-term recurrence (DLMF
+    18.9.2; Gautschi, Orthogonal Polynomials, 2004), stable on [0, 1] where
+    float Horner on the expanded monomials is not. Each step raises the
+    degree of every row that still needs it, at every point at once, so the
+    rows cost n - lo vector steps; row k is read off at degree n - k. The
+    step of P_d, from the recurrence in y = 1 - 2x with its linear factor
+    expanded in x so that 1 - 2x is never rounded,
+
+        lead P_d = ((lin + const) - 2 lin x) P_{d-1} - back P_{d-2},
+
+    has factors that depend only on the row and the degree; they are
+    tabulated once as (row x degree) arrays, the slope -2 lin and the
+    constant lin + const among them, and a step is five in-place operations
+    on row slices: ((slope x + constant) P_{d-1} - back P_{d-2}) / lead, in
+    that association.
+
+    RecurrenceError names m, a and b of the P_m^(a,b) whose step divides by
+    zero (only for a + b <= -2, which no member with alpha > -2 reaches);
+    ValueRangeError names them when a value is not finite.
+    """
+    import numpy as np
+
+    hi = n if hi is None else hi
+    if not 0 <= lo <= hi + 1 <= n + 1:
+        raise ValueError(f"need 0 <= lo <= hi + 1 <= n + 1, got lo = {lo}, hi = {hi}, n = {n}")
+    x = np.asarray(xs, dtype=float)
+    top, rows = n - lo, hi - lo + 1     # the degree of row lo; the row count
+    if not rows:
+        return np.empty((0, x.size))
+    k = np.arange(lo, hi + 1)[:, None]
+    try:
+        af, bf = float(a), float(b)
+    except OverflowError as exc:
+        raise _value_range_error(top, a, b) from exc
+    with np.errstate(all="ignore"):
+        ak = af + 2 * k
+        # step factors of P_d for row r at column d - 2, d = 2..top; entries
+        # with r > top - d are never read
+        deg = np.arange(2, top + 1)
+        s = 2 * deg - 2 + ak + bf
+        lead = 2 * deg * (deg + ak + bf) * s
+        lin = (s + 1) * (s + 2) * s
+        const = lin + (s + 1) * (ak * ak - bf * bf)
+        slope = -2 * lin
+        back = 2 * (deg - 1 + ak) * (deg - 1 + bf) * (s + 2)
+        if not lead.all():
+            _check_step_denominators(lead, a, b, lo, top)
+        shape = (rows, x.size)
+        out, nxt = np.empty(shape), np.empty(shape)
+        prev, cur = np.ones(shape), (ak + 1) - (ak + bf + 2) * x
+        if top < rows:
+            out[top] = 1.0              # P_0
+        if 0 <= top - 1 < rows:
+            out[top - 1] = cur[top - 1]     # P_1
+        for d in range(2, top + 1):
+            # P_d from P_{d-1} and P_{d-2}, for the rows of degree >= d
+            act, c = min(rows, top - d + 1), d - 2
+            step = nxt[:act]
+            np.multiply(slope[:act, c:c + 1], x, out=step)
+            step += const[:act, c:c + 1]
+            step *= cur[:act]
+            prev = prev[:act]
+            prev *= back[:act, c:c + 1]
+            step -= prev
+            step /= lead[:act, c:c + 1]
+            prev, cur, nxt = cur, step, prev
+            if top - d < rows:
+                out[top - d] = cur[top - d]
+        out *= x ** k
+    if not np.isfinite(out).all():
+        r = int(np.argmin(np.isfinite(out).all(axis=1)))
+        raise _value_range_error(top - r, a + 2 * (lo + r), b)
+    return out
+
+
+def _check_step_denominators(lead, a, b, lo: int, top: int):
+    """RecurrenceError for the first row whose recurrence reads a zero lead:
+    row r reads the columns of degrees 2..top - r."""
+    import numpy as np
+
+    rows, degs = lead.shape
+    read = np.arange(rows)[:, None] + np.arange(2, degs + 2) <= top
+    vanish = np.argwhere((lead == 0) & read)
+    if vanish.size:
+        r, c = (int(v) for v in vanish[0])
+        raise RecurrenceError(
+            f"the three-term recurrence divides by zero at degree {c + 2} for "
+            f"a = {a + 2 * (lo + r)}, b = {b}, m = {top - r}")
+
+
+def _value_range_error(m: int, a, b) -> ValueRangeError:
+    return ValueRangeError(f"float values of P_m^(a,b)(1-2x) leave the double range "
+                           f"for a = {a}, b = {b}, m = {m}")
 
 
 def ajp_recurrence(alpha, beta, n: int, up_to_k: int = 0) -> list[DensePoly]:
@@ -380,8 +505,13 @@ def shifted_jacobi_coefficients(m: int, a, b) -> DensePoly:
 
 
 def shifted_jacobi(m: int, a, b, x):
-    """Value of the shifted Jacobi polynomial at x."""
-    return shifted_jacobi_coefficients(m, a, b)(x)
+    """Value of the shifted Jacobi polynomial P_m^{(a,b)}(1-2x) at x: exact
+    Horner on the kernel's coefficients when a, b and x are exact, else a
+    float from jacobi_rows."""
+    a, b = _param(a), _param(b)
+    if is_exact(a) and is_exact(b) and is_exact(x):
+        return shifted_jacobi_coefficients(m, a, b)(x)
+    return float(jacobi_rows(a, b, m, (float(x),), 0, 0)[0, 0])
 
 
 def direct_coefficients(alpha, beta, n: int, k: int) -> DensePoly:
@@ -503,6 +633,7 @@ def weight_eval(alpha, beta, x):
 
 
 def endpoint_sign(p: PolyParams) -> int:
-    """Sign of the member at x = 1, which alternates as (-1)^(n-k)."""
+    """Sign of the member at x = 1, which alternates as (-1)^(n-k): exact for
+    exact parameters, else from the float value of ajp_eval."""
     v = ajp_eval(p, Fraction(1) if p.exact else 1.0)
     return (v > 0) - (v < 0)

@@ -220,6 +220,56 @@ def _semi_axis_transform(n):
     return abs(numeric - float(exact))
 
 
+def _sparse_ns(top):
+    """n = 1..min(top, 8), then every tenth n up to top, and top itself."""
+    ns = {*range(1, min(top, 8) + 1), *range(10, top + 1, 10)}
+    return sorted(ns | {top} if top > 0 else ns)
+
+
+def _float_member_grid(top):
+    """(family, alpha, beta, n): the ajp family at INT2 and half-integer
+    pairs, then the A and T families at their weights."""
+    families = ([("ajp", a, b) for a, b in INT2 + _pairs(HALF, HALF)]
+                + [("a", F(-1), F(0)), ("t", *T_WEIGHT)])
+    return ((fam, a, b, n) for fam, a, b in families for n in _sparse_ns(top))
+
+
+def _rounded_values(poly, xs):
+    """The exact polynomial at each exact x = i/q, rounded once to a float:
+    integer Horner over one common denominator, one correctly rounded
+    division per point."""
+    den = math.lcm(*(F(c).denominator for c in poly.coeffs))
+    ints = [int(c * den) for c in poly.coeffs]
+    out = []
+    for x in xs:
+        i, q = x.numerator, x.denominator
+        acc, power = 0, 1
+        for c in reversed(ints):        # sum_j c_j i^j q^(deg - j)
+            acc = acc * i + c * power
+            power *= q
+        out.append(acc / (den * q ** (len(ints) - 1)))
+    return out
+
+
+def _float_member_values(fam, a, b, n):
+    # the float evaluator's members k = 0..n against the exact members on a
+    # 33-point grid, each member's error relative to its largest |value|
+    xs = [F(i, 32) for i in range(33)]
+    if fam == "ajp":
+        got = polycore.jacobi_rows(a + 1, b, n, [float(x) for x in xs])
+        exact = [_member(a, b, n, k) for k in range(n + 1)]
+    else:
+        kind = marginal.MarginalKind.A if fam == "a" else marginal.MarginalKind.T
+        got = marginal.member_rows(kind, n, [float(x) for x in xs], 0)
+        exact = [(_a if fam == "a" else _t)(n, k) for k in range(n + 1)]
+    worst = 0.0
+    for row, member in zip(got.tolist(), exact):
+        want = _rounded_values(member, xs)
+        worst = max(worst, max(abs(g - w) for g, w in zip(row, want))
+                    / max(abs(w) for w in want))
+    return worst
+
+
 # --------------------------------------------------------- marginal checks
 
 T_WEIGHT = (F(-3, 2), F(-1, 2))
@@ -436,6 +486,8 @@ ROWS = [
         _inner_product_vs_quadrature, tol=1e-10, cap=6),
     Row("semi-axis-transform", "quad", ("n",), lambda _top: _ns(3), _semi_axis_transform,
         tol=1e-10),
+    Row("float-member-values", "quad", ("family",) + ABN, _float_member_grid,
+        _float_member_values, tol=1e-13),
 
     # marginal: the A (1/x weight) and T (Chebyshev-type weight) families
     Row("a-recurrence-vs-expansion", "marginal", ("n",), _ns,

@@ -200,7 +200,7 @@ def _imported_modules(args):
     (("coeffs", "--family", "ajp", "--alpha", "1/2", "--beta", "0", "--n", "4"), 0),
     (("tabulate", "--family", "ajp", "--alpha", "1", "--beta", "0", "--n", "3",
       "--points", "5"), 0),
-    (("plot-data", "--family", "t", "--n", "3", "--points", "9"), 0),
+    (("plot-data", "--family", "t", "--n", "3", "--points", "9", "--mode", "exact"), 0),
     (("verify", "--suite", "core", "--nmax", "1"), 0),
     (("coeffs", "--family", "ajp", "--n", "2", "--k", "9"), 2),
 ])

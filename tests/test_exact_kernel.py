@@ -214,9 +214,13 @@ def test_float_member_is_the_exact_member_rounded_once(alpha, beta, sizes):
         assert got.coeffs == tuple(float(c) for c in want.coeffs), n
 
 
-@pytest.mark.parametrize("n", [450, 500])
+@pytest.mark.parametrize("n", [404, 405, 450, 500])
 def test_float_member_overflow_is_refused(n):
-    # the exact coefficients at (1.5, 0.7) leave the double range from n = 430
+    # the exact coefficients at (1.5, 0.7) leave the double range from
+    # n = 405; at n = 404 the largest one is 3.3e307
+    if n <= 404:
+        assert max(abs(c) for c in ajp_coefficients(PolyParams(1.5, 0.7, n, 0)).coeffs) < 1e308
+        return
     with pytest.raises(CoefficientOverflowError, match=f"n={n}.*alpha = 1.5, beta = 0.7"):
         ajp_coefficients(PolyParams(1.5, 0.7, n, 0))
     assert isinstance(CoefficientOverflowError(n, 0, 1.5, 0.7), OverflowError)

@@ -1,0 +1,220 @@
+"""The one float evaluator of member values, polycore.jacobi_rows, against
+exact rational arithmetic.
+
+Every float member value comes from the x-form three-term recurrence: the
+pointwise API (ajp_eval, shifted_jacobi, endpoint_sign) at float parameters
+or a float x, tabulate --mode float for the ajp, a and t families, and
+plot-data. The oracle is the exact member at the binary values of the
+parameters, evaluated at the same float x taken as a Fraction and rounded
+once; each error is relative to the member's largest |value| on the grid.
+Float Horner on the expanded coefficients, which these routes used before,
+is off by 2e5 at n = 30 and by 4e13 at n = 40 here.
+"""
+
+import csv
+import io
+import json
+import math
+from fractions import Fraction as F
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from altpoly import cli, verify
+from altpoly.errors import RecurrenceError, ValueRangeError
+from altpoly.marginal import MarginalKind, a_coefficients, plot_table, t_coefficients
+from altpoly.poly import DensePoly
+from altpoly.polycore import (
+    PolyParams,
+    ajp_coefficients,
+    ajp_eval,
+    endpoint_sign,
+    jacobi_rows,
+    shifted_jacobi,
+    shifted_jacobi_coefficients,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
+GRID = [i / 64 for i in range(65)]
+TOL = 1e-13
+
+
+def relative_error(got, poly, xs):
+    """max |got - exact rounded once| over xs, over the largest exact |value|."""
+    want = [float(poly(F(x))) for x in xs]
+    return max(abs(g - w) for g, w in zip(got, want)) / max(abs(w) for w in want)
+
+
+def run_main(capsys, *args):
+    """cli.main in process: (exit code, stdout, stderr)."""
+    code = cli.main([str(a) for a in args])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def csv_columns(text):
+    """The columns of a CSV text after its header, as float lists."""
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    return [[float(v) for v in col] for col in zip(*rows)]
+
+
+# ------------------------------------------- the pointwise API at float input
+
+@pytest.mark.parametrize("n", [20, 30, 40, 60])
+def test_endpoint_sign_of_a_float_member(n):
+    for k in (0, 3):
+        assert endpoint_sign(PolyParams(0.5, 0.5, n, k)) == (-1) ** (n - k)
+
+
+@pytest.mark.parametrize("n", [20, 30, 40, 60])
+def test_ajp_eval_at_float_parameters_against_exact_member(n):
+    exact = ajp_coefficients(PolyParams(F(1, 2), F(1, 2), n, 0))
+    got = [ajp_eval(PolyParams(0.5, 0.5, n, 0), x) for x in GRID]
+    assert relative_error(got, exact, GRID) < TOL
+    # the exact member at exact parameters and a float x takes the same route
+    got = [ajp_eval(PolyParams(F(1, 2), F(1, 2), n, 0), x) for x in GRID]
+    assert relative_error(got, exact, GRID) < TOL
+
+
+def test_ajp_eval_at_x_1_n40():
+    # float Horner on the expanded coefficients returned -4.3e13 here
+    want = float(ajp_coefficients(PolyParams(F(1, 2), F(1, 2), 40, 0))(F(1)))
+    assert ajp_eval(PolyParams(0.5, 0.5, 40, 0), 1.0) == pytest.approx(want, rel=1e-13)
+    assert 7.1 < want < 7.3
+
+
+@pytest.mark.parametrize("n", [20, 30, 40, 60])
+def test_shifted_jacobi_at_float_parameters_against_exact(n):
+    exact = shifted_jacobi_coefficients(n, F(3, 2), F(1, 2))
+    got = [shifted_jacobi(n, 1.5, 0.5, x) for x in GRID]
+    assert relative_error(got, exact, GRID) < TOL
+    if n == 40:
+        # float Horner returned 3.34 here
+        assert shifted_jacobi(40, 1.5, 0.5, 0.3) == pytest.approx(
+            float(exact(F(0.3))), rel=1e-13, abs=1e-13)
+
+
+def test_exact_parameters_at_an_exact_x_stay_exact():
+    p = PolyParams(F(1, 2), F(3, 2), 7, 2)
+    assert ajp_eval(p, F(1, 3)) == ajp_coefficients(p)(F(1, 3))
+    assert isinstance(ajp_eval(p, F(1, 3)), F)
+    assert shifted_jacobi(5, F(1, 2), 0, F(1, 3)) == shifted_jacobi_coefficients(
+        5, F(1, 2), 0)(F(1, 3))
+    assert ajp_eval(PolyParams(0.5, 0.5, 4, 5), 0.3) == 0.0     # the sentinel member
+
+
+# ------------------------------------------------ the CLI's float members
+
+def exact_member(family, n, k):
+    if family == "ajp":
+        return ajp_coefficients(PolyParams(F(1, 2), F(1, 2), n, k))
+    return (a_coefficients if family == "a" else t_coefficients)(n, k)
+
+
+@pytest.mark.parametrize("n", [20, 30, 60])
+@pytest.mark.parametrize("family", ["ajp", "a", "t"])
+def test_tabulate_float_against_exact_member(capsys, family, n):
+    params = ("--alpha", "1/2", "--beta", "1/2") if family == "ajp" else ()
+    code, out, err = run_main(capsys, "tabulate", "--family", family, *params, "--n", n,
+                              "--k", 3, "--points", 65, "--mode", "float")
+    assert code == 0, err
+    xs, values = csv_columns(out)
+    assert xs == GRID
+    assert relative_error(values, exact_member(family, n, 3), xs) < TOL
+
+
+@pytest.mark.parametrize("n", [20, 30, 60])
+@pytest.mark.parametrize("family", ["a", "t"])
+def test_plot_data_against_exact_members(capsys, family, n):
+    code, out, err = run_main(capsys, "plot-data", "--family", family, "--n", n,
+                              "--points", 33)
+    assert code == 0, err
+    xs, *columns = csv_columns(out)
+    assert len(columns) == n
+    for k, values in enumerate(columns, start=1):
+        assert relative_error(values, exact_member(family, n, k), xs) < TOL, k
+
+
+@pytest.mark.parametrize("family,kind", [("a", MarginalKind.A), ("t", MarginalKind.T)])
+def test_golden_figure_data_is_the_exact_member_to_1e14(family, kind):
+    xs, *columns = csv_columns((GOLDEN / f"fig_{family}_n5.csv").read_text())
+    assert len(xs) == 512 and len(columns) == 5
+    assert xs == [row[0] for row in plot_table(kind, 5, 512)]
+    for k, values in enumerate(columns, start=1):
+        member = exact_member(family, 5, k)
+        assert max(abs(F(v) - member(F(x))) for x, v in zip(xs, values)) < 1e-14, k
+
+
+def test_no_float_member_value_reaches_float_horner(monkeypatch, capsys):
+    horner = DensePoly.__call__
+
+    def exact_only(self, x):
+        if isinstance(x, float):
+            raise AssertionError(f"float Horner at x = {x!r}")
+        return horner(self, x)
+
+    monkeypatch.setattr(DensePoly, "__call__", exact_only)
+    for args in (("tabulate", "--family", "ajp", "--alpha", "1/2", "--beta", "1/2"),
+                 ("tabulate", "--family", "a"), ("tabulate", "--family", "t")):
+        code, out, err = run_main(capsys, *args, "--n", 6, "--k", 2, "--points", 9,
+                                  "--mode", "float")
+        assert code == 0 and len(out.splitlines()) == 10, err
+    for family in ("a", "t"):
+        code, out, err = run_main(capsys, "plot-data", "--family", family, "--n", 4,
+                                  "--points", 9)
+        assert code == 0 and len(out.splitlines()) == 10, err
+        assert len(plot_table(MarginalKind.A if family == "a" else MarginalKind.T, 4, 9)) == 9
+    assert isinstance(ajp_eval(PolyParams(0.5, 0.5, 6, 2), 0.3), float)
+    assert isinstance(ajp_eval(PolyParams(F(1, 2), F(1, 2), 6, 2), 0.3), float)
+    assert isinstance(shifted_jacobi(6, 1.5, 0.5, 0.3), float)
+    assert isinstance(shifted_jacobi(6, F(3, 2), F(1, 2), 0.3), float)
+    assert endpoint_sign(PolyParams(0.5, 0.5, 6, 2)) == 1
+
+
+# ------------------------------------------------------- the kernel itself
+
+def test_float_member_values_row_to_n60():
+    summary = verify.run_rows({"float-member-values": 60})
+    assert summary["total"] == 280
+    assert not summary["failures"]
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 0), (0, 3), (2, 5), (4, 9), (9, 9), (3, 12), (12, 12)])
+def test_a_row_range_is_those_rows_of_the_whole(lo, hi):
+    xs = np.linspace(0.0, 1.0, 17)
+    whole = jacobi_rows(1.5, 0.25, 12, xs)
+    assert np.array_equal(jacobi_rows(1.5, 0.25, 12, xs, lo, hi), whole[lo:hi + 1])
+    assert jacobi_rows(1.5, 0.25, 12, xs, 5, 4).shape == (0, 17)
+    with pytest.raises(ValueError):
+        jacobi_rows(1.5, 0.25, 12, xs, 5, 13)
+
+
+def test_a_vanishing_step_denominator_is_refused():
+    # P_4^(-2, 0): the degree-2 step divides by d + a + b = 0
+    with pytest.raises(RecurrenceError, match="degree 2 for a = -2, b = 0, m = 4"):
+        jacobi_rows(-2, 0, 4, [0.5])
+    # the row k = 1, P_3^(-2, -1), divides by d + a + b = 0 at degree 3; the
+    # other rows do not, and a range without that row returns
+    with pytest.raises(RecurrenceError, match="degree 3 for a = -2, b = -1, m = 3"):
+        jacobi_rows(-4, -1, 4, [0.5])
+    assert jacobi_rows(-4, -1, 4, [0.5], 0, 0).shape == (1, 1)
+    assert jacobi_rows(-4, -1, 4, [0.5], 2).shape == (3, 1)
+
+
+def test_a_value_that_is_not_finite_is_refused():
+    with pytest.raises(ValueRangeError, match="a = 1e\\+200, b = 0, m = 3"):
+        jacobi_rows(1e200, 0, 3, [0.5])
+    with pytest.raises(ValueRangeError, match=f"a = {10 ** 400}, b = 0, m = 3"):
+        jacobi_rows(10 ** 400, 0, 3, [0.5])
+    with pytest.raises(ValueRangeError, match="m = 2"):
+        jacobi_rows(0.5, 0.5, 2, [math.nan])
+
+
+def test_tabulate_float_at_a_huge_exponent_exits_1_with_typed_error(capsys):
+    code, out, err = run_main(capsys, "tabulate", "--mode", "float", "--alpha", "1e200",
+                              "--beta", "0", "--n", "3")
+    assert code == 1 and out == ""
+    err = json.loads(err)
+    assert err["error"] == "ValueRangeError"
+    assert "a = 1e+200, b = 0.0, m = 3" in err["message"]

@@ -57,9 +57,10 @@ def per_step_member_values(alpha, beta, n, xs):
         s = 2 * d - 2 + ar + b
         lead = 2 * d * (d + ar + b) * s
         lin = (s + 1) * (s + 2) * s
-        const = (s + 1) * (ar * ar - b * b)
+        const = lin + (s + 1) * (ar * ar - b * b)
         back = 2 * (d - 1 + ar) * (d - 1 + b) * (s + 2)
-        prev, cur = cur[:rows], ((lin * (1 - 2 * x) + const) * cur[:rows]
+        # the step factor lin (1 - 2x) + const expanded in x
+        prev, cur = cur[:rows], ((-2 * lin * x + const) * cur[:rows]
                                  - back * prev[:rows]) / lead
         out[rows - 1] = cur[rows - 1]
     return out * x ** k
