@@ -14,8 +14,9 @@ __version__ = "0.1.0"
 
 # submodule -> the public names the package re-exports from it
 _EXPORTS = {
-    "errors": ("AltpolyError", "CollocationError", "DivergenceError", "FeasibilityError",
-               "NonNormalizableError", "RecurrenceError", "RootFindingError"),
+    "errors": ("AltpolyError", "CoefficientOverflowError", "CollocationError",
+               "DivergenceError", "FeasibilityError", "NonNormalizableError",
+               "RecurrenceError", "RootFindingError", "ValueRangeError"),
     "exact": ("PiRational", "double_factorial", "falling_factorial"),
     "exppoly": ("ExpPolySystem", "ProjectionResult", "ZeroSet", "e_eval", "e_norm",
                 "e_zeros", "ea_derivative_relation_residual", "ea_eval", "et_eval",

@@ -23,7 +23,8 @@ from fractions import Fraction
 from .errors import AltpolyError, DivergenceError
 
 AJP_FAMILIES = {"ajp", "a", "t"}
-EXP_FAMILIES = {"exp", "exp-a", "exp-t"}
+# exponential families: the system's (alpha, beta), None where the flags give them
+EXP_FAMILIES = {"exp": None, "exp-a": (0, 0), "exp-t": (-0.5, -0.5)}
 
 
 def _fmt(value) -> str:
@@ -141,20 +142,18 @@ def cmd_tabulate(args) -> str:
         return _csv(["x", "value"], zip(xs, _family_values(args, xs).tolist()))
     if args.family in EXP_FAMILIES:
         from . import exppoly
-        if args.family == "exp":
-            if args.alpha is None or args.beta is None:
-                raise UsageError("--alpha and --beta are required for family exp")
-            sys_ = exppoly.ExpPolySystem(args.alpha, args.beta, n)
-            value_at = lambda t: exppoly.e_eval(sys_, k, t)
-        elif args.family == "exp-a":
-            value_at = lambda t: exppoly.ea_eval(n, k, t)
-        else:
-            value_at = lambda t: exppoly.et_eval(n, k, t)
-        rows = []
-        for i in range(args.points):
-            t = args.tmax * i / (args.points - 1)
-            rows.append((t, float(value_at(t))))
-        return _csv(["t", "value"], rows)
+        if args.family == "exp" and (args.alpha is None or args.beta is None):
+            raise UsageError("--alpha and --beta are required for family exp")
+        sys_ = exppoly.ExpPolySystem(*(EXP_FAMILIES[args.family] or (args.alpha, args.beta)), n)
+        ts = [args.tmax * i / (args.points - 1) for i in range(args.points)]
+        if k > n:
+            return _csv(["t", "value"], [(t, 0.0) for t in ts])
+        xs = [math.exp(-t) for t in ts]
+        values = exppoly.member_values(sys_.alpha, sys_.beta, n, xs, k, k)[0]
+        if args.family == "exp-t":
+            from .marginal import t_scaling
+            values *= float(t_scaling(n, k))
+        return _csv(["t", "value"], zip(ts, values.tolist()))
     if args.family == "z":
         if args.omega is None:
             raise UsageError("--omega is required for family z")
@@ -162,9 +161,7 @@ def cmd_tabulate(args) -> str:
         spec = zfun.z_build(n, args.omega, zfun.whole_candidates(args.limit))
         header = ["t"] + [f"Z{n}{j}" for j in range(0, n + 1)]
         ts = [i / (args.points - 1) for i in range(args.points)]
-        members = spec.member_matrix(ts)[:, 1:].tolist()
-        rows = [(t, spec.associated_eval(t), *vals) for t, vals in zip(ts, members)]
-        return _csv(header, rows)
+        return _csv(header, ([t, *vals] for t, vals in zip(ts, spec._rows(ts, 0).T.tolist())))
     raise UsageError(f"cannot tabulate family {args.family!r}")
 
 

@@ -52,22 +52,24 @@ class ExpPolySystem:
         if self.n < 1:
             raise ValueError("system needs n >= 1")
 
+    def _params(self, k: int) -> PolyParams:
+        """Member k as the alternative-family member at (alpha - 1, beta)."""
+        a = Fraction(self.alpha) - 1 if is_exact(self.alpha) else float(self.alpha) - 1
+        return PolyParams(a, self.beta, self.n, k)
+
     def member_poly(self, k: int) -> DensePoly:
         """Coefficients of the member as a polynomial in x = exp(-t)."""
-        a = Fraction(self.alpha) - 1 if is_exact(self.alpha) else float(self.alpha) - 1
-        return ajp_coefficients(PolyParams(a, self.beta, self.n, k))
+        return ajp_coefficients(self._params(k))
 
 
 def e_eval(sys: ExpPolySystem, k: int, t) -> float:
-    """Member value at t >= 0, x = exp(-t): k = 1..n from member_values, the
-    k = 0 associated function exact at x and rounded once, k = n + 1 zero."""
+    """Member value at t >= 0, x = exp(-t): row k of member_values for
+    k = 0..n (k = 0 is the associated function), zero for k = n + 1."""
     n = sys.n
     if not 0 <= k <= n + 1:
         raise ValueError(f"k = {k} outside 0..n+1 for n = {n}")
     x = math.exp(-float(t))
-    if k == 0:
-        return float(associated_poly(sys.alpha, sys.beta, n)(Fraction(x)))
-    return float(member_values(sys.alpha, sys.beta, n, (x,))[k - 1, 0]) if k <= n else 0.0
+    return float(member_values(sys.alpha, sys.beta, n, (x,), k, k)[0, 0]) if k <= n else 0.0
 
 
 def e_norm(sys: ExpPolySystem, k: int):
@@ -77,8 +79,7 @@ def e_norm(sys: ExpPolySystem, k: int):
     function is not part of the orthogonal system)."""
     if k == 0:
         raise DivergenceError("associated function is not integrable on the semi-axis")
-    a = Fraction(sys.alpha) - 1 if is_exact(sys.alpha) else float(sys.alpha) - 1
-    return ajp_norm_h(PolyParams(a, sys.beta, sys.n, k))
+    return ajp_norm_h(sys._params(k))
 
 
 @dataclass(frozen=True)
@@ -95,12 +96,6 @@ class ZeroSet:
 
     def max_lambda(self) -> float:
         return self.lambdas[-1]
-
-
-def associated_poly(alpha, beta, n: int) -> DensePoly:
-    """Exact x-coefficients of the k = 0 associated function, P_n^(alpha,beta)(1-2x)
-    up to a constant; float exponents enter at their binary values."""
-    return ajp_coefficients(PolyParams(Fraction(alpha) - 1, Fraction(beta), n, 0))
 
 
 def e_zeros(alpha, beta, n: int) -> ZeroSet:
@@ -228,13 +223,14 @@ def ea_derivative_relation_residual(n: int, k: int, t) -> float:
     return float((ddt - rhs)(math.exp(-float(t))))
 
 
-def member_values(alpha, beta, n: int, xs):
-    """Float values of the system members k = 1..n at the points xs in
-    [0, 1], as an n x len(xs) numpy array whose row k - 1 is the member in
-    x = exp(-t): x**k * P_{n-k}^{(alpha+2k, beta)}(1-2x), the composition
-    identity for the (alpha - 1, beta) alternative family. The rows k >= 1
-    of polycore.jacobi_rows at a = alpha, by the three-term recurrence."""
-    return jacobi_rows(alpha, beta, n, xs, 1)
+def member_values(alpha, beta, n: int, xs, lo: int = 1, hi: int | None = None):
+    """Float values of the system members k = lo..hi (hi = n by default) at
+    the points xs in [0, 1], as a numpy array whose row k - lo is the member
+    in x = exp(-t): x**k * P_{n-k}^{(alpha+2k, beta)}(1-2x), the composition
+    identity for the (alpha - 1, beta) alternative family; k = 0 is the
+    associated function P_n^{(alpha, beta)}(1-2x). The rows of
+    polycore.jacobi_rows at a = alpha, by the three-term recurrence."""
+    return jacobi_rows(alpha, beta, n, xs, lo, hi)
 
 
 @dataclass(frozen=True)

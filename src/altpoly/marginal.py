@@ -17,7 +17,8 @@ from fractions import Fraction
 from .errors import DivergenceError
 from .exact import PiRational, double_factorial, falling_factorial
 from .poly import DensePoly
-from .polycore import PolyParams, _downward_recurrence, ajp_coefficients, jacobi_rows
+from .polycore import (PolyParams, _downward_recurrence, ajp_coefficients, ajp_recurrence,
+                       jacobi_rows)
 
 
 class MarginalKind(enum.Enum):
@@ -52,19 +53,11 @@ def a_coefficients(n: int, k: int) -> DensePoly:
 
 def a_recurrence(n: int) -> list[DensePoly]:
     """A-kind members for k = n down to 0 by the downward recurrence
-    starting from x^n and (2n-1)x^(n-1) - 2n x^n, on the exact integer
-    kernel of polycore."""
+    starting from x^n and (2n-1)x^(n-1) - 2n x^n: the family's recurrence
+    at alpha = -1, beta = 0 (polycore.ajp_recurrence)."""
     if n < 1:
         raise ValueError("recurrence needs n >= 1")
-    first = [0] * (n - 1) + [2 * n - 1, -2 * n]
-    return _downward_recurrence(n, (first, 1), lambda k: _a_step(n, k), label="A member")
-
-
-def _a_step(n: int, k: int):
-    """Integer factors (m1, m2, m3, den) of the A-kind step member(k) ->
-    member(k-1): den member(k-1) = m1 member(k)/x - m2 member(k) - m3 member(k+1)."""
-    return (2 * k * (2 * k - 1) * (2 * k + 1), 4 * k * (n * n + k * k + n),
-            (2 * k - 1) * (n - k) * (n + k + 1), (2 * k + 1) * (n + k) * (n - k + 1))
+    return ajp_recurrence(-1, 0, n)
 
 
 def a_norm(n: int, k: int, l: int) -> Fraction:
@@ -113,7 +106,7 @@ def t_recurrence(n: int) -> list[DensePoly]:
 
 
 def _t_step(n: int, k: int):
-    """Integer factors (m1, m2, m3, den) of the T-kind step, as for _a_step."""
+    """Integer factors (m1, m2, m3, den) of the T-kind step, as polycore._recurrence_factors."""
     return ((4 * k - 1) * (4 * k - 3) * (4 * k + 1),
             2 * (4 * k - 1) * (4 * n * n + 4 * k * k - 2 * k - 1),
             4 * (n - k) * (n + k) * (4 * k - 3),

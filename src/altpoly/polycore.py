@@ -24,7 +24,8 @@ Every float member value comes from one evaluator, jacobi_rows: the
 three-term recurrence of P_m^(a,b)(1-2x) in x, over a vector of points and a
 range of members at once. ajp_eval, shifted_jacobi and endpoint_sign use it
 whenever the parameters or x are floats (exact ones at an exact x keep exact
-Horner), as do exppoly.member_values, marginal's figure data and the CLI's
+Horner), as do exppoly.member_values (every exponential and Z value, the
+k = 0 associated function included), marginal's figure data and the CLI's
 float tabulate. Float Horner on the expanded coefficients cancels on [0, 1]
 (off by 2e5 at n = 30 for members of size 7); float coefficients remain only
 for `coeffs --mode float`, the float ajp_recurrence and the zero guard of
@@ -175,7 +176,9 @@ def jacobi_rows(a, b, n: int, xs, lo: int = 0, hi: int | None = None):
     tabulated once as (row x degree) arrays, the slope -2 lin and the
     constant lin + const among them, and a step is five in-place operations
     on row slices: ((slope x + constant) P_{d-1} - back P_{d-2}) / lead, in
-    that association.
+    that association. The factor x^k is the running product ((x x) x) ...
+    of k factors, so row k has the same bits whatever lo and hi are asked
+    for and on every CPU.
 
     RecurrenceError names m, a and b of the P_m^(a,b) whose step divides by
     zero (only for a + b <= -2, which no member with alpha > -2 reaches);
@@ -229,7 +232,15 @@ def jacobi_rows(a, b, n: int, xs, lo: int = 0, hi: int | None = None):
             prev, cur, nxt = cur, step, prev
             if top - d < rows:
                 out[top - d] = cur[top - d]
-        out *= x ** k
+        if hi:
+            # x^k as the running product ((x x) x) ..., one order for any
+            # lo, hi and CPU (numpy's power is dispatched by CPU and takes
+            # shortcuts for small whole exponents)
+            power = np.empty((hi, x.size))
+            power[:] = x
+            np.multiply.accumulate(power, axis=0, out=power)   # row j: x^(j+1)
+            first = max(lo, 1)
+            out[first - lo:] *= power[first - 1:]
     if not np.isfinite(out).all():
         r = int(np.argmin(np.isfinite(out).all(axis=1)))
         raise _value_range_error(top - r, a + 2 * (lo + r), b)
@@ -540,13 +551,24 @@ def ajp_derivative(p: PolyParams) -> DensePoly:
     return ajp_coefficients(p).derivative()
 
 
+def _at_binary_values(p: PolyParams) -> PolyParams:
+    """p with float parameters replaced by their exact binary values.
+
+    The residuals below are exact at any parameters: in float coefficients
+    they are cancellation noise (|ode residual| 8e8 at (0.5, 0.5), n = 30,
+    for members below 200)."""
+    return p if p.exact else PolyParams(Fraction(p.alpha), Fraction(p.beta), p.n, p.k)
+
+
 def diff_formula_residual(p: PolyParams) -> DensePoly:
     """Residual of the lowering differentiation formula (k < n):
     dP/dx - k/x P + (alpha+beta+n+k+2) * P_{n-1,k}^{(alpha+1,beta+1)}.
 
     Zero polynomial iff the identity holds. The k/x term is a left shift,
-    legal because the lowest power of the member is exactly k.
+    legal because the lowest power of the member is exactly k. Exact, at the
+    binary values of float parameters.
     """
+    p = _at_binary_values(p)
     n, k, a, b = p.n, p.k, p.alpha, p.beta
     if k >= n:
         raise ValueError("differentiation formula applies for k < n")
@@ -565,7 +587,10 @@ def dd_raising_residual(p: PolyParams) -> DensePoly:
     (alpha+2k+2) x(1-x) P' - [k alpha + 2k(k+1)
       - (n alpha + (n-k) beta + n^2 + k^2 + 2n) x] P
       + (alpha+beta+n+k+2)(beta+n-k) x P_{n,k+1}
+
+    Exact, at the binary values of float parameters.
     """
+    p = _at_binary_values(p)
     n, k, a, b = p.n, p.k, p.alpha, p.beta
     member = ajp_coefficients(p)
     x_one_minus_x = DensePoly((0, 1, -1))
@@ -584,7 +609,10 @@ def dd_lowering_residual(p: PolyParams) -> DensePoly:
     (alpha+2k) x(1-x) P' - [-(alpha+2k)(alpha+k+1)
       + ((n+1)(alpha+beta+n+1) + (alpha+k)(alpha+beta+k) + alpha+2k) x] P
       - (n-k+1)(alpha+n+k+1) x P_{n,k-1}
+
+    Exact, at the binary values of float parameters.
     """
+    p = _at_binary_values(p)
     n, k, a, b = p.n, p.k, p.alpha, p.beta
     if k < 1:
         raise ValueError("lowering relation applies for k >= 1")
@@ -612,11 +640,15 @@ def ode_apply(alpha, beta, n: int, k: int, y: DensePoly) -> DensePoly:
 
 
 def ode_residual_poly(p: PolyParams) -> DensePoly:
+    """The differential operator applied to the member: exact, at the binary
+    values of float parameters, and the zero polynomial."""
+    p = _at_binary_values(p)
     return ode_apply(p.alpha, p.beta, p.n, p.k, ajp_coefficients(p))
 
 
 def ode_residual(p: PolyParams, x):
-    """Value of the differential-equation residual at x; 0 for members."""
+    """Value of the differential-equation residual at x, from the exact
+    residual polynomial (ode_residual_poly); 0 for members."""
     return ode_residual_poly(p)(x)
 
 

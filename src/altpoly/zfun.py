@@ -172,6 +172,11 @@ class ZSystemSpec:
     def beta_n(self):
         return self.alpha_n * self.omega
 
+    @property
+    def _factor(self) -> float:
+        """The argument scale: the members are read at factor * t."""
+        return self.gamma_n if self.scaled else 1.0
+
     def member_eval(self, k: int, t) -> float:
         """Basis member on [0,1]: index 0 is the constant 1, index k = 1..n the
         k-th (possibly rescaled) exponential member."""
@@ -181,25 +186,27 @@ class ZSystemSpec:
 
     def member_matrix(self, ts):
         """member_eval(k, t) for each t (rows) and k = 0..n (columns), as a numpy
-        array; the members come from one member_values call at x = exp(-factor t)."""
+        array; the members come from one member_values call."""
         import numpy as np
 
-        factor = self.gamma_n if self.scaled else 1.0
-        xs = [math.exp(-(factor * float(t))) for t in ts]
-        out = np.ones((len(xs), self.n + 1))
-        out[:, 1:] = member_values(self.alpha_n, self.beta_n, self.n, xs).T
+        out = np.ones((len(ts), self.n + 1))
+        out[:, 1:] = self._rows(ts, 1).T
         return out
 
+    def _rows(self, ts, lo: int):
+        """The rows k = lo..n of member_values at x = exp(-factor t), one
+        column per t; row 0 is the associated function."""
+        xs = [math.exp(-(self._factor * float(t))) for t in ts]
+        return member_values(self.alpha_n, self.beta_n, self.n, xs, lo)
+
     def associated_eval(self, t) -> float:
-        """The k = 0 associated function: e_eval at factor t, exact at x and
-        rounded once (float Horner noise reaches the endpoint check's 1e-9)."""
-        factor = self.gamma_n if self.scaled else 1.0
-        return e_eval(ExpPolySystem(self.alpha_n, self.beta_n, self.n), 0, factor * float(t))
+        """The k = 0 associated function: e_eval at factor t, like every member."""
+        return e_eval(ExpPolySystem(self.alpha_n, self.beta_n, self.n), 0,
+                      self._factor * float(t))
 
     def collocation_nodes(self) -> tuple:
         """t = 0 plus the zeros of the associated function mapped into (0,1]."""
-        factor = self.gamma_n if self.scaled else 1.0
-        return (0.0,) + tuple(lam / factor for lam in self.zeros.lambdas)
+        return (0.0,) + tuple(lam / self._factor for lam in self.zeros.lambdas)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -7,7 +7,6 @@ from altpoly import quad, verify
 from altpoly.errors import CoefficientOverflowError, DivergenceError, RootFindingError
 from altpoly.exppoly import (
     ExpPolySystem,
-    associated_poly,
     e_eval,
     e_norm,
     e_zeros,
@@ -19,7 +18,7 @@ from altpoly.exppoly import (
     semi_axis_rule,
     zero_sets,
 )
-from altpoly.polycore import PolyParams, ajp_eval
+from altpoly.polycore import PolyParams, ajp_coefficients, ajp_eval
 from altpoly.quad import integrate_semi_axis
 
 F = Fraction
@@ -117,8 +116,9 @@ def test_zero_sets_match_e_zeros_and_the_horner_guard():
         stacked = zero_sets(pairs, n)
         for (a, b), zs in zip(pairs, stacked):
             assert zs == e_zeros(a, b, n)
-            # the guard's reference: DensePoly Horner on the rounded exact member
-            member = associated_poly(a, b, n).to_floats()
+            # the guard's reference: DensePoly Horner on the rounded exact
+            # member P_n^(a,b)(1-2x) at the binary parameters
+            member = ajp_coefficients(PolyParams(F(a) - 1, F(b), n, 0)).to_floats()
             scale = max(abs(c) for c in member.coeffs)
             assert zs.residuals == tuple(abs(member(x)) / scale for x in zs.source_x)
             assert zs.lambdas == tuple(-math.log(x) for x in zs.source_x)

@@ -3,8 +3,9 @@ exact rational arithmetic.
 
 Every float member value comes from the x-form three-term recurrence: the
 pointwise API (ajp_eval, shifted_jacobi, endpoint_sign) at float parameters
-or a float x, tabulate --mode float for the ajp, a and t families, and
-plot-data. The oracle is the exact member at the binary values of the
+or a float x, tabulate --mode float for the ajp, a and t families, plot-data,
+and every exponential and Z value (e_eval and the Z systems' associated
+function included), one kernel call per tabulated grid. The oracle is the exact member at the binary values of the
 parameters, evaluated at the same float x taken as a Fraction and rounded
 once; each error is relative to the member's largest |value| on the grid.
 Float Horner on the expanded coefficients, which these routes used before,
@@ -21,8 +22,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from altpoly import cli, verify
+from altpoly import cli, exppoly, verify
 from altpoly.errors import RecurrenceError, ValueRangeError
+from altpoly.exppoly import ExpPolySystem, e_eval, ea_eval, et_eval
 from altpoly.marginal import MarginalKind, a_coefficients, plot_table, t_coefficients
 from altpoly.poly import DensePoly
 from altpoly.polycore import (
@@ -34,6 +36,7 @@ from altpoly.polycore import (
     shifted_jacobi,
     shifted_jacobi_coefficients,
 )
+from altpoly.zfun import rational_candidates, whole_candidates, z_build
 
 GOLDEN = Path(__file__).parent / "golden"
 GRID = [i / 64 for i in range(65)]
@@ -172,6 +175,66 @@ def test_no_float_member_value_reaches_float_horner(monkeypatch, capsys):
     assert endpoint_sign(PolyParams(0.5, 0.5, 6, 2)) == 1
 
 
+# --------------------------------------- the exponential and Z families
+
+def test_no_exponential_or_z_value_reaches_horner(monkeypatch, capsys):
+    def refuse(self, x):
+        raise AssertionError(f"Horner at x = {x!r}")
+
+    monkeypatch.setattr(DensePoly, "__call__", refuse)
+    system = ExpPolySystem(F(5, 2), F(1, 2), 6)
+    for k in range(8):
+        assert isinstance(e_eval(system, k, 0.4), float)
+    assert z_build(8, F(1, 4), whole_candidates(64)).alpha_n == 22
+    assert z_build(5, 1, rational_candidates(64, 4)).alpha_n == F(161, 3)
+    for args in (("--family", "exp", "--alpha", "5/2", "--beta", "1/2", "--k", 0),
+                 ("--family", "exp-t", "--k", 2), ("--family", "z", "--omega", "1/2")):
+        code, out, err = run_main(capsys, "tabulate", *args, "--n", 4, "--points", 9)
+        assert code == 0 and len(out.splitlines()) == 10, err
+
+
+def kernel_calls(monkeypatch):
+    """The point counts of the jacobi_rows calls that member_values makes."""
+    calls, kernel = [], exppoly.jacobi_rows
+
+    def counted(a, b, n, xs, *rows):
+        calls.append(len(xs))
+        return kernel(a, b, n, xs, *rows)
+
+    monkeypatch.setattr(exppoly, "jacobi_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family,params,value", [
+    ("exp", ("--alpha", "3/2", "--beta", "1/4"),
+     lambda k, t: e_eval(ExpPolySystem(F(3, 2), F(1, 4), 7), k, t)),
+    ("exp-a", (), lambda k, t: ea_eval(7, k, t)),
+    ("exp-t", (), lambda k, t: et_eval(7, k, t))], ids=["exp", "exp-a", "exp-t"])
+def test_exp_tabulate_is_one_kernel_call_equal_to_pointwise(monkeypatch, capsys, family,
+                                                            params, value):
+    for k in range(9 if family == "exp" else 8):
+        calls = kernel_calls(monkeypatch)
+        code, out, err = run_main(capsys, "tabulate", "--family", family, *params, "--n", 7,
+                                  "--k", k, "--points", 33, "--tmax", 3)
+        assert code == 0, err
+        assert calls == ([33] if k <= 7 else [])
+        ts, values = csv_columns(out)
+        assert values == [value(k, t) for t in ts], k
+
+
+def test_z_tabulate_is_one_kernel_call_equal_to_the_spec(monkeypatch, capsys):
+    calls = kernel_calls(monkeypatch)
+    code, out, err = run_main(capsys, "tabulate", "--family", "z", "--omega", "1/2",
+                              "--n", 3, "--points", 17)
+    assert code == 0, err
+    assert calls == [1, 17]         # z_build's endpoint check, then the grid
+    ts, *columns = csv_columns(out)
+    spec = z_build(3, F(1, 2), whole_candidates(64))
+    assert columns[0] == [spec.associated_eval(t) for t in ts]
+    for k in range(1, 4):
+        assert columns[k] == [spec.member_eval(k, t) for t in ts], k
+
+
 # ------------------------------------------------------- the kernel itself
 
 def test_float_member_values_row_to_n60():
@@ -188,6 +251,38 @@ def test_a_row_range_is_those_rows_of_the_whole(lo, hi):
     assert jacobi_rows(1.5, 0.25, 12, xs, 5, 4).shape == (0, 17)
     with pytest.raises(ValueError):
         jacobi_rows(1.5, 0.25, 12, xs, 5, 13)
+
+
+KERNEL_GRID = (0.0, 1.0, 1e-300, 5e-324, 1 - 2 ** -53, 1e-8) + tuple(np.linspace(0, 1, 129))
+
+
+@pytest.mark.parametrize("a,b,n", [(1.5, 0.25, 12), (0.5, 0.5, 40), (-0.5, -0.5, 30),
+                                   (F(1, 3), F(7, 2), 9), (0, 0, 1), (22.0, 5.5, 8)])
+def test_one_row_is_that_row_of_the_full_table(a, b, n):
+    # numpy's power took the x * x shortcut for a one-element exponent 2 and
+    # differed from row 2 of the full table by one ulp at some points
+    whole = jacobi_rows(a, b, n, KERNEL_GRID)
+    for k in range(n + 1):
+        assert np.array_equal(jacobi_rows(a, b, n, KERNEL_GRID, k, k)[0], whole[k]), k
+
+
+def python_power(x: float, k: int) -> float:
+    """x^k as the running product ((x x) x) ..., in Python floats."""
+    p = 1.0
+    for _ in range(k):
+        p *= x
+    return p
+
+
+@pytest.mark.parametrize("a,b,n", [(1.5, 0.25, 12), (0.5, 0.5, 40), (-0.5, -0.5, 7)])
+def test_power_factor_is_the_running_product(a, b, n):
+    # row k is x^k times row 0 of the kernel at (a + 2k, b, n - k), whose
+    # factor is 1; numpy's CPU-dispatched power differed from it in the
+    # last bit at some points for k = 2..5
+    for k in range(n + 1):
+        bare = jacobi_rows(a + 2 * k, b, n - k, KERNEL_GRID, 0, 0)[0]
+        want = [p * python_power(x, k) for p, x in zip(bare.tolist(), KERNEL_GRID)]
+        assert jacobi_rows(a, b, n, KERNEL_GRID, k, k)[0].tolist() == want, k
 
 
 def test_a_vanishing_step_denominator_is_refused():

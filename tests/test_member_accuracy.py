@@ -1,8 +1,8 @@
 """Float members of the exponential systems against the exact member.
 
-e_eval, ea_eval, et_eval and ZSystemSpec.member_matrix take members k >= 1
-from the three-term recurrence (exppoly.member_values) and the k = 0
-associated function exact at x, rounded once. The oracle is the exact
+e_eval, ea_eval, et_eval and ZSystemSpec.member_matrix take every member,
+the k = 0 associated function included, from the three-term recurrence
+(exppoly.member_values). The oracle is the exact
 member polynomial at exact parameters, evaluated at the same float
 x = exp(-t) taken as a Fraction. On t in [0, 5] these members stay below
 about 125 in size, so the absolute bound 1e-12 is near the rounding of

@@ -8,10 +8,11 @@ import pytest
 
 import altpoly
 
-# the names the package exported by eager import, by home submodule
+# the names the package exports, by home submodule
 EXPORTS = {
-    "errors": ["AltpolyError", "CollocationError", "DivergenceError", "FeasibilityError",
-               "NonNormalizableError", "RecurrenceError", "RootFindingError"],
+    "errors": ["AltpolyError", "CoefficientOverflowError", "CollocationError",
+               "DivergenceError", "FeasibilityError", "NonNormalizableError",
+               "RecurrenceError", "RootFindingError", "ValueRangeError"],
     "exact": ["PiRational", "double_factorial", "falling_factorial"],
     "exppoly": ["ExpPolySystem", "ProjectionResult", "ZeroSet", "e_eval", "e_norm", "e_zeros",
                 "ea_derivative_relation_residual", "ea_eval", "et_eval",

@@ -63,7 +63,12 @@ def per_step_member_values(alpha, beta, n, xs):
         prev, cur = cur[:rows], ((-2 * lin * x + const) * cur[:rows]
                                  - back * prev[:rows]) / lead
         out[rows - 1] = cur[rows - 1]
-    return out * x ** k
+    # x^k as the kernel forms it: the running product x, x x, (x x) x, ...
+    power = np.ones(x.size)
+    for r in range(n):
+        power = power * x
+        out[r] *= power
+    return out
 
 
 EDGE_GRID = (0.0, 1.0, 1e-300, 5e-324, 0.5, 1 - 2 ** -53, 1e-8, 0.25, 0.9)

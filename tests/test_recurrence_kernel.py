@@ -1,10 +1,11 @@
 """The exact downward recurrences on polycore's integer step kernel.
 
-ajp_recurrence, a_recurrence and t_recurrence all step through
-polycore._downward_recurrence. The oracles here do not: the exact ajp
-members come from the earlier route that evaluates each step's factors in
-Fraction arithmetic (copied below), and the A and T members from their
-closed-form expansions.
+ajp_recurrence, and with it a_recurrence (the family at alpha = -1,
+beta = 0), and t_recurrence all step through polycore._downward_recurrence.
+The oracles here do not: the exact ajp members come from the earlier route
+that evaluates each step's factors in Fraction arithmetic (copied below),
+the A and T members from their closed-form expansions, and the A step's
+factors from the paper's formula.
 """
 
 import math
@@ -99,6 +100,26 @@ def test_a_and_t_recurrences_match_expansions_to_n40(n):
         assert all(type(c) is F for c in a_got.coeffs + t_got.coeffs)
 
 
+def a_step(n: int, k: int):
+    """The paper's integer factors (m1, m2, m3, den) of the A-kind step
+    member(k) -> member(k-1): den member(k-1) = m1 member(k)/x - m2 member(k)
+    - m3 member(k+1)."""
+    return (2 * k * (2 * k - 1) * (2 * k + 1), 4 * k * (n * n + k * k + n),
+            (2 * k - 1) * (n - k) * (n + k + 1), (2 * k + 1) * (n + k) * (n - k + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 40])
+def test_a_recurrence_is_the_family_recurrence_at_minus_one_zero(n):
+    # a_recurrence runs ajp_recurrence(-1, 0, n), whose integer factors are
+    # the A step's term by term
+    for k in range(1, n):
+        factors = polycore._recurrence_factors(-1, 0, 1, n, k)
+        assert factors == a_step(n, k), (n, k)
+        assert all(type(f) is int for f in factors)
+    with pytest.raises(ValueError):
+        a_recurrence(0)
+
+
 # ------------------------------------------------------- spoiled factors
 
 def _zero_den_at(factors, bad_k):
@@ -111,18 +132,21 @@ def _zero_den_at(factors, bad_k):
 @pytest.mark.parametrize("route", ["ajp", "ajp-float", "A", "T"])
 def test_spoiled_factor_raises_recurrence_error(monkeypatch, route):
     n, bad_k = 6, 3
-    if route.startswith("ajp"):
-        monkeypatch.setattr(polycore, "_recurrence_factors",
-                            _zero_den_at(polycore._recurrence_factors, bad_k))
-        a, b = (F(1, 2), F(2)) if route == "ajp" else (0.5, 2.0)
-        ajp_recurrence(a, b, n, up_to_k=bad_k)          # the spoiled step is not reached
-        with pytest.raises(RecurrenceError, match=f"k={bad_k - 1} divides by zero"):
-            ajp_recurrence(a, b, n)
-    else:
-        name = "_a_step" if route == "A" else "_t_step"
-        monkeypatch.setattr(marginal, name, _zero_den_at(getattr(marginal, name), bad_k))
-        with pytest.raises(RecurrenceError, match=f"{route} member k={bad_k - 1}"):
-            (a_recurrence if route == "A" else t_recurrence)(n)
+    if route == "T":
+        monkeypatch.setattr(marginal, "_t_step", _zero_den_at(marginal._t_step, bad_k))
+        with pytest.raises(RecurrenceError, match=f"T member k={bad_k - 1}"):
+            t_recurrence(n)
+        return
+    monkeypatch.setattr(polycore, "_recurrence_factors",
+                        _zero_den_at(polycore._recurrence_factors, bad_k))
+    if route == "A":
+        with pytest.raises(RecurrenceError, match=f"member k={bad_k - 1} divides by zero"):
+            a_recurrence(n)
+        return
+    a, b = (F(1, 2), F(2)) if route == "ajp" else (0.5, 2.0)
+    ajp_recurrence(a, b, n, up_to_k=bad_k)          # the spoiled step is not reached
+    with pytest.raises(RecurrenceError, match=f"k={bad_k - 1} divides by zero"):
+        ajp_recurrence(a, b, n)
 
 
 def test_zero_step_denominator_is_typed():
@@ -139,4 +163,4 @@ def test_nonzero_constant_term_raises_recurrence_error(label):
     n = 4
     first = ([1] + [0] * (n - 2) + [2 * n - 1, -2 * n], 1)
     with pytest.raises(RecurrenceError, match=f"{label} k={n - 1} has a nonzero constant"):
-        polycore._downward_recurrence(n, first, lambda k: marginal._a_step(n, k), label=label)
+        polycore._downward_recurrence(n, first, lambda k: a_step(n, k), label=label)

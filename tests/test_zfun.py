@@ -155,10 +155,11 @@ def test_gram_matrix_diagnostic_shape():
     (8, Fraction(1, 4), whole_candidates(64), 22),
     (5, 1, rational_candidates(64, 4), Fraction(161, 3)),
 ])
-def test_z_build_endpoint_check_is_exact(n, omega, candidates, alpha):
-    # float Horner at t = 1 reads about 3.7e-9 on these systems, which would
-    # fail the 1e-9 endpoint check; the exact member there is -2.8e-12 and
-    # -7.2e-13
+def test_z_build_endpoint_check_by_the_kernel(n, omega, candidates, alpha):
+    # float Horner on the expanded member reads about 3.7e-9 at t = 1 on
+    # these systems, which would fail the 1e-9 endpoint check; the kernel
+    # reads -2.53e-12 and -6.90e-13, the exact member rounded once -2.80e-12
+    # and -7.23e-13
     spec = z_build(n, omega, candidates)
     assert spec.alpha_n == alpha and spec.scaled
     assert abs(spec.associated_eval(1.0)) < 1e-11
