@@ -292,8 +292,9 @@ def _sample_count(text: str) -> int:
     return value
 
 
-def _candidate_limit(text: str) -> int:
-    """--limit: the largest candidate exponent; below 0 the set is empty."""
+def _whole_number(text: str) -> int:
+    """--limit (the largest candidate exponent; below 0 the set is empty)
+    and --nmax (the top index verify runs to): a whole number >= 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_sample_count, default=129)
     p.add_argument("--tmax", type=_time_span, default=5.0)
     p.add_argument("--omega", default=None)
-    p.add_argument("--limit", type=_candidate_limit, default=64)
+    p.add_argument("--limit", type=_whole_number, default=64)
 
     p = sub.add_parser("zeros", help="zeros of the associated function")
     common(p, kflag=False)
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run invariant suites")
     p.add_argument("--suite", default="all",
                    choices=["core", "quad", "marginal", "exp", "zfun", "all"])
-    p.add_argument("--nmax", type=int, default=8)
+    p.add_argument("--nmax", type=_whole_number, default=8)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("zbuild", help="build a Z or Z-tilde system")
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", required=True)
     p.add_argument("--candidates", choices=["whole", "rational", "real"],
                    default="whole")
-    p.add_argument("--limit", type=_candidate_limit, default=64)
+    p.add_argument("--limit", type=_whole_number, default=64)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="json")
 

@@ -27,9 +27,10 @@ whenever the parameters or x are floats (exact ones at an exact x keep exact
 Horner), as do exppoly.member_values (every exponential and Z value, the
 k = 0 associated function included), marginal's figure data and the CLI's
 float tabulate. Float Horner on the expanded coefficients cancels on [0, 1]
-(off by 2e5 at n = 30 for members of size 7); float coefficients remain only
-for `coeffs --mode float`, the float ajp_recurrence and the zero guard of
-exppoly.zero_sets.
+(off by 2e5 at n = 30 for members of size 7). Float coefficients are the
+exact ones at the binary values of float parameters, each rounded once
+(_round_once), whether ajp_coefficients or ajp_recurrence builds them; they
+serve `coeffs --mode float` and the zero guard of exppoly.zero_sets.
 """
 
 from __future__ import annotations
@@ -129,13 +130,8 @@ def _ajp_coefficients_cached(p: PolyParams, _exact: bool) -> DensePoly:
     if p.is_sentinel:
         return DensePoly.zero()
     n, k, a, b = p.n, p.k, p.alpha, p.beta
-    if p.exact:
-        return DensePoly(_shifted_jacobi_lifted(n - k, a + 2 * k + 1, b, k))
-    shifted = Fraction(a) + 2 * k + 1       # alpha's binary value, shifted exactly
-    try:
-        return DensePoly([0.0] * k + rounded_jacobi_coefficients(n - k, shifted, b))
-    except OverflowError as exc:
-        raise CoefficientOverflowError(n, k, a, b) from exc
+    # alpha's binary value, shifted exactly
+    return DensePoly(_lifted(n - k, Fraction(a) + 2 * k + 1, b, k, p.exact, (n, k, a, b)))
 
 
 def ajp_eval(p: PolyParams, x):
@@ -271,39 +267,24 @@ def ajp_recurrence(alpha, beta, n: int, up_to_k: int = 0) -> list[DensePoly]:
     """Downward three-term recurrence on coefficient vectors.
 
     Returns members for k = n down to up_to_k (descending order), from x^n
-    and the k = n - 1 member. Both branches step with _recurrence_factors:
-    exact parameters run on the integer kernel _downward_recurrence, float
-    ones on float coefficient lists. The 1/x factor of a step is a left
-    shift, applied only after checking the constant term is zero.
+    and the k = n - 1 member, on the integer kernel _downward_recurrence
+    with the step factors of _recurrence_factors. Float parameters run at
+    their exact binary values and each member is rounded once, so it is the
+    float ajp_coefficients member bit for bit, and CoefficientOverflowError
+    names the member whose coefficients leave the double range.
     RecurrenceError when a step's denominator vanishes (a negative whole
     alpha with alpha + 2k + 2 = 0 or alpha + n + k + 1 = 0).
     """
     a, b = _param(alpha), _param(beta)
     if n < 0 or not 0 <= up_to_k <= n:
         raise ValueError("need 0 <= up_to_k <= n")
-    if is_exact(a) and is_exact(b):
-        (big_a, big_b), d = over_common_denominator((a, b))
-        first = [0] * (n - 1) + [big_a + 2 * n * d, -(big_a + big_b + (2 * n + 1) * d)]
-        return _downward_recurrence(
-            n, (first, d), lambda k: _recurrence_factors(big_a, big_b, d, n, k), up_to_k)
-    a, b = float(a), float(b)
-    seq = [DensePoly.monomial(n)]
-    if up_to_k == n:
-        return seq
-    prev, cur = [0] * n + [1], [0] * (n - 1) + [a + 2 * n, -(a + b + 2 * n + 1)]
-    seq.append(DensePoly(cur))
-    for k in range(n - 1, up_to_k, -1):
-        # float mode tolerates roundoff residue relative to the coefficient scale
-        if cur[0] and abs(cur[0]) > 1e-9 * max(abs(c) for c in cur):
-            raise RecurrenceError(
-                f"member k={k} has a nonzero constant term, cannot apply 1/x step")
-        m1, m2, m3, den = _recurrence_factors(a, b, 1, n, k)
-        if not den:
-            raise RecurrenceError(f"the step to member k={k - 1} divides by zero")
-        prev, cur = cur, [(m1 * s - m2 * y - m3 * z) / den
-                          for s, y, z in zip(cur[1:] + [0], cur, prev)]
-        seq.append(DensePoly(cur))
-    return seq
+    (big_a, big_b), d = over_common_denominator((Fraction(a), Fraction(b)))
+    first = [0] * (n - 1) + [big_a + 2 * n * d, -(big_a + big_b + (2 * n + 1) * d)]
+    finish = _fraction_member if is_exact(a) and is_exact(b) else (
+        lambda k, p, q, vec: DensePoly(_round_once([p * v for v in vec], q, (n, k, a, b))))
+    return _downward_recurrence(
+        n, (first, d), lambda k: _recurrence_factors(big_a, big_b, d, n, k), up_to_k,
+        finish=finish)
 
 
 def _recurrence_factors(big_a, big_b, d, n: int, k: int):
@@ -312,7 +293,7 @@ def _recurrence_factors(big_a, big_b, d, n: int, k: int):
         den member(k-1) = m1 member(k)/x - m2 member(k) - m3 member(k+1),
 
     at alpha = A/d and beta = B/d, each scaled by d^3: integers for integer
-    A, B and d. Float parameters pass (alpha, beta, 1)."""
+    A, B and d."""
     a2k = big_a + 2 * k * d
     a2k1 = a2k + d
     return (a2k1 * a2k * (a2k1 + d),
@@ -322,8 +303,14 @@ def _recurrence_factors(big_a, big_b, d, n: int, k: int):
             d * (n - k + 1) * (big_a + (n + k + 1) * d) * (a2k1 + d))
 
 
+def _fraction_member(_k: int, num: int, den: int, vec) -> DensePoly:
+    """num/den times the int vector vec, one Fraction per coefficient."""
+    zero = Fraction(0)
+    return DensePoly([Fraction(num * v, den) if v else zero for v in vec])
+
+
 def _downward_recurrence(n: int, first, factors, up_to_k: int = 0,
-                         label: str = "member") -> list[DensePoly]:
+                         label: str = "member", finish=_fraction_member) -> list[DensePoly]:
     """Exact members k = n down to up_to_k (descending) of a downward
     three-term recurrence that starts from x^n.
 
@@ -332,7 +319,8 @@ def _downward_recurrence(n: int, first, factors, up_to_k: int = 0,
     den member(k-1) = m1 member(k)/x - m2 member(k) - m3 member(k+1). Each
     member is held as num/den times a primitive int vector, so a step is one
     gcd of the two scales, one integer combination of three vectors and one
-    vector gcd; one Fraction per coefficient is built at the end.
+    vector gcd; finish(k, num, den, vec) builds member k at the end, by
+    default one Fraction per coefficient.
     RecurrenceError when a member about to be divided by x has a nonzero
     constant term, or a step's den is zero."""
 
@@ -366,11 +354,10 @@ def _downward_recurrence(n: int, first, factors, up_to_k: int = 0,
         c1, c2, c3 = u1 // g * m1, u1 // g * m2, u2 // g * m3
         vec = [c1 * s - c2 * y - c3 * z for s, y, z in zip(cur[1:] + [0], cur, prev)]
         members.append(held(g, q1 * q2 * den, vec))
-    zero = Fraction(0)
     out = []
     while members:
         p, q, vec = members.pop()       # each int vector is freed once converted
-        out.append(DensePoly([Fraction(p * v, q) if v else zero for v in vec]))
+        out.append(finish(n - len(members), p, q, vec))
     return out[::-1]
 
 
@@ -490,29 +477,41 @@ def _jacobi_kernel(m: int, a: Fraction, b: Fraction) -> tuple[list[int], int]:
     return nums, d ** m * math.factorial(m)
 
 
+def _round_once(nums, den: int, member) -> list[float]:
+    """nums[i] / den, each rounded once to a float (an integer true division,
+    correctly rounded); CoefficientOverflowError naming member = (n, k,
+    alpha, beta) when one leaves the double range."""
+    try:
+        return [c / den for c in nums]
+    except OverflowError as exc:
+        raise CoefficientOverflowError(*member) from exc
+
+
+def _lifted(m: int, a, b, lift: int, exact: bool, member) -> list:
+    """Coefficients of x^lift P_m^{(a,b)}(1-2x), powers 0..m+lift, at the
+    rational (or binary float) a and b: Fractions when exact, else each
+    rounded once (_round_once, naming member)."""
+    nums, den = _jacobi_kernel(m, Fraction(a), Fraction(b))
+    if exact:
+        return [Fraction(0)] * lift + [Fraction(c, den) for c in nums]
+    return [0.0] * lift + _round_once(nums, den, member)
+
+
 def rounded_jacobi_coefficients(m: int, a, b) -> list[float]:
     """Coefficients of P_m^{(a,b)}(1-2x), powers 0..m, each the exact value at
-    the rational (or binary float) a and b rounded once to a float.
-    OverflowError when one leaves the double range."""
-    nums, den = _jacobi_kernel(m, Fraction(a), Fraction(b))
-    return [c / den for c in nums]
-
-
-def _shifted_jacobi_lifted(m: int, a, b, lift: int = 0) -> list:
-    """Coefficients of x^lift P_m^{(a,b)}(1-2x), powers 0..m+lift: Fractions
-    for rational a and b; otherwise floats, each rounded once from the exact
-    value at the binary parameters."""
-    if is_exact(a) and is_exact(b):
-        nums, den = _jacobi_kernel(m, Fraction(a), Fraction(b))
-        return [Fraction(0)] * lift + [Fraction(c, den) for c in nums]
-    return [0.0] * lift + rounded_jacobi_coefficients(m, a, b)
+    the rational (or binary float) a and b rounded once to a float;
+    CoefficientOverflowError naming n = m, k = 0, alpha = a and beta = b
+    when one leaves the double range."""
+    return _lifted(m, a, b, 0, False, (m, 0, a, b))
 
 
 def shifted_jacobi_coefficients(m: int, a, b) -> DensePoly:
     """Shifted Jacobi polynomial P_m^{(a,b)}(1-2x) on [0,1], from the
     hypergeometric kernel; any real parameters (no orthogonality implied for
-    the negative ones the reciprocity route uses)."""
-    return DensePoly(_shifted_jacobi_lifted(m, _param(a), _param(b)))
+    the negative ones the reciprocity route uses). Float parameters round
+    each coefficient once, as rounded_jacobi_coefficients."""
+    a, b = _param(a), _param(b)
+    return DensePoly(_lifted(m, a, b, 0, is_exact(a) and is_exact(b), (m, 0, a, b)))
 
 
 def shifted_jacobi(m: int, a, b, x):
@@ -531,7 +530,7 @@ def direct_coefficients(alpha, beta, n: int, k: int) -> DensePoly:
     if k < n:
         raise ValueError("direct family is indexed by k >= n")
     a, b = _param(alpha), _param(beta)
-    return DensePoly(_shifted_jacobi_lifted(k - n, a + 2 * n, b, n))
+    return DensePoly(_lifted(k - n, a + 2 * n, b, n, is_exact(a) and is_exact(b), (n, k, a, b)))
 
 
 def reciprocity_coefficients(alpha, beta, n: int, k: int) -> DensePoly:
@@ -542,7 +541,7 @@ def reciprocity_coefficients(alpha, beta, n: int, k: int) -> DensePoly:
     so its coefficients are the kernel's in reverse order above k zeros.
     """
     a, b = _param(alpha), _param(beta)
-    q = _shifted_jacobi_lifted(n - k, -a - b - 2 * n - 2, b, k)
+    q = _lifted(n - k, -a - b - 2 * n - 2, b, k, is_exact(a) and is_exact(b), (n, k, a, b))
     return DensePoly(q[:k] + q[k:][::-1])
 
 

@@ -1,13 +1,16 @@
 """Weighted integration on [0,1] and the semi-axis.
 
 The exact Beta-moment expansion is the oracle for every inner product whose
-integrand is polynomial times the weight. In rational mode it runs on
-integers: the product polynomial over one common denominator, one moment
-seed at the lowest power, and the moment ratios
+integrand is polynomial times the weight. It runs on integers for every
+input, float coefficients and exponents at their exact binary values: the
+product polynomial over one common denominator, one moment seed at the
+lowest power, and the moment ratios
 mu_{i+1}/mu_i = (alpha+i+1)/(alpha+beta+i+2) for the rest, so an inner
-product costs one Beta moment. Floating Gauss--Jacobi rules (built
-by Golub--Welsch from the recurrence coefficients of the classical family
-mapped to [0,1]) serve general integrands and cross-checks. Semi-axis
+product costs one Beta moment. The result is exact when every input is
+rational and the seed is, and rounded once to a float otherwise. Floating
+Gauss--Jacobi rules (built by Golub--Welsch from the recurrence
+coefficients of the classical family mapped to [0,1]) serve general
+integrands and cross-checks. Semi-axis
 integrals with weight exp(-alpha t)(1-exp(-t))**beta reduce to [0,1] through
 x = exp(-t).
 """
@@ -95,52 +98,22 @@ def beta_moment(a, b):
 
 def weighted_inner_product(p: DensePoly, q: DensePoly, alpha, beta):
     """Inner product of two polynomials under the weight x**alpha (1-x)**beta,
-    as a finite sum of Beta moments; exact in rational mode.
+    as the finite sum sum_i c_i mu_i, mu_i = beta_moment(alpha+i, beta), of
+    the product's coefficients c_i.
 
-    With rational coefficients and exponents the product is formed on
-    integers over one denominator, and the sum sum_i c_i mu_i, mu_i =
-    beta_moment(alpha+i, beta), is taken as mu_low * sum_i c_i mu_i/mu_low:
+    One route for every input: the product is formed on integers over one
+    denominator, float coefficients and exponents entering at their exact
+    binary values, and the sum is taken as mu_low * sum_i c_i mu_i/mu_low:
     one moment seed at the lowest power, the ratios from
-    mu_{i+1}/mu_i = (alpha+i+1)/(alpha+beta+i+2) in integers, and one
-    Fraction or PiRational product at the end. Otherwise each moment is
-    evaluated and summed in turn.
+    mu_{i+1}/mu_i = (alpha+i+1)/(alpha+beta+i+2) in integers, and one product
+    with the seed at the end. That product is the result, a Fraction or
+    PiRational, when every input is rational and the seed is exact
+    (exponent denominators 1 and 2); otherwise it is rounded once to a float.
     """
-    if is_exact(alpha) and is_exact(beta) and _rational(p) and _rational(q):
-        return _exact_inner_product(p, q, Fraction(alpha), Fraction(beta))
-    prod = p * q
-    if prod.is_zero:
-        return Fraction(0) if (is_exact(alpha) and is_exact(beta) and prod.mode == "exact") else 0.0
-    low = prod.lowest_power
-    _check_lowest(low, (Fraction(alpha) if is_exact(alpha) else float(alpha)) + low, alpha)
-    return _moment_sum(prod.coeffs, low, alpha, beta)
-
-
-def _rational(p: DensePoly) -> bool:
-    return all(isinstance(c, Rational) for c in p.coeffs)
-
-
-def _check_lowest(low: int, alpha_low, alpha):
-    if not alpha_low > -1:
-        raise DivergenceError(
-            f"inner product diverges: lowest monomial x^{low} against alpha = {alpha}")
-
-
-def _moment_sum(coeffs, low: int, alpha, beta):
-    """sum_i coeffs[i] * beta_moment(alpha+i, beta), one moment per term."""
-    total = None
-    for i in range(low, len(coeffs)):
-        c = coeffs[i]
-        if not c:
-            continue
-        term = c * beta_moment(alpha + i, beta)
-        total = term if total is None else total + term
-    return simplify_scalar(total)
-
-
-def _exact_inner_product(p: DensePoly, q: DensePoly, alpha: Fraction, beta: Fraction):
-    if p.is_zero or q.is_zero:
-        return Fraction(0)
-    (pn, pd), (qn, qd) = over_common_denominator(p.coeffs), over_common_denominator(q.coeffs)
+    (pn, pd, p_rational), (qn, qd, q_rational) = _integers(p), _integers(q)
+    rational = p_rational and q_rational and is_exact(alpha) and is_exact(beta)
+    if not pn or not qn:
+        return Fraction(0) if rational else 0.0
     prod = [0] * (len(pn) + len(qn) - 1)
     for i, u in enumerate(pn):
         if u:
@@ -148,22 +121,32 @@ def _exact_inner_product(p: DensePoly, q: DensePoly, alpha: Fraction, beta: Frac
                 prod[i + j] += u * v
     den = pd * qd
     low = next(i for i, c in enumerate(prod) if c)
-    _check_lowest(low, alpha + low, alpha)
-    seed = beta_moment(alpha + low, beta)
-    if not is_exact(seed):
-        # no exact moment (denominators other than 1 and 2): keep the float
-        # sum term by term, as for float parameters
-        return _moment_sum([Fraction(c, den) for c in prod], low, alpha, beta)
+    a, b = Fraction(alpha), Fraction(beta)
+    if not a + low > -1:
+        raise DivergenceError(
+            f"inner product diverges: lowest monomial x^{low} against alpha = {alpha}")
+    seed = beta_moment(a + low, b)
     # Horner from the top: value_i = c_i + value_{i+1} mu_{i+1}/mu_i, where
     # mu_{i+1}/mu_i = (d alpha + d (i+1)) / (d alpha + d beta + d (i+2))
-    (big_a, big_b), d = over_common_denominator((alpha, beta))
+    (big_a, big_b), d = over_common_denominator((a, b))
     big_ab = big_a + big_b
     top = len(prod) - 1
     num, scale = prod[top], 1
     for i in range(top - 1, low - 1, -1):
         ratio_num, ratio_den = big_a + d * (i + 1), big_ab + d * (i + 2)
         num, scale = prod[i] * ratio_den * scale + ratio_num * num, ratio_den * scale
-    return simplify_scalar(seed * Fraction(num, scale * den))
+    total = Fraction(num, scale * den)
+    if rational and is_exact(seed):
+        return simplify_scalar(seed * total)
+    return float((seed if is_exact(seed) else Fraction(seed)) * total)
+
+
+def _integers(p: DensePoly) -> tuple[list[int], int, bool]:
+    """p's coefficients as integers over one denominator, floats entering at
+    their exact binary values, and whether every coefficient was rational."""
+    if all(isinstance(c, Rational) for c in p.coeffs):
+        return (*over_common_denominator(p.coeffs), True)
+    return (*over_common_denominator([Fraction(c) for c in p.coeffs]), False)
 
 
 def check_jacobi_weight(m: int, a, b) -> tuple[float, float]:

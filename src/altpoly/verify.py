@@ -2,12 +2,12 @@
 
 Each Row of ROWS is one invariant of the paper: a name, a suite, a parameter
 grid up to a top index n, a check and a tolerance. A row without a tolerance
-is exact: its check returns (got, want), compared with == on rationals or
-rational multiples of pi. A row with a tolerance gets a measured error from
-its check, which passes below the tolerance. `run_suite` runs the rows of a
-suite with n capped by --nmax and by each row's own cap; `run_rows` runs
-named rows at the n it is given, as the acceptance criteria and the module
-tests do. Every point counts as one check; a failed one, including a check
+is exact: its check returns (got, want), compared with == on rationals,
+rational multiples of pi, or floats that must agree to the bit. A row with
+a tolerance gets a measured error from its check, which passes below the
+tolerance. `run_suite` runs the rows of a suite with n capped by --nmax
+and by each row's own cap; `run_rows` runs named rows at the n it is given,
+as the acceptance criteria and the module tests do. Every point counts as one check; a failed one, including a check
 that raises, is recorded with its row name, params and detail. Checks reach
 the library through module attributes (polycore.ajp_coefficients), so a
 tracer or a patched function sees every call.
@@ -70,8 +70,10 @@ _shared: dict = {}
 def _once(fn, *args):
     """fn(*args), built once per run for the rows that share it (a rule, a
     family member, a Z system); each run empties the store when it ends, so
-    nothing, a patched function's result included, outlives the run."""
-    key = (fn, args)
+    nothing, a patched function's result included, outlives the run. The
+    key carries the argument types: 0.5 == Fraction(1, 2) but a float
+    member is not the exact one."""
+    key = (fn, args, tuple(map(type, args)))
     if key not in _shared:
         _shared[key] = fn(*args)
     return _shared[key]
@@ -170,15 +172,9 @@ def _direct_grid(top):
     return ((a, b, n, k) for a, b in INT2 for n in range(top + 1) for k in range(n, n + 4))
 
 
-def _recurrence_float(a, b, n):
-    worst = 0.0
-    for got, k in zip(polycore.ajp_recurrence(a, b, n), range(n, -1, -1)):
-        ref = _member(a, b, n, k).coeffs
-        scale = max(abs(c) for c in ref)
-        pad = (0.0,) * (n + 1)
-        worst = max(worst, max(abs(g - r) for g, r in
-                               zip((got.coeffs + pad)[:n + 1], (ref + pad)[:n + 1])) / scale)
-    return worst
+def _recurrence(a, b, n):
+    # float parameters: the members rounded once, as ajp_coefficients rounds them
+    return polycore.ajp_recurrence(a, b, n), [_member(a, b, n, k) for k in range(n, -1, -1)]
 
 
 # ------------------------------------------------------------- quad checks
@@ -467,12 +463,11 @@ ROWS = [
                             polycore.reciprocity_coefficients(a, b, n, k)), cap=8),
     Row("recurrence-vs-expansion", "core", ABN,
         lambda top: ((a, b, n) for a, b in INT2 for n in range(1, top + 1)),
-        lambda a, b, n: (polycore.ajp_recurrence(a, b, n),
-                         [_member(a, b, n, k) for k in range(n, -1, -1)]), cap=15),
+        _recurrence, cap=15),
     Row("recurrence-vs-expansion-float", "core", ABN,
         lambda top: ((a, b, n) for a, b in ((0.5, 0.5), (1.25, 0.75))
                      for n in range(1, top + 1)),
-        _recurrence_float, tol=1e-9, cap=12),
+        _recurrence, cap=12),
 
     # quad: Beta moments, Gauss-Jacobi rules and the semi-axis pullback
     Row("beta-moment-symmetry", "quad", ("a", "b"), lambda _top: QUAD_PAIRS,

@@ -376,13 +376,20 @@ def test_too_few_points_is_usage_error(points):
 
 
 def test_verify_that_runs_nothing_is_usage_error():
-    cp = run_cli("verify", "--nmax", "-3")
-    assert cp.returncode == 2
-    assert cp.stdout == ""
-    assert "suite core" in cp.stderr and "--nmax -3" in cp.stderr
+    for suite in ("all", "core", "quad", "exp", "zfun"):
+        cp = run_cli("verify", "--suite", suite, "--nmax", "-3")
+        assert cp.returncode == 2, suite
+        assert cp.stdout == ""
+        assert "--nmax: must be at least 0, got -3" in cp.stderr, suite
     cp = run_cli("verify", "--suite", "marginal", "--nmax", "0")
     assert cp.returncode == 2
     assert "suite marginal" in cp.stderr and "--nmax 0" in cp.stderr
+
+
+def test_negative_nmax_is_refused_before_verify_is_imported():
+    returncode, imported = _imported_modules(("verify", "--suite", "quad", "--nmax", "-3"))
+    assert returncode == 2
+    assert "altpoly.cli" in imported and "altpoly.verify" not in imported
 
 
 def test_float_overflow_exit_1_with_typed_error():

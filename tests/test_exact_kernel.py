@@ -224,3 +224,19 @@ def test_float_member_overflow_is_refused(n):
     with pytest.raises(CoefficientOverflowError, match=f"n={n}.*alpha = 1.5, beta = 0.7"):
         ajp_coefficients(PolyParams(1.5, 0.7, n, 0))
     assert isinstance(CoefficientOverflowError(n, 0, 1.5, 0.7), OverflowError)
+
+
+@pytest.mark.parametrize("build,member", [
+    (lambda m: shifted_jacobi_coefficients(m, 2.5, 0.7), lambda m: (m, 0, 2.5)),
+    (lambda m: direct_coefficients(0.5, 0.7, 1, m + 1), lambda m: (1, m + 1, 0.5)),
+    (lambda m: reciprocity_coefficients(1.5, 0.7, m, 0), lambda m: (m, 0, 1.5)),
+], ids=["shifted-jacobi", "direct", "reciprocity"])
+def test_float_kernel_overflow_names_the_member(build, member):
+    # each is P_m^(2.5, 0.7)(1-2x) times a power of x (the reciprocity route
+    # rebuilds it from a rounded parameter): m = 404 fits, and m = 405 leaves
+    # the double range
+    assert max(abs(c) for c in build(404).coeffs) < 1e308
+    n, k, alpha = member(405)
+    with pytest.raises(CoefficientOverflowError,
+                       match=f"n={n}, k={k}.*alpha = {alpha}, beta = 0.7"):
+        build(405)

@@ -114,8 +114,8 @@ def test_recurrence_matches_expansion_wide():
                     assert seq[n - k] == member(a, b, n, k), (a, b, n, k)
 
 
-def test_recurrence_float_mode_relative_error():
-    # (0.5, 0.5) and (1.25, 0.75), relative to the largest coefficient
+def test_recurrence_float_mode_is_the_rounded_member():
+    # (0.5, 0.5) and (1.25, 0.75): each member equal to float ajp_coefficients
     assert not verify.run_rows({"recurrence-vs-expansion-float": 12})["failures"]
 
 

@@ -11,7 +11,7 @@ from altpoly.errors import DivergenceError, RootFindingError
 from altpoly.exact import PiRational
 from altpoly.marginal import a_coefficients
 from altpoly.poly import DensePoly
-from altpoly.polycore import PolyParams, ajp_coefficients
+from altpoly.polycore import PolyParams, ajp_coefficients, ajp_norm_h
 from altpoly.quad import (
     QuadRule,
     beta_moment,
@@ -65,6 +65,57 @@ def test_weighted_inner_product_examples():
     assert weighted_inner_product(p11, p11, 0, 0) == F(1, 3)
     # marginal-weight example: A members against 1/x
     assert weighted_inner_product(a_coefficients(2, 1), a_coefficients(2, 2), -1, 0) == 0
+
+
+def _worst_orthogonality(members, alpha, beta, norms):
+    """Largest |<P_k, P_l>| / h_k over k < l, and largest relative error of
+    <P_k, P_k> against h_k."""
+    off = diag = 0.0
+    for k, pk in enumerate(members):
+        for l in range(k, len(members)):
+            ip = weighted_inner_product(pk, members[l], alpha, beta)
+            assert isinstance(ip, float), (k, l)
+            if k == l:
+                diag = max(diag, abs(ip - norms[k]) / norms[k])
+            else:
+                off = max(off, abs(ip) / norms[k])
+    return off, diag
+
+
+@pytest.mark.parametrize("n", range(4, 25))
+def test_orthogonality_at_a_weight_without_exact_moments(n):
+    # all-rational inputs whose Beta moments have no exact form: the moment
+    # ratios are exact, so the off-diagonal sums vanish exactly; the diagonal
+    # is one rounding of the exact sum times the float seed
+    a, b = F(1, 3), F(2, 3)
+    params = [PolyParams(a, b, n, k) for k in range(n + 1)]
+    off, diag = _worst_orthogonality([ajp_coefficients(p) for p in params], a, b,
+                                     [ajp_norm_h(p) for p in params])
+    assert off == 0.0
+    assert diag < 1e-13
+
+
+@pytest.mark.parametrize("n", range(4, 25))
+def test_orthogonality_of_binary_members_under_a_float_weight(n):
+    # the exact members at the binary values of (0.3, 0.7), against the float
+    # weight: the exponents enter at the same binary values
+    members = [ajp_coefficients(PolyParams(F(0.3), F(0.7), n, k)) for k in range(n + 1)]
+    norms = [ajp_norm_h(PolyParams(0.3, 0.7, n, k)) for k in range(n + 1)]
+    off, diag = _worst_orthogonality(members, 0.3, 0.7, norms)
+    assert off == 0.0
+    assert diag < 1e-13
+
+
+def test_float_coefficients_at_half_odd_weights_give_a_float():
+    # the exact moment is a rational multiple of pi; a float coefficient
+    # makes the result its float
+    half = F(1, 2)
+    got = weighted_inner_product(DensePoly((1.0,)), DensePoly((1.0,)), half, half)
+    assert isinstance(got, float) and got == math.pi / 8
+    member = ajp_coefficients(PolyParams(0.5, 0.5, 6, 2))
+    got = weighted_inner_product(member, member, half, half)
+    assert isinstance(got, float)
+    assert got == pytest.approx(float(ajp_norm_h(PolyParams(half, half, 6, 2))), rel=1e-14)
 
 
 def test_weighted_inner_product_divergence_gate():

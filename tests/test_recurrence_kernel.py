@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from altpoly import marginal, polycore
-from altpoly.errors import RecurrenceError
+from altpoly.errors import CoefficientOverflowError, RecurrenceError
 from altpoly.exact import over_common_denominator
 from altpoly.marginal import a_coefficients, a_recurrence, t_coefficients, t_recurrence
 from altpoly.poly import DensePoly
@@ -74,18 +74,23 @@ def test_exact_recurrence_matches_fraction_step_route(a, b, n):
         assert all(type(c) is F for p in got for c in p.coeffs), (a, b, n, up_to_k)
 
 
-def test_float_recurrence_n100_within_1e13_of_scale():
+def test_float_recurrence_n100_is_the_rounded_member():
+    # each member is the exact one at the binary parameters rounded once, as
+    # float ajp_coefficients builds it: equal bit for bit
     n = 100
-    for a, b in ((0.5, 0.5), (1.5, 0.7), (0.1, 2.3), (-0.5, -0.5)):
+    for a, b in ((0.5, 0.5), (1.5, 0.7), (0.1, 2.3), (-0.5, -0.5), (1.234, 0.567), (3.7, 2.1)):
         seq = ajp_recurrence(a, b, n)
+        assert len(seq) == n + 1
         for k, got in zip(range(n, -1, -1), seq):
-            # the exact member at the binary parameters
-            ref = ajp_coefficients(PolyParams(F(a), F(b), n, k)).coeffs
-            scale = max(abs(c) for c in ref)
-            for i in range(n + 1):
-                g = got.coeffs[i] if i < len(got.coeffs) else 0.0
-                r = ref[i] if i < len(ref) else 0
-                assert abs(F(g) - r) <= F(1e-13) * scale, (a, b, k, i)
+            want = ajp_coefficients(PolyParams(a, b, n, k)).coeffs
+            assert [c.hex() for c in got.coeffs] == [c.hex() for c in want], (a, b, k)
+
+
+def test_float_recurrence_overflow_is_refused():
+    # the k = 0 member at (1.5, 0.5) leaves the double range from n = 406
+    assert ajp_recurrence(1.5, 0.5, 405)[-1] == ajp_coefficients(PolyParams(1.5, 0.5, 405, 0))
+    with pytest.raises(CoefficientOverflowError, match="n=406, k=0.*alpha = 1.5, beta = 0.5"):
+        ajp_recurrence(1.5, 0.5, 406)
 
 
 # ----------------------------------------------------------------- A and T
