@@ -214,11 +214,9 @@ def ea_derivative_relation_residual(n: int, k: int, t) -> float:
     evaluated at t; identically zero."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    p = a_coefficients(n, k - 1)
-    q = a_coefficients(n, k)
-    total = p + q
-    # d/dt maps the coefficient of exp(-j t) to -j times itself
-    ddt = DensePoly(tuple(-j * c for j, c in enumerate(total.coeffs)))
+    p, q = a_coefficients(n, k - 1), a_coefficients(n, k)
+    # d/dt maps the coefficient of exp(-j t) to -j times itself: -x d/dx
+    ddt = -(p + q).derivative().shift_up()
     rhs = p.scale(-(k - 1)) + q.scale(k)
     return float((ddt - rhs)(math.exp(-float(t))))
 

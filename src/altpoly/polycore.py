@@ -6,16 +6,14 @@ power exactly k, orthogonal under the weight x**alpha (1-x)**beta when the
 parameters allow. The lower index runs downward, k = n..0, which is what the
 downward three-term recurrence follows.
 
-Arithmetic is exact (fractions) whenever alpha and beta are rational; float
-otherwise. Every exact coefficient vector comes from one kernel: the
-terminating hypergeometric sum of the shifted Jacobi polynomial, whose x^j
-coefficients are integers over the common denominator d^m m!,
-d = lcm(den a, den b), each the previous one times the small term ratio.
-A member is x^k times the kernel at (n - k, alpha + 2k + 1, beta); the
-direct family and the reciprocity route call the same kernel. The kernel
-and the one exact downward-recurrence kernel (_downward_recurrence, which
-marginal's A and T recurrences share) work on Python integers and build
-one Fraction per output coefficient at the end.
+Arithmetic is exact whenever alpha and beta are rational; float otherwise.
+Every exact coefficient vector comes from one integer kernel, the
+terminating hypergeometric sum of the shifted Jacobi polynomial
+(_jacobi_kernel): a member is x^k times it at (n - k, alpha + 2k + 1, beta),
+and the direct family and the reciprocity route call it with their
+parameters shifted exactly. It and the one exact downward recurrence
+(_downward_recurrence, shared by marginal's A and T recurrences) give
+DensePoly's exact form, integers over one denominator.
 Gamma-function ratios in the norm and integral formulas are evaluated as
 products of rational factors, never through a floating gamma, so exact mode
 stays exact.
@@ -28,8 +26,8 @@ Horner), as do exppoly.member_values (every exponential and Z value, the
 k = 0 associated function included), marginal's figure data and the CLI's
 float tabulate. Float Horner on the expanded coefficients cancels on [0, 1]
 (off by 2e5 at n = 30 for members of size 7). Float coefficients are the
-exact ones at the binary values of float parameters, each rounded once
-(_round_once), whether ajp_coefficients or ajp_recurrence builds them; they
+exact ones at the binary values of float parameters, each rounded once by
+_round_once, whether ajp_coefficients or ajp_recurrence builds them; they
 serve `coeffs --mode float` and the zero guard of exppoly.zero_sets.
 """
 
@@ -39,6 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 from .errors import (
     CoefficientOverflowError,
@@ -113,10 +112,9 @@ def ajp_coefficients(p: PolyParams) -> DensePoly:
     """Monomial coefficients of the member polynomial.
 
     x^k times the shifted Jacobi polynomial P_{n-k}^{(alpha+2k+1, beta)}(1-2x),
-    from the integer kernel: one Fraction per coefficient for exact
-    parameters; for float parameters the exact value at their binary values,
-    rounded once, and CoefficientOverflowError when one leaves the double
-    range.
+    from the integer kernel: exact for exact parameters; for float
+    parameters the exact value at their binary values, rounded once, and
+    CoefficientOverflowError when one leaves the double range.
 
     Results are cached; the key carries the arithmetic mode because exact and
     float parameters can compare equal (Fraction(1,2) == 0.5) yet must not
@@ -131,7 +129,8 @@ def _ajp_coefficients_cached(p: PolyParams, _exact: bool) -> DensePoly:
         return DensePoly.zero()
     n, k, a, b = p.n, p.k, p.alpha, p.beta
     # alpha's binary value, shifted exactly
-    return DensePoly(_lifted(n - k, Fraction(a) + 2 * k + 1, b, k, p.exact, (n, k, a, b)))
+    nums, den = _jacobi_kernel(n - k, Fraction(a) + 2 * k + 1, Fraction(b))
+    return _finished([0] * k + nums, den, (n, k, a, b))
 
 
 def ajp_eval(p: PolyParams, x):
@@ -280,11 +279,13 @@ def ajp_recurrence(alpha, beta, n: int, up_to_k: int = 0) -> list[DensePoly]:
         raise ValueError("need 0 <= up_to_k <= n")
     (big_a, big_b), d = over_common_denominator((Fraction(a), Fraction(b)))
     first = [0] * (n - 1) + [big_a + 2 * n * d, -(big_a + big_b + (2 * n + 1) * d)]
-    finish = _fraction_member if is_exact(a) and is_exact(b) else (
-        lambda k, p, q, vec: DensePoly(_round_once([p * v for v in vec], q, (n, k, a, b))))
-    return _downward_recurrence(
-        n, (first, d), lambda k: _recurrence_factors(big_a, big_b, d, n, k), up_to_k,
-        finish=finish)
+    members = _downward_recurrence(
+        n, (first, d), lambda k: _recurrence_factors(big_a, big_b, d, n, k), up_to_k)
+    if is_exact(a) and is_exact(b):
+        return members
+    # rounded from k = up_to_k up, so an overflow names the lowest member
+    return [DensePoly(_round_once(p.numerators, p.denominator, (n, k, a, b)))
+            for k, p in zip(range(up_to_k, n + 1), reversed(members))][::-1]
 
 
 def _recurrence_factors(big_a, big_b, d, n: int, k: int):
@@ -303,62 +304,35 @@ def _recurrence_factors(big_a, big_b, d, n: int, k: int):
             d * (n - k + 1) * (big_a + (n + k + 1) * d) * (a2k1 + d))
 
 
-def _fraction_member(_k: int, num: int, den: int, vec) -> DensePoly:
-    """num/den times the int vector vec, one Fraction per coefficient."""
-    zero = Fraction(0)
-    return DensePoly([Fraction(num * v, den) if v else zero for v in vec])
-
-
 def _downward_recurrence(n: int, first, factors, up_to_k: int = 0,
-                         label: str = "member", finish=_fraction_member) -> list[DensePoly]:
+                         label: str = "member") -> list[DensePoly]:
     """Exact members k = n down to up_to_k (descending) of a downward
     three-term recurrence that starts from x^n.
 
     first = (vec, den) is the k = n - 1 member as an int vector of length
     n + 1 over den > 0; factors(k) gives integers (m1, m2, m3, den) with
     den member(k-1) = m1 member(k)/x - m2 member(k) - m3 member(k+1). Each
-    member is held as num/den times a primitive int vector, so a step is one
-    gcd of the two scales, one integer combination of three vectors and one
-    vector gcd; finish(k, num, den, vec) builds member k at the end, by
-    default one Fraction per coefficient.
+    member is a DensePoly, integers over one denominator, so a step is one
+    integer combination of two numerator vectors over the least common
+    denominator and one reduction to lowest terms.
     RecurrenceError when a member about to be divided by x has a nonzero
     constant term, or a step's den is zero."""
-
-    def held(num, den, vec):
-        """num/den times vec as (num', den', primitive vec), den' > 0."""
-        h = math.gcd(*vec)
-        if not h:
-            return 0, 1, vec
-        if h > 1:
-            vec = [v // h for v in vec]
-        num *= h
-        r = math.gcd(num, den)
-        if den < 0:
-            r = -r
-        return num // r, den // r, vec
-
-    members = [(1, 1, [0] * n + [1])]
+    members = [DensePoly([0] * n + [1], 1)]
     if up_to_k < n:
-        members.append(held(1, first[1], first[0]))
+        members.append(DensePoly(*first))
     for k in range(n - 1, up_to_k, -1):
-        (p1, q1, cur), (p2, q2, prev) = members[-1], members[-2]
-        if cur[0]:
+        (cur, q1), (prev, q2) = ((p.numerators, p.denominator) for p in members[-1:-3:-1])
+        if any(cur[:1]):
             raise RecurrenceError(
                 f"{label} k={k} has a nonzero constant term, cannot apply 1/x step")
         m1, m2, m3, den = factors(k)
         if not den:
             raise RecurrenceError(f"the step to {label} k={k - 1} divides by zero")
-        # the two scales over the common denominator q1 q2, less their gcd g
-        u1, u2 = p1 * q2, p2 * q1
-        g = math.gcd(u1, u2) or 1
-        c1, c2, c3 = u1 // g * m1, u1 // g * m2, u2 // g * m3
-        vec = [c1 * s - c2 * y - c3 * z for s, y, z in zip(cur[1:] + [0], cur, prev)]
-        members.append(held(g, q1 * q2 * den, vec))
-    out = []
-    while members:
-        p, q, vec = members.pop()       # each int vector is freed once converted
-        out.append(finish(n - len(members), p, q, vec))
-    return out[::-1]
+        g = math.gcd(q1, q2)
+        c1, c2, c3 = q2 // g * m1, q2 // g * m2, q1 // g * m3
+        vec = [c1 * s - c2 * y - c3 * z for s, y, z in zip_longest(cur[1:], cur, prev, fillvalue=0)]
+        members.append(DensePoly._from(vec, q1 // g * q2 * den))
+    return members
 
 
 def ajp_norm_h(p: PolyParams):
@@ -487,14 +461,13 @@ def _round_once(nums, den: int, member) -> list[float]:
         raise CoefficientOverflowError(*member) from exc
 
 
-def _lifted(m: int, a, b, lift: int, exact: bool, member) -> list:
-    """Coefficients of x^lift P_m^{(a,b)}(1-2x), powers 0..m+lift, at the
-    rational (or binary float) a and b: Fractions when exact, else each
-    rounded once (_round_once, naming member)."""
-    nums, den = _jacobi_kernel(m, Fraction(a), Fraction(b))
-    if exact:
-        return [Fraction(0)] * lift + [Fraction(c, den) for c in nums]
-    return [0.0] * lift + _round_once(nums, den, member)
+def _finished(nums, den: int, member) -> DensePoly:
+    """The polynomial nums / den of member = (n, k, alpha, beta), from the
+    kernel at the exact (or binary) parameters: exact when alpha and beta
+    are, else each coefficient rounded once from the kernel's integers."""
+    if is_exact(member[2]) and is_exact(member[3]):
+        return DensePoly(nums, den)
+    return DensePoly(_round_once(nums, den, member))
 
 
 def rounded_jacobi_coefficients(m: int, a, b) -> list[float]:
@@ -502,7 +475,7 @@ def rounded_jacobi_coefficients(m: int, a, b) -> list[float]:
     the rational (or binary float) a and b rounded once to a float;
     CoefficientOverflowError naming n = m, k = 0, alpha = a and beta = b
     when one leaves the double range."""
-    return _lifted(m, a, b, 0, False, (m, 0, a, b))
+    return _round_once(*_jacobi_kernel(m, Fraction(a), Fraction(b)), (m, 0, a, b))
 
 
 def shifted_jacobi_coefficients(m: int, a, b) -> DensePoly:
@@ -511,7 +484,7 @@ def shifted_jacobi_coefficients(m: int, a, b) -> DensePoly:
     the negative ones the reciprocity route uses). Float parameters round
     each coefficient once, as rounded_jacobi_coefficients."""
     a, b = _param(a), _param(b)
-    return DensePoly(_lifted(m, a, b, 0, is_exact(a) and is_exact(b), (m, 0, a, b)))
+    return _finished(*_jacobi_kernel(m, Fraction(a), Fraction(b)), (m, 0, a, b))
 
 
 def shifted_jacobi(m: int, a, b, x):
@@ -526,11 +499,12 @@ def shifted_jacobi(m: int, a, b, x):
 
 def direct_coefficients(alpha, beta, n: int, k: int) -> DensePoly:
     """Direct-orthogonalization polynomial: x^n times the shifted Jacobi
-    polynomial of degree k-n with first parameter translated by 2n."""
+    polynomial of degree k-n with first parameter translated exactly by 2n."""
     if k < n:
         raise ValueError("direct family is indexed by k >= n")
     a, b = _param(alpha), _param(beta)
-    return DensePoly(_lifted(k - n, a + 2 * n, b, n, is_exact(a) and is_exact(b), (n, k, a, b)))
+    nums, den = _jacobi_kernel(k - n, Fraction(a) + 2 * n, Fraction(b))
+    return _finished([0] * n + nums, den, (n, k, a, b))
 
 
 def reciprocity_coefficients(alpha, beta, n: int, k: int) -> DensePoly:
@@ -541,8 +515,8 @@ def reciprocity_coefficients(alpha, beta, n: int, k: int) -> DensePoly:
     so its coefficients are the kernel's in reverse order above k zeros.
     """
     a, b = _param(alpha), _param(beta)
-    q = _lifted(n - k, -a - b - 2 * n - 2, b, k, is_exact(a) and is_exact(b), (n, k, a, b))
-    return DensePoly(q[:k] + q[k:][::-1])
+    nums, den = _jacobi_kernel(n - k, -Fraction(a) - Fraction(b) - 2 * n - 2, Fraction(b))
+    return _finished([0] * k + nums[::-1], den, (n, k, a, b))
 
 
 def ajp_derivative(p: PolyParams) -> DensePoly:

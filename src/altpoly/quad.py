@@ -1,18 +1,13 @@
 """Weighted integration on [0,1] and the semi-axis.
 
-The exact Beta-moment expansion is the oracle for every inner product whose
-integrand is polynomial times the weight. It runs on integers for every
-input, float coefficients and exponents at their exact binary values: the
-product polynomial over one common denominator, one moment seed at the
-lowest power, and the moment ratios
-mu_{i+1}/mu_i = (alpha+i+1)/(alpha+beta+i+2) for the rest, so an inner
-product costs one Beta moment. The result is exact when every input is
-rational and the seed is, and rounded once to a float otherwise. Floating
-Gauss--Jacobi rules (built by Golub--Welsch from the recurrence
+The exact Beta-moment expansion (weighted_inner_product) is the oracle for
+every inner product whose integrand is polynomial times the weight: one
+route on DensePoly's integers for every input, exact when every input is
+rational and its one Beta-moment seed is, else rounded once to a float.
+Floating Gauss--Jacobi rules (built by Golub--Welsch from the recurrence
 coefficients of the classical family mapped to [0,1]) serve general
-integrands and cross-checks. Semi-axis
-integrals with weight exp(-alpha t)(1-exp(-t))**beta reduce to [0,1] through
-x = exp(-t).
+integrands and cross-checks. Semi-axis integrals with weight
+exp(-alpha t)(1-exp(-t))**beta reduce to [0,1] through x = exp(-t).
 """
 
 from __future__ import annotations
@@ -21,7 +16,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 from .errors import DivergenceError, RootFindingError
 from .exact import (
@@ -101,26 +95,20 @@ def weighted_inner_product(p: DensePoly, q: DensePoly, alpha, beta):
     as the finite sum sum_i c_i mu_i, mu_i = beta_moment(alpha+i, beta), of
     the product's coefficients c_i.
 
-    One route for every input: the product is formed on integers over one
-    denominator, float coefficients and exponents entering at their exact
-    binary values, and the sum is taken as mu_low * sum_i c_i mu_i/mu_low:
-    one moment seed at the lowest power, the ratios from
+    One route for every input: the product is the exact DensePoly product,
+    integers over one denominator, float coefficients and exponents entering
+    at their exact binary values, and the sum is taken as mu_low * sum_i
+    c_i mu_i/mu_low: one moment seed at the lowest power, the ratios from
     mu_{i+1}/mu_i = (alpha+i+1)/(alpha+beta+i+2) in integers, and one product
     with the seed at the end. That product is the result, a Fraction or
     PiRational, when every input is rational and the seed is exact
     (exponent denominators 1 and 2); otherwise it is rounded once to a float.
     """
-    (pn, pd, p_rational), (qn, qd, q_rational) = _integers(p), _integers(q)
-    rational = p_rational and q_rational and is_exact(alpha) and is_exact(beta)
-    if not pn or not qn:
+    rational = p.mode == q.mode == "exact" and is_exact(alpha) and is_exact(beta)
+    prod = _at_binary_values(p) * _at_binary_values(q)
+    if prod.is_zero:
         return Fraction(0) if rational else 0.0
-    prod = [0] * (len(pn) + len(qn) - 1)
-    for i, u in enumerate(pn):
-        if u:
-            for j, v in enumerate(qn):
-                prod[i + j] += u * v
-    den = pd * qd
-    low = next(i for i, c in enumerate(prod) if c)
+    c, low = prod.numerators, prod.lowest_power
     a, b = Fraction(alpha), Fraction(beta)
     if not a + low > -1:
         raise DivergenceError(
@@ -130,23 +118,19 @@ def weighted_inner_product(p: DensePoly, q: DensePoly, alpha, beta):
     # mu_{i+1}/mu_i = (d alpha + d (i+1)) / (d alpha + d beta + d (i+2))
     (big_a, big_b), d = over_common_denominator((a, b))
     big_ab = big_a + big_b
-    top = len(prod) - 1
-    num, scale = prod[top], 1
-    for i in range(top - 1, low - 1, -1):
+    num, scale = c[-1], 1
+    for i in range(len(c) - 2, low - 1, -1):
         ratio_num, ratio_den = big_a + d * (i + 1), big_ab + d * (i + 2)
-        num, scale = prod[i] * ratio_den * scale + ratio_num * num, ratio_den * scale
-    total = Fraction(num, scale * den)
+        num, scale = c[i] * ratio_den * scale + ratio_num * num, ratio_den * scale
+    total = Fraction(num, scale * prod.denominator)
     if rational and is_exact(seed):
         return simplify_scalar(seed * total)
     return float((seed if is_exact(seed) else Fraction(seed)) * total)
 
 
-def _integers(p: DensePoly) -> tuple[list[int], int, bool]:
-    """p's coefficients as integers over one denominator, floats entering at
-    their exact binary values, and whether every coefficient was rational."""
-    if all(isinstance(c, Rational) for c in p.coeffs):
-        return (*over_common_denominator(p.coeffs), True)
-    return (*over_common_denominator([Fraction(c) for c in p.coeffs]), False)
+def _at_binary_values(p: DensePoly) -> DensePoly:
+    """p, a float polynomial as the exact one at its coefficients' binary values."""
+    return p if p.mode == "exact" else DensePoly([Fraction(c) for c in p.coeffs])
 
 
 def check_jacobi_weight(m: int, a, b) -> tuple[float, float]:
@@ -277,14 +261,15 @@ def integrate_semi_axis(g, alpha, beta, m: int = 24):
     of x**(alpha-1) (1-x)**beta g(-ln x).
 
     * g given as a DensePoly is treated as a polynomial in exp(-t) and
-      integrated exactly through the Beta-moment expansion.
+      integrated exactly through the Beta-moment expansion at alpha - 1
+      formed exactly, the value rounded once to a float for a float alpha.
     * g callable is integrated with an m-node Gauss-Jacobi rule; for
       alpha <= 0 the leftover power of x is folded into the integrand, which
       must then decay (checked with a far-field probe).
     """
     if isinstance(g, DensePoly):
-        pulled_alpha = (Fraction(alpha) if is_exact(alpha) else float(alpha)) - 1
-        return weighted_inner_product(g, DensePoly.one(), pulled_alpha, beta)
+        value = weighted_inner_product(g, DensePoly.one(), Fraction(alpha) - 1, beta)
+        return value if is_exact(alpha) else float(value)
     af, bf = float(alpha), float(beta)
     if af - 1 > -1:
         rule = gauss_jacobi_rule(m, af - 1, bf)

@@ -230,23 +230,6 @@ def _float_member_grid(top):
     return ((fam, a, b, n) for fam, a, b in families for n in _sparse_ns(top))
 
 
-def _rounded_values(poly, xs):
-    """The exact polynomial at each exact x = i/q, rounded once to a float:
-    integer Horner over one common denominator, one correctly rounded
-    division per point."""
-    den = math.lcm(*(F(c).denominator for c in poly.coeffs))
-    ints = [int(c * den) for c in poly.coeffs]
-    out = []
-    for x in xs:
-        i, q = x.numerator, x.denominator
-        acc, power = 0, 1
-        for c in reversed(ints):        # sum_j c_j i^j q^(deg - j)
-            acc = acc * i + c * power
-            power *= q
-        out.append(acc / (den * q ** (len(ints) - 1)))
-    return out
-
-
 def _float_member_values(fam, a, b, n):
     # the float evaluator's members k = 0..n against the exact members on a
     # 33-point grid, each member's error relative to its largest |value|
@@ -260,7 +243,7 @@ def _float_member_values(fam, a, b, n):
         exact = [(_a if fam == "a" else _t)(n, k) for k in range(n + 1)]
     worst = 0.0
     for row, member in zip(got.tolist(), exact):
-        want = _rounded_values(member, xs)
+        want = [float(member(x)) for x in xs]     # exact Horner, rounded once
         worst = max(worst, max(abs(g - w) for g, w in zip(row, want))
                     / max(abs(w) for w in want))
     return worst
@@ -315,18 +298,10 @@ def _substitution(a, b, k):
                for t in (0.0, 0.3, 1.7))
 
 
-def _exp_member(a, b, n, k) -> tuple[DensePoly, int]:
-    """The member's x-coefficients as integers over one denominator, whose
-    products are cheap."""
-    coeffs = exppoly.ExpPolySystem(a, b, n).member_poly(k).coeffs
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return DensePoly(tuple(c.numerator * (den // c.denominator) for c in coeffs)), den
-
-
 def _semi_axis_orthogonality(a, b, n, k, l):
-    (pk, dk), (pl, dl) = _once(_exp_member, a, b, n, k), _once(_exp_member, a, b, n, l)
-    got = quad.integrate_semi_axis(pk * pl, a, b) / (dk * dl)
-    return got, (exppoly.e_norm(exppoly.ExpPolySystem(a, b, n), k) if k == l else 0)
+    sys = exppoly.ExpPolySystem(a, b, n)
+    got = quad.integrate_semi_axis(sys.member_poly(k) * sys.member_poly(l), a, b)
+    return got, (exppoly.e_norm(sys, k) if k == l else 0)
 
 
 def _zero_set(a, b, n):

@@ -450,3 +450,51 @@ def test_tabulate_exp_a_at_n30_matches_the_exact_member():
     for t, value in rows:
         want = exact(Fraction(math.exp(-float(t))))
         assert abs(Fraction(float(value)) - want) < 1e-12, t
+
+
+# the commands that print coefficient polynomials or their exact Horner
+# values (p/q), pinned byte for byte with one float coeffs pair beside them
+EXACT_COMMANDS = [
+    *(["coeffs", "--family", "ajp", "--alpha", a, "--beta", b, "--n", n, "--k", k,
+       "--format", fmt]
+      for a, b, n, k in (("1/2", "3/2", "7", "0"), ("1/2", "3/2", "7", "3"),
+                         ("-7/2", "0", "6", "0"), ("-7/2", "0", "6", "2"),
+                         ("2", "1", "5", "1"), ("2", "1", "5", "6"))
+      for fmt in ("csv", "json")),
+    *(["coeffs", "--family", "ajp", "--alpha", "0.3", "--beta", "0.7", "--n", "20",
+       "--k", k, "--mode", "float"] for k in ("0", "7")),
+    *(["coeffs", "--family", fam, "--n", "7", "--k", k, "--format", fmt]
+      for fam in ("a", "t") for k in ("0", "3") for fmt in ("csv", "json")),
+    ["tabulate", "--family", "ajp", "--alpha", "1/2", "--beta", "3/2", "--n", "5",
+     "--k", "1", "--mode", "exact", "--points", "9"],
+    ["tabulate", "--family", "ajp", "--alpha", "-7/2", "--beta", "0", "--n", "6",
+     "--k", "2", "--mode", "exact", "--points", "9"],
+    ["tabulate", "--family", "a", "--n", "6", "--k", "2", "--mode", "exact", "--points", "9"],
+    ["tabulate", "--family", "t", "--n", "6", "--k", "0", "--mode", "exact", "--points", "9"],
+    ["plot-data", "--family", "a", "--mode", "exact", "--points", "9"],
+    ["plot-data", "--family", "t", "--mode", "exact", "--points", "9"],
+]
+
+
+def exact_cli_transcript() -> str:
+    """Each command of EXACT_COMMANDS after a '$ altpoly' line, then its
+    standard output, run in process."""
+    import contextlib
+    import io
+
+    from altpoly.cli import main
+
+    parts = []
+    for argv in EXACT_COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code == 0, argv
+        parts.append("$ altpoly " + " ".join(argv) + "\n" + out.getvalue())
+    return "".join(parts)
+
+
+def test_exact_cli_golden_bytes():
+    # regenerate with: PYTHONPATH=src:tests python -c "import test_cli;
+    # print(test_cli.exact_cli_transcript(), end='')" > tests/golden/exact_cli.txt
+    assert exact_cli_transcript() == (GOLDEN / "exact_cli.txt").read_text()

@@ -233,10 +233,28 @@ def test_float_member_overflow_is_refused(n):
 ], ids=["shifted-jacobi", "direct", "reciprocity"])
 def test_float_kernel_overflow_names_the_member(build, member):
     # each is P_m^(2.5, 0.7)(1-2x) times a power of x (the reciprocity route
-    # rebuilds it from a rounded parameter): m = 404 fits, and m = 405 leaves
-    # the double range
+    # rebuilds it from the exactly formed parameter): m = 404 fits, and
+    # m = 405 leaves the double range
     assert max(abs(c) for c in build(404).coeffs) < 1e308
     n, k, alpha = member(405)
     with pytest.raises(CoefficientOverflowError,
                        match=f"n={n}, k={k}.*alpha = {alpha}, beta = 0.7"):
         build(405)
+
+
+FLOAT_PAIRS = [(0.3, 0.7), (1.234, 0.567), (2.5, 0.1), (-0.5, 0.25)]
+
+
+@pytest.mark.parametrize("alpha,beta", FLOAT_PAIRS)
+def test_float_direct_and_reciprocity_are_exact_then_rounded_once(alpha, beta):
+    # float parameters are shifted exactly, so the reciprocity rebuild is the
+    # float member bit for bit and a direct polynomial is the exact one at
+    # the binary parameters, each coefficient rounded once
+    for n in range(8):
+        for k in range(n + 1):
+            got = reciprocity_coefficients(alpha, beta, n, k).coeffs
+            want = ajp_coefficients(PolyParams(alpha, beta, n, k)).coeffs
+            assert [c.hex() for c in got] == [c.hex() for c in want], (n, k)
+            got = direct_coefficients(alpha, beta, k, n).coeffs
+            want = direct_coefficients(F(alpha), F(beta), k, n).to_floats().coeffs
+            assert [c.hex() for c in got] == [c.hex() for c in want], (k, n)

@@ -187,6 +187,19 @@ def test_integrate_semi_axis_numeric_matches_exact():
     assert numeric == pytest.approx(float(exact), rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.3, 1.5])
+def test_integrate_semi_axis_float_alpha_is_exact_then_rounded_once(alpha):
+    # alpha - 1 is formed from the binary value of alpha, not rounded before
+    # the exact route (at 0.3, Fraction(0.3 - 1) is off by 2**-54)
+    for beta in (F(0), F(1, 2), F(2), 0.7):
+        for n, k in ((1, 0), (2, 0), (2, 1), (4, 0), (4, 1), (5, 2)):
+            g = ajp_coefficients(PolyParams(F(1, 3), F(1, 2), n, k))
+            for h in (g, g * g):
+                got = integrate_semi_axis(h, alpha, beta)
+                want = weighted_inner_product(h, DensePoly.one(), F(alpha) - 1, beta)
+                assert type(got) is float and got == float(want), (beta, n, k)
+
+
 def test_integrate_semi_axis_divergence_probe():
     with pytest.raises(DivergenceError):
         integrate_semi_axis(lambda t: 1.0, 0.0, 0.0)
