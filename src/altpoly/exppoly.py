@@ -118,54 +118,70 @@ def e_zeros(alpha, beta, n: int) -> ZeroSet:
 
 def zero_sets(pairs, n: int) -> list[ZeroSet]:
     """e_zeros for each (alpha, beta) pair, from one stacked Golub--Welsch
-    solve: a single numpy.linalg.eigh call for the whole stack, which holds
-    len(pairs) n x n matrices. Each pair gives the same ZeroSet, bit for
-    bit, as alone; the guards run on every pair, and the first pair in
-    order that fails one raises its error, as a loop of e_zeros would. Every
-    pair's weight is checked first (check_jacobi_weight)."""
+    solve (stacked_zeros): a single numpy.linalg.eigh call for the whole
+    stack, which holds len(pairs) n x n matrices. Each pair gives the same
+    ZeroSet, bit for bit, as alone; every guard runs on every pair
+    (guarded_zero_set), and the first pair in order that fails one raises
+    its error, as a loop of e_zeros would. Every pair's weight is checked
+    first (check_jacobi_weight)."""
+    exps = [check_jacobi_weight(n, alpha, beta) for alpha, beta in pairs]
+    xs, finite, simple = stacked_zeros(n, [a for a, _ in exps], [b for _, b in exps])
+    return [guarded_zero_set(n, alpha, beta, x, ok, fine)
+            for (alpha, beta), x, ok, fine in zip(pairs, xs, finite, simple)]
+
+
+def stacked_zeros(n: int, a, b) -> tuple:
+    """One stacked Golub--Welsch solve for the float exponent pairs
+    (a[r], b[r]), already checked as check_jacobi_weight checks them:
+    (xs, finite, simple), row r of xs the zeros of pair r descending in x
+    (so lambda = -ln x ascends), finite[r] whether its Jacobi matrix stays in
+    the double range and simple[r] whether its zeros lie inside (0, 1) and
+    at least 1e-12 apart. guarded_zero_set turns a row into a ZeroSet or
+    the row's refusal."""
     import numpy as np
 
-    exps = [check_jacobi_weight(n, alpha, beta) for alpha, beta in pairs]
-    mats = jacobi_matrices(n, [a for a, _ in exps], [b for _, b in exps])
+    mats = jacobi_matrices(n, a, b)
     finite = np.isfinite(mats).all(axis=(1, 2))
-    mats[~finite] = 0.0     # refused below; keeps the stacked solve defined
-    xs = golub_welsch(mats)[0][:, ::-1]     # descending, so lambda = -ln x ascends
-    errors = [None] * len(pairs)
-    coeffs = np.zeros((len(pairs), n + 1))
-    for r, (alpha, beta) in enumerate(pairs):
-        if not finite[r]:
-            errors[r] = range_error(n, alpha, beta)
-            continue
-        try:
-            coeffs[r] = rounded_jacobi_coefficients(n, alpha, beta)
-        except OverflowError:
-            errors[r] = CoefficientOverflowError(n, 0, alpha, beta,
-                                                 "the zero guard evaluates it in floats")
-    # Horner on every row at once: the float operations of DensePoly.__call__
-    acc = np.zeros_like(xs)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for j in range(n, -1, -1):
-            acc = acc * xs + coeffs[:, j:j + 1]
-        residuals = np.abs(acc) / np.abs(coeffs).max(axis=1, keepdims=True)
-    inside = (xs[:, 0] < 1) & (xs[:, -1] > 0)
-    clustered = (xs[:, :-1] - xs[:, 1:] < 1e-12).any(axis=1)
-    worst = residuals.max(axis=1)
-    out = []
-    for r, (alpha, beta) in enumerate(pairs):
-        if errors[r] is not None:
-            raise errors[r]
-        if not inside[r]:
+    mats[~finite] = 0.0     # refused by the guard; keeps the stacked solve defined
+    xs = golub_welsch(mats)[0][:, ::-1]
+    simple = (xs[:, 0] < 1) & (xs[:, -1] > 0) & ~(xs[:, :-1] - xs[:, 1:] < 1e-12).any(axis=1)
+    return xs, finite, simple
+
+
+def guarded_zero_set(n: int, alpha, beta, x, finite=True, simple=True) -> ZeroSet:
+    """The ZeroSet of one pair from its row x of the stacked solve and the
+    row's finite and simple flags, after the guards of e_zeros in their
+    order: the Jacobi matrix in the double range, the exact member in it,
+    the zeros inside (0, 1), apart, and with residuals at most 1e-13 (Horner
+    on the member rounded once per coefficient, over its largest
+    coefficient magnitude)."""
+    import numpy as np
+
+    if not finite:
+        raise range_error(n, alpha, beta)
+    try:
+        coeffs = np.array(rounded_jacobi_coefficients(n, alpha, beta))
+    except OverflowError:
+        raise CoefficientOverflowError(n, 0, alpha, beta,
+                                       "the zero guard evaluates it in floats") from None
+    if not simple:
+        if not (x[0] < 1 and x[-1] > 0):
             raise RootFindingError(
-                f"zeros from x = {float(xs[r, -1])!r} to {float(xs[r, 0])!r} leave the open "
+                f"zeros from x = {float(x[-1])!r} to {float(x[0])!r} leave the open "
                 f"interval (0, 1) for alpha = {alpha}, beta = {beta}, n = {n}")
-        if clustered[r]:
-            raise RootFindingError("zeros are not simple (cluster detected)")
-        if not worst[r] <= 1e-13:
-            raise RootFindingError(f"zero residual too large: {worst[r]:.3g}")
-        x = tuple(xs[r].tolist())
-        out.append(ZeroSet(float(alpha), float(beta), n, tuple(-math.log(v) for v in x), x,
-                           tuple(residuals[r].tolist())))
-    return out
+        raise RootFindingError("zeros are not simple (cluster detected)")
+    # the float operations of DensePoly.__call__
+    acc = np.zeros_like(x)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for c in coeffs[::-1]:
+            acc = acc * x + c
+        residuals = np.abs(acc) / np.abs(coeffs).max()
+    worst = residuals.max()
+    if not worst <= 1e-13:
+        raise RootFindingError(f"zero residual too large: {worst:.3g}")
+    xt = tuple(x.tolist())
+    return ZeroSet(float(alpha), float(beta), n, tuple(-math.log(v) for v in xt), xt,
+                   tuple(residuals.tolist()))
 
 
 def legendre_type_quadrature(n: int) -> QuadRule:

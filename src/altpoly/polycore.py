@@ -28,7 +28,7 @@ float tabulate. Float Horner on the expanded coefficients cancels on [0, 1]
 (off by 2e5 at n = 30 for members of size 7). Float coefficients are the
 exact ones at the binary values of float parameters, each rounded once by
 _round_once, whether ajp_coefficients or ajp_recurrence builds them; they
-serve `coeffs --mode float` and the zero guard of exppoly.zero_sets.
+serve `coeffs --mode float` and the zero guard of exppoly.guarded_zero_set.
 """
 
 from __future__ import annotations

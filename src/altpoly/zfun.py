@@ -17,8 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CollocationError, FeasibilityError
-from .exppoly import ExpPolySystem, ZeroSet, e_eval, e_zeros, member_values, zero_sets
+from .exppoly import (
+    ExpPolySystem,
+    ZeroSet,
+    e_eval,
+    e_zeros,
+    guarded_zero_set,
+    member_values,
+    stacked_zeros,
+)
 from .exact import is_exact
+from .quad import check_jacobi_weight
 
 GAMMA_UNSCALED_TOL = 1e-12
 
@@ -81,8 +90,44 @@ def _feasible_candidates(cands, omega) -> list:
     return feasible
 
 
+def _exponents(n: int, alphas, omega) -> tuple:
+    """The float exponents (a, b) of the pairs (alpha, alpha * omega), as
+    check_jacobi_weight gives them, which raises for the first pair it
+    refuses. For rational alpha and omega, a and b are integer true
+    divisions of numerators by denominators, which round as float(Fraction)
+    does, so no Fraction is built per candidate."""
+    if is_exact(omega) and all(is_exact(alpha) for alpha in alphas):
+        p, q = Fraction(omega).as_integer_ratio()
+        try:
+            a = [alpha.numerator / alpha.denominator for alpha in alphas]
+            b = [p * alpha.numerator / (q * alpha.denominator) for alpha in alphas]
+        except OverflowError:
+            pass
+        else:
+            if min(a) > -1 and min(b) > -1:
+                return a, b
+    exps = [check_jacobi_weight(n, alpha, alpha * omega) for alpha in alphas]
+    return [a for a, _ in exps], [b for _, b in exps]
+
+
+def _largest_zeros(n: int, alphas, omega) -> tuple:
+    """The zeros of each pair (alpha, alpha * omega) from one stacked solve,
+    descending in x, and each pair's largest lambda = -ln x, by math.log as
+    in ZeroSet. The checks that need no member run on every pair: the first
+    pair whose Jacobi matrix leaves the double range or whose zeros leave
+    (0, 1) or cluster raises the error e_zeros raises for it. The residual
+    guard is left to guarded_zero_set on the pair the caller keeps."""
+    import numpy as np
+
+    xs, finite, simple = stacked_zeros(n, *_exponents(n, alphas, omega))
+    for r in np.flatnonzero(~(finite & simple))[:1]:
+        alpha = alphas[r]
+        guarded_zero_set(n, alpha, alpha * omega, xs[r], finite[r], simple[r])    # raises
+    return xs, [-math.log(x) for x in xs[:, -1].tolist()]
+
+
 # Jacobi-matrix entries per stacked eigen-solve of the search (1 MiB of
-# float64): candidates go through zero_sets in blocks of this many over n * n
+# float64): candidates go through _largest_zeros in blocks of this many over n * n
 _STACK_ENTRIES = 1 << 17
 
 
@@ -92,21 +137,23 @@ def _search(n: int, omega, candidates) -> tuple:
     if not cands:
         raise FeasibilityError("empty candidate set")
     feasible = _feasible_candidates(cands, omega)
+    if not feasible:
+        raise FeasibilityError(
+            f"no candidate gives an integrable weight (alpha > -1 and omega * alpha > -1; "
+            f"n={n}, omega={omega}, {len(cands)} candidates)")
     size = max(1, _STACK_ENTRIES // max(1, n * n))
-    best = None
+    best, best_lam = None, None
     for start in range(0, len(feasible), size):
         block = feasible[start:start + size]
-        zeros = zero_sets([(alpha, alpha * omega) for alpha in block], n)
-        for alpha, zs in zip(block, zeros):
-            lam = zs.max_lambda()
-            if lam > 1:
-                continue
-            if best is None or lam > best[1].max_lambda():
-                best = (alpha, zs)
+        xs, lams = _largest_zeros(n, block, omega)
+        for alpha, x, lam in zip(block, xs, lams):
+            if lam <= 1 and (best is None or lam > best_lam):
+                best, best_lam = (alpha, x), lam
     if best is None:
         raise FeasibilityError(
             f"no candidate keeps the largest zero below 1 (n={n}, omega={omega})")
-    return best
+    alpha, x = best
+    return alpha, guarded_zero_set(n, alpha, alpha * omega, x)
 
 
 def z_search(n: int, omega, candidates) -> tuple:
@@ -114,18 +161,25 @@ def z_search(n: int, omega, candidates) -> tuple:
     zero staying <= 1. Returns (alpha, gamma); ties go to the smallest alpha.
 
     Every feasible candidate's zeros come from stacked Golub--Welsch solves
-    (exppoly.zero_sets: one numpy.linalg.eigh call per block of about
-    2**17 / n**2 candidates, so memory stays bounded), with the guards of
-    e_zeros on each; a candidate that fails one raises. The largest zeros
+    (exppoly.stacked_zeros: one numpy.linalg.eigh call per block of about
+    2**17 / n**2 candidates, so memory stays bounded), whose checks that need
+    no member run on every candidate: a Jacobi matrix out of the double
+    range, or zeros outside (0, 1) or clustered, raise. The largest zeros
     are then reduced in sorted order, assuming nothing about how they vary
-    with alpha, so permutations cannot change the result."""
+    with alpha, so permutations cannot change the result; only the chosen
+    candidate gets the residual guard and a ZeroSet
+    (exppoly.guarded_zero_set). FeasibilityError when no candidate gives an
+    integrable weight or none keeps the largest zero <= 1."""
     alpha, zeros = _search(n, omega, candidates)
     return alpha, zeros.max_lambda()
 
 
 def z_search_real(n: int, omega, alpha_hi: float = 64.0, tol: float = 1e-12) -> tuple:
     """Real-valued boundary search: bisect for the exponent where the largest
-    zero equals 1, which attains equality in the gamma <= 1 requirement."""
+    zero equals 1, which attains equality in the gamma <= 1 requirement.
+    Each step reads the largest zero from the stacked solve of z_search on
+    one pair, with the checks that need no member; z_build_real runs the
+    residual guard once, on the result."""
     om = float(omega)
     lo = -1.0 if om >= 0 else None
     if om > 1:
@@ -136,7 +190,7 @@ def z_search_real(n: int, omega, alpha_hi: float = 64.0, tol: float = 1e-12) -> 
     lo = lo + 1e-9
 
     def lam(a):
-        return lambda_max(a, a * om, n)
+        return _largest_zeros(n, [a], om)[1][0]
 
     hi = float(alpha_hi)
     if lam(hi) > 1:

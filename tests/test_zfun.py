@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from altpoly import exppoly, verify, zfun
+from altpoly import cli, exppoly, verify, zfun
 from altpoly.errors import FeasibilityError, RootFindingError
 from altpoly.exact import is_exact
 from altpoly.exppoly import ExpPolySystem, e_eval
@@ -256,20 +256,92 @@ def test_scan_covers_a_largest_zero_that_does_not_fall():
     assert z_search(1, 1, whole_candidates(8))[0] == 0
 
 
-def test_a_failing_guard_on_any_candidate_fails_the_search(monkeypatch):
+def _spoil_residual(monkeypatch, alpha):
+    """Make the rounded member of candidate alpha miss its zeros by about 1e-9."""
     rounded = exppoly.rounded_jacobi_coefficients
 
     def spoiled(m, a, b):
         coeffs = rounded(m, a, b)
-        if a == 5:
-            coeffs[0] *= 1 + 1e-9      # residual about 1e-9 at every zero
+        if a == alpha:
+            coeffs[0] *= 1 + 1e-9
         return coeffs
 
-    assert z_search(3, 0, whole_candidates(10))[0] != 5
     monkeypatch.setattr(exppoly, "rounded_jacobi_coefficients", spoiled)
+
+
+def test_a_failing_residual_guard_on_the_chosen_candidate_fails_the_search(monkeypatch):
+    assert z_search(3, 0, whole_candidates(10))[0] == 4
+    _spoil_residual(monkeypatch, 4)
     with pytest.raises(RootFindingError, match="zero residual too large"):
         z_search(3, 0, whole_candidates(10))
-    assert z_search(3, 0, whole_candidates(4)) == _scan(3, 0, whole_candidates(4))
+    with pytest.raises(RootFindingError, match="zero residual too large"):
+        exppoly.e_zeros(4, 0, 3)
+
+
+def test_the_residual_guard_runs_only_on_the_chosen_candidate(monkeypatch):
+    # alpha = 5 is feasible but not chosen; its spoiled member is never read
+    want = z_build(3, 0, whole_candidates(10))
+    _spoil_residual(monkeypatch, 5)
+    assert z_build(3, 0, whole_candidates(10)) == want
+    with pytest.raises(RootFindingError, match="zero residual too large"):
+        exppoly.zero_sets([(a, 0) for a in whole_candidates(10)], 3)
+
+
+@pytest.mark.parametrize("mutation,message", [
+    (lambda x: 1.0, "open interval"),           # the largest zero rounds to x = 1
+    (lambda x: x - 1e-13, "cluster detected"),  # it coincides with the next one
+], ids=["outside", "cluster"])
+def test_a_misplaced_zero_on_a_candidate_that_is_not_chosen_fails_the_search(
+        monkeypatch, mutation, message):
+    golub_welsch = exppoly.golub_welsch
+
+    def mutated(mats):
+        nodes, weights = golub_welsch(mats)
+        if len(nodes) == 11:
+            nodes[5, -1] = mutation(nodes[5, -2])    # alpha = 5, not chosen
+        return nodes, weights
+
+    monkeypatch.setattr(exppoly, "golub_welsch", mutated)
+    with pytest.raises(RootFindingError, match=message):
+        z_search(3, 0, whole_candidates(10))
+
+
+def test_z_build_guards_and_builds_only_the_chosen_candidate(monkeypatch):
+    counts = {"member": 0, "zero set": 0}
+    rounded, zero_set = exppoly.rounded_jacobi_coefficients, exppoly.ZeroSet
+
+    def counted_member(*args):
+        counts["member"] += 1
+        return rounded(*args)
+
+    def counted_zero_set(*args):
+        counts["zero set"] += 1
+        return zero_set(*args)
+
+    monkeypatch.setattr(exppoly, "rounded_jacobi_coefficients", counted_member)
+    monkeypatch.setattr(exppoly, "ZeroSet", counted_zero_set)
+    spec = z_build(8, F(1, 2), whole_candidates(64))
+    assert counts == {"member": 1, "zero set": 1}
+    assert spec.alpha_n == 34
+
+
+def test_a_search_with_no_integrable_candidate_says_so():
+    for omega, candidates in ((F(-1, 2), [F(3)]), (-3, [F(1, 2), F(1)]),
+                              (0, [F(-1), F(-2)])):
+        with pytest.raises(FeasibilityError, match=(
+                rf"no candidate gives an integrable weight .*n=3, omega={omega}, "
+                rf"{len(candidates)} candidates")):
+            z_search(3, omega, candidates)
+
+
+def test_the_cli_exits_1_when_no_candidate_is_integrable(monkeypatch, capsys):
+    # every CLI candidate set holds alpha = 0, which is always integrable,
+    # so the CLI reaches this refusal only with a narrower set
+    monkeypatch.setattr(zfun, "whole_candidates", lambda limit: (F(1, 2), F(1)))
+    assert cli.main(["zbuild", "--n", "3", "--omega", "-3"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FeasibilityError"
+    assert "no candidate gives an integrable weight" in err["message"]
 
 
 def test_z_build_is_one_eigen_solve_per_candidate_block(monkeypatch):
