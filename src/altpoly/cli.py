@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -391,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_mode(args):
     mode = getattr(args, "mode", None)
     if mode is None:
-        mode = os.environ.get("ALTPOLY_MODE")
-    if mode not in ("exact", "float"):
         # default: exact wherever parameters permit, except figure/grid data
         mode = "float" if args.command in ("plot-data",) else "exact"
     args.mode = mode

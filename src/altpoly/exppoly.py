@@ -20,7 +20,8 @@ from .marginal import a_coefficients, t_scaling
 from .poly import DensePoly
 from .polycore import (
     PolyParams,
-    ajp_coefficients,
+    _finished,
+    _jacobi_kernel,
     ajp_norm_h,
     jacobi_rows,
     rounded_jacobi_coefficients,
@@ -58,8 +59,13 @@ class ExpPolySystem:
         return PolyParams(a, self.beta, self.n, k)
 
     def member_poly(self, k: int) -> DensePoly:
-        """Coefficients of the member as a polynomial in x = exp(-t)."""
-        return ajp_coefficients(self._params(k))
+        """Coefficients of the member as a polynomial in x = exp(-t), from the
+        kernel at alpha + 2k shifted exactly (a float alpha - 1 would round)."""
+        p = self._params(k)
+        if p.is_sentinel:
+            return DensePoly.zero()
+        nums, den = _jacobi_kernel(p.n - k, Fraction(self.alpha) + 2 * k, Fraction(p.beta))
+        return _finished([0] * k + nums, den, (p.n, k, p.alpha, p.beta))
 
 
 def e_eval(sys: ExpPolySystem, k: int, t) -> float:
@@ -102,8 +108,8 @@ def e_zeros(alpha, beta, n: int) -> ZeroSet:
     """Zeros of the associated function as lambda = -ln x, ascending. Its
     x-form is P_n^(alpha,beta)(1-2x), so the zeros are the nodes of the
     Gauss-Jacobi rule for x**alpha (1-x)**beta: Golub--Welsch eigenvalues
-    only, without the rule's weights or its Beta moment (zero_sets with one
-    pair).
+    only, without the rule's weights or its Beta moment (stacked_zeros on a
+    stack of one, then guarded_zero_set).
 
     Valid for n >= 1, alpha > -1 and beta > -1; outside it DivergenceError
     names a = alpha, b = beta, m = n. Exponents too large for floats raise
@@ -113,21 +119,9 @@ def e_zeros(alpha, beta, n: int) -> ZeroSet:
     coefficient, at each zero over its largest coefficient magnitude; above
     1e-13, zeros closer than 1e-12, or a zero that rounds to x = 0 or 1,
     raise RootFindingError."""
-    return zero_sets([(alpha, beta)], n)[0]
-
-
-def zero_sets(pairs, n: int) -> list[ZeroSet]:
-    """e_zeros for each (alpha, beta) pair, from one stacked Golub--Welsch
-    solve (stacked_zeros): a single numpy.linalg.eigh call for the whole
-    stack, which holds len(pairs) n x n matrices. Each pair gives the same
-    ZeroSet, bit for bit, as alone; every guard runs on every pair
-    (guarded_zero_set), and the first pair in order that fails one raises
-    its error, as a loop of e_zeros would. Every pair's weight is checked
-    first (check_jacobi_weight)."""
-    exps = [check_jacobi_weight(n, alpha, beta) for alpha, beta in pairs]
-    xs, finite, simple = stacked_zeros(n, [a for a, _ in exps], [b for _, b in exps])
-    return [guarded_zero_set(n, alpha, beta, x, ok, fine)
-            for (alpha, beta), x, ok, fine in zip(pairs, xs, finite, simple)]
+    a, b = check_jacobi_weight(n, alpha, beta)
+    xs, finite, simple = stacked_zeros(n, [a], [b])
+    return guarded_zero_set(n, alpha, beta, xs[0], finite[0], simple[0])
 
 
 def stacked_zeros(n: int, a, b) -> tuple:

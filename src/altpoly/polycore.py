@@ -27,8 +27,8 @@ k = 0 associated function included), marginal's figure data and the CLI's
 float tabulate. Float Horner on the expanded coefficients cancels on [0, 1]
 (off by 2e5 at n = 30 for members of size 7). Float coefficients are the
 exact ones at the binary values of float parameters, each rounded once by
-_round_once, whether ajp_coefficients or ajp_recurrence builds them; they
-serve `coeffs --mode float` and the zero guard of exppoly.guarded_zero_set.
+_round_once (float ajp_recurrence returns these members); they serve
+`coeffs --mode float` and the zero guard of exppoly.guarded_zero_set.
 """
 
 from __future__ import annotations
@@ -120,14 +120,13 @@ def ajp_coefficients(p: PolyParams) -> DensePoly:
     float parameters can compare equal (Fraction(1,2) == 0.5) yet must not
     share coefficients.
     """
-    return _ajp_coefficients_cached(p, p.exact)
+    return _ajp_coefficients_cached(p.n, p.k, p.alpha, p.beta, p.exact)
 
 
 @lru_cache(maxsize=4096)
-def _ajp_coefficients_cached(p: PolyParams, _exact: bool) -> DensePoly:
-    if p.is_sentinel:
+def _ajp_coefficients_cached(n: int, k: int, a, b, _exact: bool) -> DensePoly:
+    if k == n + 1:
         return DensePoly.zero()
-    n, k, a, b = p.n, p.k, p.alpha, p.beta
     # alpha's binary value, shifted exactly
     nums, den = _jacobi_kernel(n - k, Fraction(a) + 2 * k + 1, Fraction(b))
     return _finished([0] * k + nums, den, (n, k, a, b))
@@ -263,29 +262,27 @@ def _value_range_error(m: int, a, b) -> ValueRangeError:
 
 
 def ajp_recurrence(alpha, beta, n: int, up_to_k: int = 0) -> list[DensePoly]:
-    """Downward three-term recurrence on coefficient vectors.
+    """Members for k = n down to up_to_k (descending order).
 
-    Returns members for k = n down to up_to_k (descending order), from x^n
-    and the k = n - 1 member, on the integer kernel _downward_recurrence
-    with the step factors of _recurrence_factors. Float parameters run at
-    their exact binary values and each member is rounded once, so it is the
-    float ajp_coefficients member bit for bit, and CoefficientOverflowError
-    names the member whose coefficients leave the double range.
-    RecurrenceError when a step's denominator vanishes (a negative whole
-    alpha with alpha + 2k + 2 = 0 or alpha + n + k + 1 = 0).
+    Exact parameters run the downward three-term recurrence from x^n and the
+    k = n - 1 member, on the integer kernel _downward_recurrence with the
+    step factors of _recurrence_factors; RecurrenceError when a step's
+    denominator vanishes (a negative whole alpha with alpha + 2k + 2 = 0 or
+    alpha + n + k + 1 = 0). Float parameters take no step: the members are
+    the float ajp_coefficients ones (at alpha = -4.0, the exact members at
+    -4 rounded once), and CoefficientOverflowError names the lowest member
+    that leaves the double range.
     """
     a, b = _param(alpha), _param(beta)
     if n < 0 or not 0 <= up_to_k <= n:
         raise ValueError("need 0 <= up_to_k <= n")
-    (big_a, big_b), d = over_common_denominator((Fraction(a), Fraction(b)))
+    if not (is_exact(a) and is_exact(b)):
+        # built from k = up_to_k up, so an overflow names the lowest member
+        return [_ajp_coefficients_cached(n, k, a, b, False) for k in range(up_to_k, n + 1)][::-1]
+    (big_a, big_b), d = over_common_denominator((a, b))
     first = [0] * (n - 1) + [big_a + 2 * n * d, -(big_a + big_b + (2 * n + 1) * d)]
-    members = _downward_recurrence(
+    return _downward_recurrence(
         n, (first, d), lambda k: _recurrence_factors(big_a, big_b, d, n, k), up_to_k)
-    if is_exact(a) and is_exact(b):
-        return members
-    # rounded from k = up_to_k up, so an overflow names the lowest member
-    return [DensePoly(_round_once(p.numerators, p.denominator, (n, k, a, b)))
-            for k, p in zip(range(up_to_k, n + 1), reversed(members))][::-1]
 
 
 def _recurrence_factors(big_a, big_b, d, n: int, k: int):

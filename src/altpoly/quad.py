@@ -21,6 +21,7 @@ from .errors import DivergenceError, RootFindingError
 from .exact import (
     ExactnessError,
     exact_gamma2_ratio,
+    float_gamma2_ratio,
     is_exact,
     over_common_denominator,
     simplify_scalar,
@@ -76,7 +77,8 @@ def beta_moment(a, b):
     """Integral of x**a (1-x)**b over [0,1]: Gamma(a+1)Gamma(b+1)/Gamma(a+b+2).
 
     Exact for rational exponents with denominator 1 or 2 (a rational, or a
-    rational multiple of pi when both exponents are half-odd); float otherwise.
+    rational multiple of pi when both exponents are half-odd); float
+    otherwise, by exact.float_gamma2_ratio.
     """
     if not (a > -1 and b > -1):
         raise DivergenceError(f"beta moment diverges for exponents ({a}, {b})")
@@ -87,7 +89,7 @@ def beta_moment(a, b):
         except ExactnessError:
             pass
     af, bf = float(a), float(b)
-    return math.exp(math.lgamma(af + 1) + math.lgamma(bf + 1) - math.lgamma(af + bf + 2))
+    return float_gamma2_ratio(af + 1, bf + 1, af + bf + 2)
 
 
 def weighted_inner_product(p: DensePoly, q: DensePoly, alpha, beta):

@@ -173,7 +173,6 @@ def _direct_grid(top):
 
 
 def _recurrence(a, b, n):
-    # float parameters: the members rounded once, as ajp_coefficients rounds them
     return polycore.ajp_recurrence(a, b, n), [_member(a, b, n, k) for k in range(n, -1, -1)]
 
 
@@ -442,7 +441,10 @@ ROWS = [
     Row("recurrence-vs-expansion-float", "core", ABN,
         lambda top: ((a, b, n) for a, b in ((0.5, 0.5), (1.25, 0.75))
                      for n in range(1, top + 1)),
-        _recurrence, cap=12),
+        # the float members against the exact recurrence, each rounded once
+        lambda a, b, n: (polycore.ajp_recurrence(a, b, n),
+                         [p.to_floats() for p in polycore.ajp_recurrence(F(a), F(b), n)]),
+        cap=12),
 
     # quad: Beta moments, Gauss-Jacobi rules and the semi-axis pullback
     Row("beta-moment-symmetry", "quad", ("a", "b"), lambda _top: QUAD_PAIRS,

@@ -12,11 +12,12 @@ from altpoly.exppoly import (
     e_zeros,
     ea_eval,
     et_eval,
+    guarded_zero_set,
     legendre_type_quadrature,
     project,
     rule_table,
     semi_axis_rule,
-    zero_sets,
+    stacked_zeros,
 )
 from altpoly.polycore import PolyParams, ajp_coefficients, ajp_eval
 from altpoly.quad import integrate_semi_axis
@@ -52,6 +53,21 @@ def test_substitution_consistency_against_exact_member():
                 via_sys = e_eval(sys, k, t)
                 exact = ajp_eval(PolyParams(a - 1, b, 3, k), F(math.exp(-t)))
                 assert abs(F(via_sys) - exact) < 1e-14
+
+
+def test_float_member_poly_is_the_exact_member_at_alpha_minus_one_rounded_once():
+    # the shift alpha - 1 is exact: a float alpha - 1 rounds before the
+    # kernel runs, and 26 of these 132 members then differ in the last bits
+    for a, b in ((0.3, 0.7), (1.234, 0.567), (0.1, 2.3)):
+        for n in range(1, 9):
+            sys = ExpPolySystem(a, b, n)
+            for k in range(n + 1):
+                got = sys.member_poly(k)
+                want = ajp_coefficients(PolyParams(F(a) - 1, F(b), n, k)).to_floats()
+                assert got.mode == "float"
+                assert [c.hex() for c in got.coeffs] == [c.hex() for c in want.coeffs], \
+                    (a, b, n, k)
+            assert sys.member_poly(n + 1).is_zero
 
 
 # -------------------------------------------------------------------- norms
@@ -110,11 +126,14 @@ def test_zero_set_structure():
             assert lam == pytest.approx(-math.log(x), rel=1e-15)
 
 
-def test_zero_sets_match_e_zeros_and_the_horner_guard():
+def test_stacked_zeros_match_e_zeros_and_the_horner_guard():
     pairs = [(F(0), F(0)), (F(1, 2), F(3, 2)), (F(161, 3), F(161, 12)), (2.5, 0.0), (F(-1, 2), 7)]
     for n in (1, 2, 5, 12, 20):
-        stacked = zero_sets(pairs, n)
-        for (a, b), zs in zip(pairs, stacked):
+        xs, finite, simple = stacked_zeros(n, [float(a) for a, _ in pairs],
+                                           [float(b) for _, b in pairs])
+        for r, (a, b) in enumerate(pairs):
+            # each row of one stacked solve is the pair's solve alone
+            zs = guarded_zero_set(n, a, b, xs[r], finite[r], simple[r])
             assert zs == e_zeros(a, b, n)
             # the guard's reference: DensePoly Horner on the rounded exact
             # member P_n^(a,b)(1-2x) at the binary parameters

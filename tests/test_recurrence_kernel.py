@@ -1,7 +1,9 @@
 """The exact downward recurrences on polycore's integer step kernel.
 
-ajp_recurrence, and with it a_recurrence (the family at alpha = -1,
-beta = 0), and t_recurrence all step through polycore._downward_recurrence.
+The exact ajp_recurrence, and with it a_recurrence (the family at
+alpha = -1, beta = 0), and t_recurrence all step through
+polycore._downward_recurrence; the float ajp_recurrence returns the float
+ajp_coefficients members.
 The oracles here do not: the exact ajp members come from the earlier route
 that evaluates each step's factors in Fraction arithmetic (copied below),
 the A and T members from their closed-form expansions, and the A step's
@@ -142,13 +144,21 @@ def test_spoiled_factor_raises_recurrence_error(monkeypatch, route):
         with pytest.raises(RecurrenceError, match=f"T member k={bad_k - 1}"):
             t_recurrence(n)
         return
+    unspoiled = ajp_recurrence(0.5, 2.0, n)
     monkeypatch.setattr(polycore, "_recurrence_factors",
                         _zero_den_at(polycore._recurrence_factors, bad_k))
     if route == "A":
         with pytest.raises(RecurrenceError, match=f"member k={bad_k - 1} divides by zero"):
             a_recurrence(n)
         return
-    a, b = (F(1, 2), F(2)) if route == "ajp" else (0.5, 2.0)
+    if route == "ajp-float":
+        # float members come from the kernel and take no step
+        polycore._ajp_coefficients_cached.cache_clear()
+        got = ajp_recurrence(0.5, 2.0, n)
+        assert [[c.hex() for c in p.coeffs] for p in got] == \
+            [[c.hex() for c in p.coeffs] for p in unspoiled]
+        return
+    a, b = F(1, 2), F(2)
     ajp_recurrence(a, b, n, up_to_k=bad_k)          # the spoiled step is not reached
     with pytest.raises(RecurrenceError, match=f"k={bad_k - 1} divides by zero"):
         ajp_recurrence(a, b, n)
@@ -156,9 +166,15 @@ def test_spoiled_factor_raises_recurrence_error(monkeypatch, route):
 
 def test_zero_step_denominator_is_typed():
     # alpha = -4: the step k = 1 -> 0 has alpha + 2k + 2 = 0
-    for a, b in ((F(-4), F(0)), (-4.0, 0.0)):
-        with pytest.raises(RecurrenceError, match="k=0 divides by zero"):
-            ajp_recurrence(a, b, 3)
+    with pytest.raises(RecurrenceError, match="k=0 divides by zero"):
+        ajp_recurrence(F(-4), F(0), 3)
+    # float parameters take no step: each member is the exact one at -4,
+    # rounded once
+    got = ajp_recurrence(-4.0, 0.0, 3)
+    assert len(got) == 4
+    for k, p in zip(range(3, -1, -1), got):
+        want = ajp_coefficients(PolyParams(F(-4), F(0), 3, k)).to_floats()
+        assert [c.hex() for c in p.coeffs] == [c.hex() for c in want.coeffs], k
 
 
 @pytest.mark.parametrize("label", ["member", "A member", "T member"])

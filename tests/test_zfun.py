@@ -284,7 +284,7 @@ def test_the_residual_guard_runs_only_on_the_chosen_candidate(monkeypatch):
     _spoil_residual(monkeypatch, 5)
     assert z_build(3, 0, whole_candidates(10)) == want
     with pytest.raises(RootFindingError, match="zero residual too large"):
-        exppoly.zero_sets([(a, 0) for a in whole_candidates(10)], 3)
+        exppoly.e_zeros(5, 0, 3)
 
 
 @pytest.mark.parametrize("mutation,message", [
