@@ -22,8 +22,7 @@ from fractions import Fraction
 from .errors import AltpolyError, DivergenceError
 
 AJP_FAMILIES = {"ajp", "a", "t"}
-# exponential families: the system's (alpha, beta), None where the flags give them
-EXP_FAMILIES = {"exp": None, "exp-a": (0, 0), "exp-t": (-0.5, -0.5)}
+EXP_FAMILIES = {"exp", "exp-a", "exp-t"}
 
 
 def _fmt(value) -> str:
@@ -81,17 +80,29 @@ def _family_poly(family: str, alpha, beta, n: int, k: int):
 
 
 def _family_values(args, xs):
-    """Float values of the member at the points xs, from the one float
-    evaluator (polycore.jacobi_rows)."""
-    n, k = args.n, args.k
-    if args.family == "ajp":
-        if args.alpha is None or args.beta is None:
-            raise UsageError("--alpha and --beta are required for family ajp")
-        from .polycore import PolyParams, ajp_values
-        return ajp_values(PolyParams(args.alpha, args.beta, n, k), xs)
-    from .marginal import MarginalKind, member_rows
-    kind = MarginalKind.A if args.family == "a" else MarginalKind.T
-    return member_rows(kind, n, xs, k, k)[0]
+    """Float values of the member at the points xs (x = exp(-t) for the
+    exponential families), as a list, from the one float evaluator: row k
+    of polycore.jacobi_rows at a = alpha + 1 for ajp and a = alpha for exp,
+    and of marginal.member_rows for the A and T families, whose exponential
+    forms are exp-a and exp-t."""
+    n, k, family = args.n, args.k, args.family
+    if family not in ("ajp", "exp"):
+        from .marginal import MarginalKind, member_rows
+        kind = MarginalKind.A if family in ("a", "exp-a") else MarginalKind.T
+        return member_rows(kind, n, xs, k, k)[0].tolist()
+    if args.alpha is None or args.beta is None:
+        raise UsageError(f"--alpha and --beta are required for family {family}")
+    # the parameter checks of the member and of the system
+    if family == "ajp":
+        from .polycore import PolyParams
+        a = PolyParams(args.alpha, args.beta, n, k).alpha + 1
+    else:
+        from .exppoly import ExpPolySystem
+        a = ExpPolySystem(args.alpha, args.beta, n).alpha
+    if k > n:       # the zero member that starts the downward recurrence
+        return [0.0] * len(xs)
+    from .polycore import jacobi_rows
+    return jacobi_rows(a, args.beta, n, xs, k, k)[0].tolist()
 
 
 class UsageError(Exception):
@@ -138,21 +149,10 @@ def cmd_tabulate(args) -> str:
             xs = [Fraction(i, args.points - 1) for i in range(args.points)]
             return _csv(["x", "value"], [(x, poly(x)) for x in xs])
         xs = [i / (args.points - 1) for i in range(args.points)]
-        return _csv(["x", "value"], zip(xs, _family_values(args, xs).tolist()))
+        return _csv(["x", "value"], zip(xs, _family_values(args, xs)))
     if args.family in EXP_FAMILIES:
-        from . import exppoly
-        if args.family == "exp" and (args.alpha is None or args.beta is None):
-            raise UsageError("--alpha and --beta are required for family exp")
-        sys_ = exppoly.ExpPolySystem(*(EXP_FAMILIES[args.family] or (args.alpha, args.beta)), n)
         ts = [args.tmax * i / (args.points - 1) for i in range(args.points)]
-        if k > n:
-            return _csv(["t", "value"], [(t, 0.0) for t in ts])
-        xs = [math.exp(-t) for t in ts]
-        values = exppoly.member_values(sys_.alpha, sys_.beta, n, xs, k, k)[0]
-        if args.family == "exp-t":
-            from .marginal import t_scaling
-            values *= float(t_scaling(n, k))
-        return _csv(["t", "value"], zip(ts, values.tolist()))
+        return _csv(["t", "value"], zip(ts, _family_values(args, [math.exp(-t) for t in ts])))
     if args.family == "z":
         if args.omega is None:
             raise UsageError("--omega is required for family z")
@@ -387,24 +387,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_mode(args):
+def _resolve_mode(args, parser):
+    """Set args.mode and parse --alpha, --beta and --omega in it; a value
+    that is no number, divides by zero (1/0) or leaves the float range in
+    float mode is a usage error."""
     mode = getattr(args, "mode", None)
     if mode is None:
         # default: exact wherever parameters permit, except figure/grid data
         mode = "float" if args.command in ("plot-data",) else "exact"
     args.mode = mode
     for name in ("alpha", "beta", "omega"):
-        if getattr(args, name, None) is not None:
-            setattr(args, name, _parse_scalar(getattr(args, name), mode))
+        text = getattr(args, name, None)
+        if text is not None:
+            try:
+                setattr(args, name, _parse_scalar(text, mode))
+            except (ValueError, ArithmeticError):
+                kind = "a finite float" if mode == "float" else "a rational number"
+                parser.error(f"argument --{name}: {text!r} is not {kind}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_rationals(sys.argv[1:] if argv is None else argv))
-    try:
-        _resolve_mode(args)
-    except ValueError as exc:
-        parser.error(str(exc))
+    _resolve_mode(args, parser)
     handlers = {
         "coeffs": cmd_coeffs,
         "tabulate": cmd_tabulate,

@@ -35,9 +35,11 @@ class CoefficientOverflowError(AltpolyError, OverflowError):
 
 
 class ValueRangeError(AltpolyError, OverflowError):
-    """A float member value is not finite: the three-term recurrence of
+    """A float value is not finite: the three-term recurrence of
     P_m^(a,b)(1-2x) left the double range (huge a or b) or was given a
-    point that is not finite."""
+    point that is not finite, or the float Gamma ratio
+    Gamma(a)Gamma(b)/Gamma(c) behind a norm, single integral or Beta moment
+    left it."""
 
 
 class RootFindingError(AltpolyError, RuntimeError):

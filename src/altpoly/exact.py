@@ -7,8 +7,10 @@ Two exact scalar kinds are used throughout the package:
 * :class:`PiRational`, a rational multiple of pi plus a rational, which keeps
   quantities like Beta moments at half-integer exponents exact.
 
-Floats are the fallback whenever the parameters are not rational (or have
-denominators other than 1 or 2 in the gamma-ratio paths).
+gamma2_ratio is the one entry point for Gamma(a)Gamma(b)/Gamma(c), behind
+every norm, single integral and Beta moment. Floats are the fallback
+whenever the arguments are not rational (or have denominators other than 1
+or 2, where the ratio has no exact form here).
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
+
+from .errors import ValueRangeError
+
 
 class ExactnessError(ValueError):
     """The requested value has no exact rational (or pi-rational) form."""
@@ -200,7 +205,20 @@ def exact_gamma2_ratio(a, b, c):
     return PiRational(0, rat)
 
 
-def float_gamma2_ratio(a, b, c) -> float:
-    """Float fallback for Gamma(a)Gamma(b)/Gamma(c), via log-gamma for stability."""
-    a, b, c = float(a), float(b), float(c)
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(c))
+def gamma2_ratio(a, b, c):
+    """Gamma(a) Gamma(b) / Gamma(c): exact_gamma2_ratio, simplified to a
+    Fraction where the pi part is zero, when a, b and c are exact and the
+    ratio has an exact form; otherwise exp(lgamma(a) + lgamma(b) -
+    lgamma(c)) on the arguments, each rounded once to a float.
+    ValueRangeError naming a, b and c when that float leaves the double
+    range."""
+    if is_exact(a) and is_exact(b) and is_exact(c):
+        try:
+            return simplify_scalar(exact_gamma2_ratio(a, b, c))
+        except ExactnessError:
+            pass
+    try:
+        return math.exp(math.lgamma(float(a)) + math.lgamma(float(b)) - math.lgamma(float(c)))
+    except OverflowError:
+        raise ValueRangeError(
+            f"Gamma({a}) Gamma({b}) / Gamma({c}) leaves the double range") from None

@@ -189,13 +189,10 @@ def legendre_type_quadrature(n: int) -> QuadRule:
 
 def semi_axis_rule(n: int) -> QuadRule:
     """Gauss-type rule on the semi-axis: t_s = -ln x_s, v_s = w_s / x_s;
-    integrates exp(-m t) exactly to 1/m for m = 2..2n+1."""
-    unit = legendre_type_quadrature(n)
-    pairs = sorted(
-        ((-math.log(x), w / x) for x, w in zip(unit.nodes, unit.weights)),
-        key=lambda p: p[0],
-    )
-    return QuadRule(tuple(t for t, _ in pairs), tuple(v for _, v in pairs),
+    integrates exp(-m t) exactly to 1/m for m = 2..2n+1. The rows of
+    rule_table reversed: x_s ascends strictly, so t_s descends."""
+    rows = rule_table(n)[::-1]
+    return QuadRule(tuple(r[2] for r in rows), tuple(r[4] for r in rows),
                     SEMI_AXIS, ("semi-axis-exp", n))
 
 

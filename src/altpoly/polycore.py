@@ -14,9 +14,10 @@ and the direct family and the reciprocity route call it with their
 parameters shifted exactly. It and the one exact downward recurrence
 (_downward_recurrence, shared by marginal's A and T recurrences) give
 DensePoly's exact form, integers over one denominator.
-Gamma-function ratios in the norm and integral formulas are evaluated as
-products of rational factors, never through a floating gamma, so exact mode
-stays exact.
+Gamma-function ratios in the norm and integral formulas go through
+exact.gamma2_ratio: for exact parameters a product of rational factors,
+never through a floating gamma, so exact mode stays exact; otherwise its
+one lgamma line.
 
 Every float member value comes from one evaluator, jacobi_rows: the
 three-term recurrence of P_m^(a,b)(1-2x) in x, over a vector of points and a
@@ -46,14 +47,7 @@ from .errors import (
     RecurrenceError,
     ValueRangeError,
 )
-from .exact import (
-    ExactnessError,
-    exact_gamma2_ratio,
-    float_gamma2_ratio,
-    is_exact,
-    over_common_denominator,
-    simplify_scalar,
-)
+from .exact import gamma2_ratio, is_exact, over_common_denominator
 from .poly import DensePoly
 from .quad import beta_moment
 
@@ -134,19 +128,13 @@ def _ajp_coefficients_cached(n: int, k: int, a, b, _exact: bool) -> DensePoly:
 
 def ajp_eval(p: PolyParams, x):
     """Value of the member at x: exact Horner on the exact coefficients when
-    the parameters and x are exact, else a float from ajp_values."""
+    the parameters and x are exact, else a float, row k of jacobi_rows at
+    a = alpha + 1: x^k P_{n-k}^{(alpha+2k+1, beta)}(1-2x)."""
     if p.exact and is_exact(x):
         return ajp_coefficients(p)(x)
-    return float(ajp_values(p, (float(x),))[0])
-
-
-def ajp_values(p: PolyParams, xs):
-    """Float values of the member at the points xs, as a numpy array:
-    x^k P_{n-k}^{(alpha+2k+1, beta)}(1-2x), the one row k of jacobi_rows."""
     if p.is_sentinel:
-        import numpy as np
-        return np.zeros(len(xs))
-    return jacobi_rows(p.alpha + 1, p.beta, p.n, xs, p.k, p.k)[0]
+        return 0.0
+    return float(jacobi_rows(p.alpha + 1, p.beta, p.n, (float(x),), p.k, p.k)[0, 0])
 
 
 def jacobi_rows(a, b, n: int, xs, lo: int = 0, hi: int | None = None):
@@ -343,15 +331,8 @@ def ajp_norm_h(p: PolyParams):
     if not a + 2 * k + 1 > 0:
         raise NonNormalizableError(
             f"member (n={n}, k={k}) is non-normalizable for alpha = {a}")
-    ga, gb, gc = a + n + k + 2, b + n - k + 1, a + b + n + k + 2
-    fact = math.factorial(n - k)
-    if p.exact:
-        try:
-            ratio = exact_gamma2_ratio(ga, gb, gc)
-            return simplify_scalar(ratio / (a + 2 * k + 1) / fact)
-        except ExactnessError:
-            pass
-    return float_gamma2_ratio(ga, gb, gc) / float(a + 2 * k + 1) / fact
+    ratio = gamma2_ratio(a + n + k + 2, b + n - k + 1, a + b + n + k + 2)
+    return ratio / (a + 2 * k + 1) / math.factorial(n - k)
 
 
 def ajp_single_integral(p: PolyParams):
@@ -362,14 +343,8 @@ def ajp_single_integral(p: PolyParams):
     if not a + k + 1 > 0:
         raise DivergenceError(
             f"weighted integral of member (n={n}, k={k}) diverges for alpha = {a}")
-    ga, gb, gc = a + k + 1, b + n - k + 1, a + b + n + 2
     scale = Fraction(math.factorial(n), math.factorial(k) * math.factorial(n - k))
-    if p.exact:
-        try:
-            return simplify_scalar(exact_gamma2_ratio(ga, gb, gc) * scale)
-        except ExactnessError:
-            pass
-    return float_gamma2_ratio(ga, gb, gc) * float(scale)
+    return gamma2_ratio(a + k + 1, b + n - k + 1, a + b + n + 2) * scale
 
 
 def direct_norm_d(alpha, beta, n: int, k: int):
@@ -386,14 +361,8 @@ def direct_norm_d(alpha, beta, n: int, k: int):
         # only at k = n = 0: the closed form is the removable 0 * inf case,
         # and the member is the constant 1
         return beta_moment(a, b)
-    ga, gb, gc = a + k + n + 1, b + k - n + 1, a + b + k + n + 1
-    fact = math.factorial(k - n)
-    if is_exact(a) and is_exact(b):
-        try:
-            return simplify_scalar(exact_gamma2_ratio(ga, gb, gc) / (a + b + 2 * k + 1) / fact)
-        except ExactnessError:
-            pass
-    return float_gamma2_ratio(ga, gb, gc) / float(a + b + 2 * k + 1) / fact
+    ratio = gamma2_ratio(a + k + n + 1, b + k - n + 1, a + b + k + n + 1)
+    return ratio / (a + b + 2 * k + 1) / math.factorial(k - n)
 
 
 def _jacobi_kernel(m: int, a: Fraction, b: Fraction) -> tuple[list[int], int]:

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivergenceError, RootFindingError
-from .exact import (
-    ExactnessError,
-    exact_gamma2_ratio,
-    float_gamma2_ratio,
-    is_exact,
-    over_common_denominator,
-    simplify_scalar,
-)
+from .exact import gamma2_ratio, is_exact, over_common_denominator, simplify_scalar
 from .poly import DensePoly
 
 UNIT_INTERVAL = "unit-interval"
@@ -78,18 +71,11 @@ def beta_moment(a, b):
 
     Exact for rational exponents with denominator 1 or 2 (a rational, or a
     rational multiple of pi when both exponents are half-odd); float
-    otherwise, by exact.float_gamma2_ratio.
+    otherwise. Both by exact.gamma2_ratio.
     """
     if not (a > -1 and b > -1):
         raise DivergenceError(f"beta moment diverges for exponents ({a}, {b})")
-    if is_exact(a) and is_exact(b):
-        try:
-            return simplify_scalar(exact_gamma2_ratio(Fraction(a) + 1, Fraction(b) + 1,
-                                                      Fraction(a) + Fraction(b) + 2))
-        except ExactnessError:
-            pass
-    af, bf = float(a), float(b)
-    return float_gamma2_ratio(af + 1, bf + 1, af + bf + 2)
+    return gamma2_ratio(a + 1, b + 1, a + b + 2)
 
 
 def weighted_inner_product(p: DensePoly, q: DensePoly, alpha, beta):

@@ -295,6 +295,21 @@ def test_bad_limit_and_float_flags_are_usage_errors(args, flag):
     assert f"error: argument {flag}: must" in cp.stderr
 
 
+@pytest.mark.parametrize("args,flag", [
+    (("coeffs", "--alpha", "1/0", "--beta", "0", "--n", "2"), "--alpha"),
+    (("zbuild", "--n", "3", "--omega", "1/0"), "--omega"),
+    (("coeffs", "--alpha", "1e400", "--beta", "0", "--n", "2", "--mode", "float"), "--alpha"),
+    (("tabulate", "--family", "exp", "--alpha", "1", "--beta", "1e999", "--n", "2",
+      "--mode", "float"), "--beta"),
+])
+def test_scalar_flags_that_divide_by_zero_or_overflow_are_usage_errors(args, flag):
+    cp = run_cli(*args)
+    assert cp.returncode == 2, cp.stderr
+    assert cp.stdout == ""
+    assert "Traceback" not in cp.stderr
+    assert f"error: argument {flag}: " in cp.stderr
+
+
 def test_limit_and_float_flag_edges_still_run():
     # --limit 0 is the one candidate 0, which the search reaches and refuses
     cp = run_cli("zbuild", "--n", "3", "--omega", "0", "--limit", "0")
@@ -413,6 +428,9 @@ def test_float_overflow_exit_1_with_typed_error():
     # an exact omega beyond the float range: the second exponent is refused
     pytest.param(("zbuild", "--n", "3", "--omega", "1e400"),
                  "RootFindingError", f"a = 1, b = {10 ** 400}, m = 3", id="zbuild-omega-1e400"),
+    # the float norms' Gamma ratio Gamma(179)Gamma(176)/Gamma(180) for k = 1
+    (("project", "--alpha", "2", "--beta", "1", "--n", "175"),
+     "ValueRangeError", "Gamma(179.0) Gamma(176.0) / Gamma(180.0) leaves the double range"),
 ])
 def test_exponents_too_large_for_floats_exit_1_with_typed_error(args, error, names):
     cp = run_cli(*args)

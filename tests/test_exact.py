@@ -1,14 +1,18 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
+from altpoly import exact
+from altpoly.errors import ValueRangeError
 from altpoly.exact import (
     ExactnessError,
     PiRational,
     double_factorial,
     exact_gamma2_ratio,
     falling_factorial,
+    gamma2_ratio,
     gamma_quotient,
 )
 
@@ -81,6 +85,46 @@ def test_exact_gamma2_ratio_mixed_is_rational():
 def test_exact_gamma2_ratio_rejects_thirds():
     with pytest.raises(ExactnessError):
         exact_gamma2_ratio(Fraction(1, 3), 1, Fraction(4, 3))
+
+
+def lgamma_line(a, b, c):
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(c))
+
+
+@pytest.mark.parametrize("args,want", [
+    ((3, 2, 4), Fraction(1, 3)),
+    ((Fraction(1, 2), Fraction(3, 2), 2), PiRational(0, Fraction(1, 2))),
+    # one half-odd argument: Gamma(1/2)Gamma(1)/Gamma(3/2), no pi part
+    ((Fraction(1, 2), 1, Fraction(3, 2)), Fraction(2)),
+    # thirds have no exact form: the float line on the exact arguments,
+    # each rounded once (16/3 is the correctly rounded float of 16/3)
+    ((Fraction(16, 3), Fraction(7, 3), Fraction(23, 3)), lgamma_line(16 / 3, 7 / 3, 23 / 3)),
+    # floats stay floats, even at values with an exact form
+    ((0.5, 0.5, 1.0), lgamma_line(0.5, 0.5, 1.0)),
+    ((2.75, 1.25, 4.0), lgamma_line(2.75, 1.25, 4.0)),
+], ids=["whole", "half-odd-pair", "half-and-whole", "thirds", "float-halves", "floats"])
+def test_gamma2_ratio_exact_form_or_the_float_line(args, want):
+    got = gamma2_ratio(*args)
+    assert got == want and type(got) is type(want)
+
+
+def test_gamma2_ratio_simplifies_a_zero_pi_part(monkeypatch):
+    # called through the module global, the name perfbench's tracer patches
+    monkeypatch.setattr(exact, "exact_gamma2_ratio", lambda a, b, c: PiRational(3, 0))
+    got = gamma2_ratio(1, 2, 3)
+    assert got == 3 and type(got) is Fraction
+
+
+@pytest.mark.parametrize("args,names", [
+    ((179.0, 176.0, 180.0), "Gamma(179.0) Gamma(176.0) / Gamma(180.0)"),
+    # an exact argument without exact form that does not fit a float
+    ((Fraction(3 * 10 ** 400 + 1, 3), 1, Fraction(3 * 10 ** 400 + 4, 3)),
+     f"Gamma({3 * 10 ** 400 + 1}/3) Gamma(1)"),
+])
+def test_gamma2_ratio_outside_the_double_range_is_a_typed_refusal(args, names):
+    with pytest.raises(ValueRangeError, match=re.escape(names)) as info:
+        gamma2_ratio(*args)
+    assert isinstance(info.value, OverflowError)
 
 
 def test_pi_rational_arithmetic():

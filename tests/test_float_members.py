@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from altpoly import cli, exppoly, verify
+from altpoly import cli, exppoly, marginal, polycore, verify
 from altpoly.errors import RecurrenceError, ValueRangeError
 from altpoly.exppoly import ExpPolySystem, e_eval, ea_eval, et_eval
 from altpoly.marginal import MarginalKind, a_coefficients, plot_table, t_coefficients
@@ -194,14 +194,16 @@ def test_no_exponential_or_z_value_reaches_horner(monkeypatch, capsys):
 
 
 def kernel_calls(monkeypatch):
-    """The point counts of the jacobi_rows calls that member_values makes."""
-    calls, kernel = [], exppoly.jacobi_rows
+    """The point counts of the jacobi_rows calls made through polycore,
+    marginal.member_rows and exppoly.member_values."""
+    calls, kernel = [], polycore.jacobi_rows
 
     def counted(a, b, n, xs, *rows):
         calls.append(len(xs))
         return kernel(a, b, n, xs, *rows)
 
-    monkeypatch.setattr(exppoly, "jacobi_rows", counted)
+    for module in (polycore, marginal, exppoly):
+        monkeypatch.setattr(module, "jacobi_rows", counted)
     return calls
 
 
