@@ -39,7 +39,7 @@ class ValueRangeError(AltpolyError, OverflowError):
     P_m^(a,b)(1-2x) left the double range (huge a or b) or was given a
     point that is not finite, or the float Gamma ratio
     Gamma(a)Gamma(b)/Gamma(c) behind a norm, single integral or Beta moment
-    left it."""
+    left it, or the binomial that scales a float single integral did."""
 
 
 class RootFindingError(AltpolyError, RuntimeError):

@@ -47,7 +47,7 @@ from .errors import (
     RecurrenceError,
     ValueRangeError,
 )
-from .exact import gamma2_ratio, is_exact, over_common_denominator
+from .exact import at_binary_values, gamma2_ratio, is_exact, over_common_denominator
 from .poly import DensePoly
 from .quad import beta_moment
 
@@ -338,13 +338,22 @@ def ajp_norm_h(p: PolyParams):
 def ajp_single_integral(p: PolyParams):
     """Integral of the weighted member over [0,1]:
     Gamma(alpha+k+1)/k! * Gamma(beta+n-k+1)/(n-k)! * n!/Gamma(alpha+beta+n+2).
+
+    ValueRangeError naming n, k, alpha and beta when a float Gamma ratio
+    meets a binomial C(n, k) that leaves the double range (from n ~ 1030).
     """
     n, k, a, b = p.n, p.k, p.alpha, p.beta
     if not a + k + 1 > 0:
         raise DivergenceError(
             f"weighted integral of member (n={n}, k={k}) diverges for alpha = {a}")
     scale = Fraction(math.factorial(n), math.factorial(k) * math.factorial(n - k))
-    return gamma2_ratio(a + k + 1, b + n - k + 1, a + b + n + 2) * scale
+    ratio = gamma2_ratio(a + k + 1, b + n - k + 1, a + b + n + 2)
+    try:
+        return ratio * scale
+    except OverflowError:
+        raise ValueRangeError(
+            f"weighted integral of member (n={n}, k={k}) for alpha = {a}, beta = {b}: "
+            f"the binomial C({n}, {k}) leaves the double range") from None
 
 
 def direct_norm_d(alpha, beta, n: int, k: int):
@@ -490,15 +499,6 @@ def ajp_derivative(p: PolyParams) -> DensePoly:
     return ajp_coefficients(p).derivative()
 
 
-def _at_binary_values(p: PolyParams) -> PolyParams:
-    """p with float parameters replaced by their exact binary values.
-
-    The residuals below are exact at any parameters: in float coefficients
-    they are cancellation noise (|ode residual| 8e8 at (0.5, 0.5), n = 30,
-    for members below 200)."""
-    return p if p.exact else PolyParams(Fraction(p.alpha), Fraction(p.beta), p.n, p.k)
-
-
 def diff_formula_residual(p: PolyParams) -> DensePoly:
     """Residual of the lowering differentiation formula (k < n):
     dP/dx - k/x P + (alpha+beta+n+k+2) * P_{n-1,k}^{(alpha+1,beta+1)}.
@@ -507,7 +507,7 @@ def diff_formula_residual(p: PolyParams) -> DensePoly:
     legal because the lowest power of the member is exactly k. Exact, at the
     binary values of float parameters.
     """
-    p = _at_binary_values(p)
+    p = p if p.exact else PolyParams(*at_binary_values(p.alpha, p.beta), p.n, p.k)
     n, k, a, b = p.n, p.k, p.alpha, p.beta
     if k >= n:
         raise ValueError("differentiation formula applies for k < n")
@@ -529,7 +529,7 @@ def dd_raising_residual(p: PolyParams) -> DensePoly:
 
     Exact, at the binary values of float parameters.
     """
-    p = _at_binary_values(p)
+    p = p if p.exact else PolyParams(*at_binary_values(p.alpha, p.beta), p.n, p.k)
     n, k, a, b = p.n, p.k, p.alpha, p.beta
     member = ajp_coefficients(p)
     x_one_minus_x = DensePoly((0, 1, -1))
@@ -551,7 +551,7 @@ def dd_lowering_residual(p: PolyParams) -> DensePoly:
 
     Exact, at the binary values of float parameters.
     """
-    p = _at_binary_values(p)
+    p = p if p.exact else PolyParams(*at_binary_values(p.alpha, p.beta), p.n, p.k)
     n, k, a, b = p.n, p.k, p.alpha, p.beta
     if k < 1:
         raise ValueError("lowering relation applies for k >= 1")
@@ -581,7 +581,7 @@ def ode_apply(alpha, beta, n: int, k: int, y: DensePoly) -> DensePoly:
 def ode_residual_poly(p: PolyParams) -> DensePoly:
     """The differential operator applied to the member: exact, at the binary
     values of float parameters, and the zero polynomial."""
-    p = _at_binary_values(p)
+    p = p if p.exact else PolyParams(*at_binary_values(p.alpha, p.beta), p.n, p.k)
     return ode_apply(p.alpha, p.beta, p.n, p.k, ajp_coefficients(p))
 
 

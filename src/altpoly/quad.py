@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivergenceError, RootFindingError
-from .exact import gamma2_ratio, is_exact, over_common_denominator, simplify_scalar
+from .exact import (at_binary_values, gamma2_ratio, is_exact, over_common_denominator,
+                    simplify_scalar)
 from .poly import DensePoly
 
 UNIT_INTERVAL = "unit-interval"
@@ -92,8 +93,10 @@ def weighted_inner_product(p: DensePoly, q: DensePoly, alpha, beta):
     PiRational, when every input is rational and the seed is exact
     (exponent denominators 1 and 2); otherwise it is rounded once to a float.
     """
-    rational = p.mode == q.mode == "exact" and is_exact(alpha) and is_exact(beta)
-    prod = _at_binary_values(p) * _at_binary_values(q)
+    exact_polys = p.mode == q.mode == "exact"
+    rational = exact_polys and is_exact(alpha) and is_exact(beta)
+    prod = p * q if exact_polys else \
+        DensePoly(at_binary_values(*p.coeffs)) * DensePoly(at_binary_values(*q.coeffs))
     if prod.is_zero:
         return Fraction(0) if rational else 0.0
     c, low = prod.numerators, prod.lowest_power
@@ -114,11 +117,6 @@ def weighted_inner_product(p: DensePoly, q: DensePoly, alpha, beta):
     if rational and is_exact(seed):
         return simplify_scalar(seed * total)
     return float((seed if is_exact(seed) else Fraction(seed)) * total)
-
-
-def _at_binary_values(p: DensePoly) -> DensePoly:
-    """p, a float polynomial as the exact one at its coefficients' binary values."""
-    return p if p.mode == "exact" else DensePoly([Fraction(c) for c in p.coeffs])
 
 
 def check_jacobi_weight(m: int, a, b) -> tuple[float, float]:

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from altpoly import verify
-from altpoly.errors import DivergenceError, NonNormalizableError
+from altpoly.errors import DivergenceError, NonNormalizableError, ValueRangeError
+from altpoly.exact import PiRational
 from altpoly.poly import DensePoly
 from altpoly.polycore import (
     PolyParams,
@@ -164,6 +165,19 @@ def test_norm_h_marginal_gate():
 def test_norm_h_float_parameters():
     got = ajp_norm_h(PolyParams(0.0, 0.0, 1, 1))
     assert got == pytest.approx(1 / 3)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (F(1, 3), F(1, 3))])
+def test_single_integral_whose_binomial_leaves_floats_is_a_typed_error(alpha, beta):
+    assert ajp_single_integral(PolyParams(alpha, beta, 1020, 510)) > 0
+    with pytest.raises(ValueRangeError, match=r"n=1100, k=550.*alpha = .*beta = "):
+        ajp_single_integral(PolyParams(alpha, beta, 1100, 550))
+
+
+def test_single_integral_at_half_exponents_stays_exact_past_the_float_binomial():
+    value = ajp_single_integral(PolyParams(F(1, 2), F(1, 2), 1100, 550))
+    assert isinstance(value, PiRational)
+    assert 0 < float(value) < 1
 
 
 def test_single_integral_examples():

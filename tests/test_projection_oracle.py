@@ -6,7 +6,9 @@ oracle is the exact member polynomial (integer kernel, Fraction coefficients)
 evaluated at the same dyadic points, which floats represent exactly. For
 exp(-r t) with 1 <= r <= n the target x**r lies in the span, so the exact
 projection coefficients are the exact inner products over the exact norms and
-the true projection error is 0.
+the true projection error is 0. At a non-dyadic float pair, whose norms have
+no exact form, the oracle is the exact expansion of x**r in the members at
+the pair's binary values.
 """
 
 import math
@@ -15,6 +17,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from altpoly import exppoly
 from altpoly.exact import PiRational
 from altpoly.exppoly import ExpPolySystem, e_norm, member_values, project
 from altpoly.poly import DensePoly
@@ -110,16 +113,93 @@ def exact_projection(alpha, beta, n: int, r: int) -> list:
             for k in range(1, n + 1)]
 
 
-@pytest.mark.parametrize("alpha,beta", [(F(1, 2), F(3, 2)), (F(3, 2), F(1, 2)),
-                                        (F(5, 2), F(0)), (F(-1, 2), F(0))])
-@pytest.mark.parametrize("n", [11, 20, 30])
-def test_project_in_span_target_matches_exact_projection(alpha, beta, n):
+def exact_expansion(alpha, beta, n: int, r: int) -> list:
+    """Exact coefficients of x**r in the system, k = 1..n, by forward
+    substitution: member k spans x**k..x**n, so the x**j coefficient of
+    sum_k c_k member_k involves c_1..c_j only. No norm and no Gamma ratio
+    enters, so the oracle is exact at any rational (alpha, beta)."""
+    system = ExpPolySystem(alpha, beta, n)
+    rows = [system.member_poly(k).coeffs for k in range(1, n + 1)]
+    c = []
+    for j in range(1, n + 1):
+        rest = sum(c[k - 1] * rows[k - 1][j] for k in range(1, j))
+        c.append(((1 if j == r else 0) - rest) / rows[j - 1][j])
+    return c
+
+
+def test_the_two_exact_oracles_agree():
+    for r in (1, 4, 7):
+        assert exact_expansion(F(3, 2), F(1, 2), 7, r) == exact_projection(F(3, 2), F(1, 2), 7, r)
+
+
+def assert_in_span_projections_exact(alpha, beta, n, want):
     for r in sorted({1, n // 2, n}):
         result = project(lambda t: math.exp(-r * t), ExpPolySystem(alpha, beta, n))
         assert result.error < 1e-12, r
-        want = exact_projection(alpha, beta, n, r)
         assert len(result.coeffs) == n
-        assert max(abs(c - float(w)) for c, w in zip(result.coeffs, want)) < 1e-12, r
+        assert max(abs(c - float(w)) for c, w in zip(result.coeffs, want(r))) < 1e-12, r
+
+
+@pytest.mark.parametrize("alpha,beta", [(F(1, 2), F(3, 2)), (F(3, 2), F(1, 2)),
+                                        (F(5, 2), F(0)), (F(-1, 2), F(0))])
+@pytest.mark.parametrize("n", [11, 20, 30, 40])
+def test_project_in_span_target_matches_exact_projection(alpha, beta, n):
+    assert_in_span_projections_exact(alpha, beta, n,
+                                      lambda r: exact_projection(alpha, beta, n, r))
+
+
+@pytest.mark.parametrize("n", [11, 20, 30, 40])
+def test_project_at_non_dyadic_floats_matches_exact_projection_at_binary_values(n):
+    alpha, beta = 1.234, 0.567
+    assert_in_span_projections_exact(alpha, beta, n,
+                                     lambda r: exact_expansion(F(alpha), F(beta), n, r))
+
+
+def counted_rule_and_member_calls(monkeypatch):
+    """The node counts of the gauss_jacobi_rule and member_values calls
+    that project makes."""
+    calls = {"rules": [], "members": []}
+    rule, members = exppoly.gauss_jacobi_rule, exppoly.member_values
+
+    def counted_rule(m, a, b):
+        calls["rules"].append(m)
+        return rule(m, a, b)
+
+    def counted_members(a, b, n, xs):
+        calls["members"].append(len(xs))
+        return members(a, b, n, xs)
+
+    monkeypatch.setattr(exppoly, "gauss_jacobi_rule", counted_rule)
+    monkeypatch.setattr(exppoly, "member_values", counted_members)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 5, 30])
+def test_default_projection_solves_one_rule_and_makes_one_member_pass(monkeypatch, n):
+    calls = counted_rule_and_member_calls(monkeypatch)
+    project(lambda t: math.exp(-t), ExpPolySystem(1.234, 0.567, n))
+    m = max(4 * n + 16, 48)
+    assert calls == {"rules": [m], "members": [m]}
+
+
+def test_given_rule_gives_its_own_coefficients_and_a_second_rule_for_the_error(monkeypatch):
+    alpha, beta, n = 1.234, 0.567, 6
+    system = ExpPolySystem(alpha, beta, n)
+
+    def f(t):
+        return t * math.exp(-t)
+
+    rule = gauss_jacobi_rule(9, alpha, beta)
+    calls = counted_rule_and_member_calls(monkeypatch)
+    got = project(f, system, rule=rule)
+    # the caller solved the given rule; project solves the error rule only
+    assert calls == {"rules": [48], "members": [9, 48]}
+    # the coefficients are the rule's sums, bit for bit
+    x = np.array(rule.nodes)
+    fx = np.array([f(-math.log(v)) for v in rule.nodes])
+    norms = np.array([e_norm(ExpPolySystem(alpha, beta, n), k) for k in range(1, n + 1)])
+    want = exppoly.member_values(alpha, beta, n, x) @ (np.array(rule.weights) / x * fx) / norms
+    assert got.coeffs == tuple(want.tolist())
 
 
 def test_project_uses_the_given_rule():
