@@ -221,7 +221,7 @@ def cmd_zbuild(args) -> str:
         spec = zfun.z_build_real(args.n, args.omega)
     elif args.candidates == "rational":
         spec = zfun.z_build(args.n, args.omega,
-                            zfun.rational_candidates(args.limit, 4))
+                            zfun.rational_candidates(args.limit))
     else:
         spec = zfun.z_build(args.n, args.omega, zfun.whole_candidates(args.limit))
     if args.format == "csv":
@@ -323,25 +323,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "counterparts on the semi-axis, quadratures, and Z systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, family=True, params=True, kflag=True):
-        if family:
-            p.add_argument("--family", default="ajp",
-                           choices=["ajp", "a", "t", "exp", "exp-a", "exp-t", "z"])
-        if params:
-            p.add_argument("--alpha", default=None)
-            p.add_argument("--beta", default=None)
+    def common(p, *, kflag=True, fmt=True):
+        p.add_argument("--family", default="ajp",
+                       choices=["ajp", "a", "t", "exp", "exp-a", "exp-t", "z"])
+        p.add_argument("--alpha", default=None)
+        p.add_argument("--beta", default=None)
         p.add_argument("--n", type=int, required=True)
         if kflag:
             p.add_argument("--k", type=int, default=0)
         p.add_argument("--mode", choices=["exact", "float"], default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        if fmt:
+            p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("coeffs", help="polynomial coefficients")
     common(p)
 
     p = sub.add_parser("tabulate", help="sample a family member on a grid")
-    common(p)
+    common(p, fmt=False)
     p.add_argument("--points", type=_sample_count, default=129)
     p.add_argument("--tmax", type=_time_span, default=5.0)
     p.add_argument("--omega", default=None)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import CoefficientOverflowError, DivergenceError, RootFindingError
 from .exact import is_exact
-from .marginal import a_coefficients, t_scaling
+from .marginal import MarginalKind, a_coefficients, member_rows
 from .poly import DensePoly
 from .polycore import (
     PolyParams,
@@ -211,8 +211,13 @@ def ea_eval(n: int, k: int, t) -> float:
 
 
 def et_eval(n: int, k: int, t) -> float:
-    """T-kind exponential member: t_scaling(n, k) times the (-1/2, -1/2) one."""
-    return float(t_scaling(n, k)) * e_eval(ExpPolySystem(-0.5, -0.5, n), k, t)
+    """T-kind exponential member: row k of marginal.member_rows for the T
+    family at x = exp(-t) for k = 0..n; other k go to e_eval, which returns
+    zero for k = n + 1 and refuses the rest."""
+    sys = ExpPolySystem(-0.5, -0.5, n)
+    if not 0 <= k <= n:
+        return e_eval(sys, k, t)
+    return float(member_rows(MarginalKind.T, n, (math.exp(-float(t)),), k, k)[0, 0])
 
 
 def ea_derivative_relation_residual(n: int, k: int, t) -> float:
@@ -244,7 +249,7 @@ class ProjectionResult:
     error: float
 
 
-def project(f, sys: ExpPolySystem, rule: QuadRule | None = None) -> ProjectionResult:
+def project(f, sys: ExpPolySystem) -> ProjectionResult:
     """Least-squares coefficients of f in the system, under the system weight:
     c_k = <f, member_k> / norm_k for k = 1..n, plus the weighted L2
     reconstruction error.
@@ -254,35 +259,28 @@ def project(f, sys: ExpPolySystem, rule: QuadRule | None = None) -> ProjectionRe
     (alpha, beta) Gauss rule on the unit interval handles them with
     f(-ln x) as the only non-polynomial factor. Members come from
     member_values and norms from the e_norm closed form on float parameters;
-    the error is the weighted sum of squared residuals. By default one
-    (alpha, beta) rule of max(4n + 16, 48) nodes serves both: one
-    Golub-Welsch solve, one member_values pass and one pass of f over its
-    nodes. A given rule supplies the coefficients, and the error then comes
-    from an (alpha, beta) rule of max(2 * len(rule), 48) nodes. For
-    exp(-r t), r = 1..n, which lies in the span, coefficients and error
-    agree with the exact projection to 1e-12 up to n = 40.
+    the error is the weighted sum of squared residuals. One (alpha, beta)
+    rule of max(4n + 16, 48) nodes serves both: one Golub-Welsch solve, one
+    member_values pass and one pass of f over its nodes. For exp(-r t),
+    r = 1..n, which lies in the span, coefficients and error agree with the
+    exact projection to 1e-12 up to n = 40. f(-ln x) must be smooth at
+    x = 0, or the sum converges slowly in the node count and nothing reports
+    it: an exp target at a rate that is not a whole number, or any t times
+    exp(-r t), loses digits (alpha = 1, beta = 0, n = 3, exp(0.25 t) is off
+    by 6.4e-6).
     """
     import numpy as np
 
     n = sys.n
     af, bf = float(sys.alpha), float(sys.beta)
-    if rule is not None and rule.domain != UNIT_INTERVAL:
-        raise ValueError("rule is not on the unit interval")
     float_sys = ExpPolySystem(af, bf, n)
     norms = np.array([e_norm(float_sys, k) for k in range(1, n + 1)])
-    coeff_nodes = 2 * n + 8 if rule is None else len(rule.nodes)
-    error_rule = gauss_jacobi_rule(max(2 * coeff_nodes, 48), af, bf)
-    rule = error_rule if rule is None else rule
-
-    def sample(q: QuadRule):
-        """Weights over x (the x**(alpha-1) weight), f and the members at the nodes."""
-        x = np.array(q.nodes)
-        fx = np.array([float(f(-math.log(v))) for v in q.nodes])
-        return np.array(q.weights) / x, fx, member_values(af, bf, n, x)
-
-    w, fx, members = sample(rule)
+    rule = gauss_jacobi_rule(max(4 * n + 16, 48), af, bf)
+    # the weights over x (the x**(alpha-1) weight), f and the members at the nodes
+    x = np.array(rule.nodes)
+    fx = np.array([float(f(-math.log(v))) for v in rule.nodes])
+    w = np.array(rule.weights) / x
+    members = member_values(af, bf, n, x)
     coeffs = members @ (w * fx) / norms
-    if rule is not error_rule:
-        w, fx, members = sample(error_rule)
     err2 = float(w @ (fx - coeffs @ members) ** 2)
     return ProjectionResult(tuple(float(c) for c in coeffs), math.sqrt(max(err2, 0.0)))

@@ -49,7 +49,6 @@ from .errors import (
 )
 from .exact import at_binary_values, gamma2_ratio, is_exact, over_common_denominator
 from .poly import DensePoly
-from .quad import beta_moment
 
 
 def _param(v):
@@ -249,8 +248,8 @@ def _value_range_error(m: int, a, b) -> ValueRangeError:
                            f"for a = {a}, b = {b}, m = {m}")
 
 
-def ajp_recurrence(alpha, beta, n: int, up_to_k: int = 0) -> list[DensePoly]:
-    """Members for k = n down to up_to_k (descending order).
+def ajp_recurrence(alpha, beta, n: int) -> list[DensePoly]:
+    """Members for k = n down to 0 (descending order).
 
     Exact parameters run the downward three-term recurrence from x^n and the
     k = n - 1 member, on the integer kernel _downward_recurrence with the
@@ -262,15 +261,15 @@ def ajp_recurrence(alpha, beta, n: int, up_to_k: int = 0) -> list[DensePoly]:
     that leaves the double range.
     """
     a, b = _param(alpha), _param(beta)
-    if n < 0 or not 0 <= up_to_k <= n:
-        raise ValueError("need 0 <= up_to_k <= n")
+    if n < 0:
+        raise ValueError("need n >= 0")
     if not (is_exact(a) and is_exact(b)):
-        # built from k = up_to_k up, so an overflow names the lowest member
-        return [_ajp_coefficients_cached(n, k, a, b, False) for k in range(up_to_k, n + 1)][::-1]
+        # built from k = 0 up, so an overflow names the lowest member
+        return [_ajp_coefficients_cached(n, k, a, b, False) for k in range(n + 1)][::-1]
     (big_a, big_b), d = over_common_denominator((a, b))
     first = [0] * (n - 1) + [big_a + 2 * n * d, -(big_a + big_b + (2 * n + 1) * d)]
     return _downward_recurrence(
-        n, (first, d), lambda k: _recurrence_factors(big_a, big_b, d, n, k), up_to_k)
+        n, (first, d), lambda k: _recurrence_factors(big_a, big_b, d, n, k))
 
 
 def _recurrence_factors(big_a, big_b, d, n: int, k: int):
@@ -289,9 +288,8 @@ def _recurrence_factors(big_a, big_b, d, n: int, k: int):
             d * (n - k + 1) * (big_a + (n + k + 1) * d) * (a2k1 + d))
 
 
-def _downward_recurrence(n: int, first, factors, up_to_k: int = 0,
-                         label: str = "member") -> list[DensePoly]:
-    """Exact members k = n down to up_to_k (descending) of a downward
+def _downward_recurrence(n: int, first, factors, label: str = "member") -> list[DensePoly]:
+    """Exact members k = n down to 0 (descending) of a downward
     three-term recurrence that starts from x^n.
 
     first = (vec, den) is the k = n - 1 member as an int vector of length
@@ -303,9 +301,9 @@ def _downward_recurrence(n: int, first, factors, up_to_k: int = 0,
     RecurrenceError when a member about to be divided by x has a nonzero
     constant term, or a step's den is zero."""
     members = [DensePoly([0] * n + [1], 1)]
-    if up_to_k < n:
+    if n:
         members.append(DensePoly(*first))
-    for k in range(n - 1, up_to_k, -1):
+    for k in range(n - 1, 0, -1):
         (cur, q1), (prev, q2) = ((p.numerators, p.denominator) for p in members[-1:-3:-1])
         if any(cur[:1]):
             raise RecurrenceError(
@@ -368,8 +366,9 @@ def direct_norm_d(alpha, beta, n: int, k: int):
         raise DivergenceError("direct norms need alpha > -1 and beta > -1")
     if a + b + 2 * k + 1 == 0:
         # only at k = n = 0: the closed form is the removable 0 * inf case,
-        # and the member is the constant 1
-        return beta_moment(a, b)
+        # and the member is the constant 1, whose squared norm is the Beta
+        # moment Gamma(a+1) Gamma(b+1) / Gamma(a+b+2)
+        return gamma2_ratio(a + 1, b + 1, a + b + 2)
     ratio = gamma2_ratio(a + k + n + 1, b + k - n + 1, a + b + k + n + 1)
     return ratio / (a + b + 2 * k + 1) / math.factorial(k - n)
 

@@ -60,10 +60,10 @@ def whole_candidates(limit: int = 64) -> tuple:
     return tuple(Fraction(i) for i in range(limit + 1))
 
 
-def rational_candidates(limit: int = 64, max_den: int = 4) -> tuple:
-    """Rational candidates in [0, limit] with denominators up to max_den."""
+def rational_candidates(limit: int = 64) -> tuple:
+    """Rational candidates in [0, limit] with denominators up to 4."""
     vals = {Fraction(i) for i in range(limit + 1)}
-    for den in range(2, max_den + 1):
+    for den in range(2, 5):
         for num in range(0, limit * den + 1):
             vals.add(Fraction(num, den))
     return tuple(sorted(vals))
@@ -174,25 +174,22 @@ def z_search(n: int, omega, candidates) -> tuple:
     return alpha, zeros.max_lambda()
 
 
-def z_search_real(n: int, omega, alpha_hi: float = 64.0, tol: float = 1e-12) -> tuple:
+def z_search_real(n: int, omega) -> tuple:
     """Real-valued boundary search: bisect for the exponent where the largest
     zero equals 1, which attains equality in the gamma <= 1 requirement.
+    The bracket runs from just above the smallest integrable exponent (-1,
+    or -1/omega for omega > 1) to 64 (or just below -1/omega for omega < 0),
+    and the search stops once it is narrower than 1e-12.
     Each step reads the largest zero from the stacked solve of z_search on
     one pair, with the checks that need no member; z_build_real runs the
     residual guard once, on the result."""
     om = float(omega)
-    lo = -1.0 if om >= 0 else None
-    if om > 1:
-        lo = max(-1.0, -1.0 / om)
-    elif om < 0:
-        lo = -1.0
-        alpha_hi = min(alpha_hi, -1.0 / om * (1 - 1e-9))
-    lo = lo + 1e-9
+    lo = (-1.0 / om if om > 1 else -1.0) + 1e-9
+    hi = min(64.0, -1.0 / om * (1 - 1e-9)) if om < 0 else 64.0
 
     def lam(a):
         return _largest_zeros(n, [a], om)[1][0]
 
-    hi = float(alpha_hi)
     if lam(hi) > 1:
         raise FeasibilityError("largest zero exceeds 1 over the whole search range")
     flo = lam(lo)
@@ -205,7 +202,7 @@ def z_search_real(n: int, omega, alpha_hi: float = 64.0, tol: float = 1e-12) -> 
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
+        if hi - lo < 1e-12:
             break
     return (hi, lam(hi))
 
@@ -300,9 +297,9 @@ def z_build(n: int, omega, candidates) -> ZSystemSpec:
     return _assemble(n, omega, alpha_n, zeros, GAMMA_UNSCALED_TOL)
 
 
-def z_build_real(n: int, omega, **kwargs) -> ZSystemSpec:
+def z_build_real(n: int, omega) -> ZSystemSpec:
     """Same as z_build but with the real-valued boundary search."""
-    alpha_n, _ = z_search_real(n, omega, **kwargs)
+    alpha_n, _ = z_search_real(n, omega)
     alpha_n, omega = float(alpha_n), float(omega)
     return _assemble(n, omega, alpha_n, e_zeros(alpha_n, alpha_n * omega, n), 1e-9)
 
@@ -315,10 +312,11 @@ class CollocationResult:
     cond: float
 
 
-def z_collocation_fit(f, spec: ZSystemSpec, grid_points: int = 257) -> CollocationResult:
+def z_collocation_fit(f, spec: ZSystemSpec) -> CollocationResult:
     """Interpolate f on [0,1] in the basis {1, members}: collocate at t = 0
     plus the zeros of the associated function, solve the square system, and
-    report the node residual and the max error on a uniform grid."""
+    report the node residual and the max error on a uniform grid of 257
+    points."""
     import numpy as np
 
     nodes = spec.collocation_nodes()
@@ -330,7 +328,7 @@ def z_collocation_fit(f, spec: ZSystemSpec, grid_points: int = 257) -> Collocati
                                cond=cond)
     coeffs = np.linalg.solve(matrix, rhs)
     node_residual = float(np.max(np.abs(matrix @ coeffs - rhs)))
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, 257)
     approx = sum(c * col for c, col in zip(coeffs, spec.member_matrix(grid).T))
     errs = [abs(float(f(t)) - a) for t, a in zip(grid, approx)]
     return CollocationResult(tuple(float(c) for c in coeffs), node_residual,

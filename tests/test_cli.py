@@ -189,13 +189,13 @@ def test_cli_import_leaves_numpy_out():
 
 
 def _imported_modules(args):
-    """Exit code of a cold ``altpoly`` run and the set of modules it imported."""
+    """A cold ``altpoly`` run and the set of modules it imported."""
     # -X importtime lists every module the run imported on stderr
     cp = subprocess.run([sys.executable, "-X", "importtime", "-m", "altpoly", *args],
                         capture_output=True, text=True)
     imported = {line.rsplit("|", 1)[-1].strip() for line in cp.stderr.splitlines()
                 if line.startswith("import time:")}
-    return cp.returncode, imported
+    return cp, imported
 
 
 @pytest.mark.parametrize("args,code", [
@@ -207,8 +207,8 @@ def _imported_modules(args):
     (("coeffs", "--family", "ajp", "--n", "2", "--k", "9"), 2),
 ])
 def test_exact_commands_leave_numpy_out(args, code):
-    returncode, imported = _imported_modules(args)
-    assert returncode == code
+    cp, imported = _imported_modules(args)
+    assert cp.returncode == code
     assert "altpoly.cli" in imported
     assert "numpy" not in imported
 
@@ -231,10 +231,15 @@ def test_cli_import_loads_no_library_module():
     ("nope",),
     ("coeffs", "--family", "exp", "--n", "2"),
     ("zeros", "--family", "ajp", "--alpha", "1", "--beta", "0", "--n", "2"),
+    # tabulate writes CSV only, so it has no --format
+    ("tabulate", "--family", "ajp", "--alpha", "0", "--beta", "0", "--n", "2",
+     "--format", "json"),
 ])
 def test_usage_error_imports_only_cli_and_errors(args):
-    returncode, imported = _imported_modules(args)
-    assert returncode == 2
+    cp, imported = _imported_modules(args)
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert "Traceback" not in cp.stderr
     package = {name for name in imported if name.split(".")[0] == "altpoly"}
     assert "altpoly.cli" in package
     assert package <= {"altpoly", "altpoly.__main__", "altpoly.cli", "altpoly.errors"}
@@ -242,9 +247,9 @@ def test_usage_error_imports_only_cli_and_errors(args):
 
 @pytest.mark.parametrize("family", ["ajp", "a", "t"])
 def test_coeffs_imports_no_exp_zfun_or_verify(family):
-    returncode, imported = _imported_modules(
+    cp, imported = _imported_modules(
         ("coeffs", "--family", family, "--alpha", "1/2", "--beta", "0", "--n", "4", "--k", "1"))
-    assert returncode == 0
+    assert cp.returncode == 0
     assert "altpoly.polycore" in imported
     assert not {"altpoly.exppoly", "altpoly.zfun", "altpoly.verify"} & imported
 
@@ -404,8 +409,8 @@ def test_verify_that_runs_nothing_is_usage_error():
 
 
 def test_negative_nmax_is_refused_before_verify_is_imported():
-    returncode, imported = _imported_modules(("verify", "--suite", "quad", "--nmax", "-3"))
-    assert returncode == 2
+    cp, imported = _imported_modules(("verify", "--suite", "quad", "--nmax", "-3"))
+    assert cp.returncode == 2
     assert "altpoly.cli" in imported and "altpoly.verify" not in imported
 
 

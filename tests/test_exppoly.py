@@ -239,6 +239,18 @@ def test_ea_et_eval():
     assert et_eval(1, 0, math.log(2)) == pytest.approx(0, abs=1e-15)
 
 
+def test_ea_et_eval_index_range():
+    # k = n + 1 is the zero member that starts the downward recurrence, as
+    # for e_eval; any other k outside 0..n is refused by name
+    for ev in (ea_eval, et_eval):
+        assert ev(3, 4, 0.5) == 0.0
+        for k in (5, -1):
+            with pytest.raises(ValueError, match=f"k = {k} outside 0..n\\+1"):
+                ev(3, k, 0.5)
+        with pytest.raises(ValueError, match="n >= 1"):
+            ev(0, 0, 0.5)
+
+
 def test_ea_derivative_relation():
     assert not verify.run_rows({"exp-derivative-relation": 6})["failures"]
 

@@ -186,7 +186,7 @@ def test_no_exponential_or_z_value_reaches_horner(monkeypatch, capsys):
     for k in range(8):
         assert isinstance(e_eval(system, k, 0.4), float)
     assert z_build(8, F(1, 4), whole_candidates(64)).alpha_n == 22
-    assert z_build(5, 1, rational_candidates(64, 4)).alpha_n == F(161, 3)
+    assert z_build(5, 1, rational_candidates(64)).alpha_n == F(161, 3)
     for args in (("--family", "exp", "--alpha", "5/2", "--beta", "1/2", "--k", 0),
                  ("--family", "exp-t", "--k", 2), ("--family", "z", "--omega", "1/2")):
         code, out, err = run_main(capsys, "tabulate", *args, "--n", 4, "--points", 9)

@@ -1,8 +1,10 @@
 """The package's public names: each resolves on first use from its submodule."""
 
+import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +63,42 @@ def test_bare_import_loads_no_submodule_and_resolves_them_on_use():
             "assert 'numpy' not in sys.modules\n")
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["coeffs", "--family", "ajp", "--alpha", "-1/2", "--beta", "-1/2", "--n", "4", "--k", "1"],
+    ["tabulate", "--family", "t", "--n", "3", "--k", "1", "--points", "5", "--mode", "exact"],
+    ["plot-data", "--family", "a", "--n", "3", "--points", "5", "--mode", "exact"],
+])
+def test_exact_commands_load_no_quad(args):
+    # polycore reaches the Beta moment through exact.gamma2_ratio, not quad
+    code = ("import sys\n"
+            "from altpoly.cli import main\n"
+            f"assert main({args!r}) == 0\n"
+            "assert 'altpoly.polycore' in sys.modules\n"
+            "assert 'altpoly.quad' not in sys.modules, 'quad loaded'\n")
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+
+
+def _imported_and_used(tree):
+    """The names a module's import statements bind, and the names it reads."""
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return imported, used
+
+
+@pytest.mark.parametrize("path", sorted(Path(altpoly.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    imported, used = _imported_and_used(ast.parse(path.read_text(encoding="utf-8")))
+    assert not imported - used, f"{path.name} imports unused {sorted(imported - used)}"
 
 
 def test_unknown_name_raises_attribute_error():

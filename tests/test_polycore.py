@@ -120,12 +120,6 @@ def test_recurrence_float_mode_is_the_rounded_member():
     assert not verify.run_rows({"recurrence-vs-expansion-float": 12})["failures"]
 
 
-def test_recurrence_partial_range():
-    seq = ajp_recurrence(1, 1, 5, up_to_k=3)
-    assert len(seq) == 3
-    assert seq[-1] == member(1, 1, 5, 3)
-
-
 def test_sentinel_step_reproduces_printed_start_value():
     # applying the downward step at k = n with the zero sentinel as the k+1
     # neighbor must land on the hard-coded second start value

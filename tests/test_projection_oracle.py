@@ -21,7 +21,7 @@ from altpoly import exppoly
 from altpoly.exact import PiRational
 from altpoly.exppoly import ExpPolySystem, e_norm, member_values, project
 from altpoly.poly import DensePoly
-from altpoly.quad import SEMI_AXIS, QuadRule, gauss_jacobi_rule, weighted_inner_product
+from altpoly.quad import weighted_inner_product
 
 POINTS = (F(1, 1024), F(1, 16), F(3, 16), F(1, 2), F(21, 32), F(15, 16), F(1023, 1024))
 
@@ -180,49 +180,4 @@ def test_default_projection_solves_one_rule_and_makes_one_member_pass(monkeypatc
     project(lambda t: math.exp(-t), ExpPolySystem(1.234, 0.567, n))
     m = max(4 * n + 16, 48)
     assert calls == {"rules": [m], "members": [m]}
-
-
-def test_given_rule_gives_its_own_coefficients_and_a_second_rule_for_the_error(monkeypatch):
-    alpha, beta, n = 1.234, 0.567, 6
-    system = ExpPolySystem(alpha, beta, n)
-
-    def f(t):
-        return t * math.exp(-t)
-
-    rule = gauss_jacobi_rule(9, alpha, beta)
-    calls = counted_rule_and_member_calls(monkeypatch)
-    got = project(f, system, rule=rule)
-    # the caller solved the given rule; project solves the error rule only
-    assert calls == {"rules": [48], "members": [9, 48]}
-    # the coefficients are the rule's sums, bit for bit
-    x = np.array(rule.nodes)
-    fx = np.array([f(-math.log(v)) for v in rule.nodes])
-    norms = np.array([e_norm(ExpPolySystem(alpha, beta, n), k) for k in range(1, n + 1)])
-    want = exppoly.member_values(alpha, beta, n, x) @ (np.array(rule.weights) / x * fx) / norms
-    assert got.coeffs == tuple(want.tolist())
-
-
-def test_project_uses_the_given_rule():
-    alpha, beta, n = F(3, 2), F(1, 2), 4
-    system = ExpPolySystem(alpha, beta, n)
-
-    def f(t):
-        return math.exp(-2 * t)
-
-    # a one-node rule is far from exact, so its coefficients show it was read
-    x, w = 0.3, 0.7
-    one = QuadRule((x,), (w,), "unit-interval", ("custom",))
-    got = project(f, system, rule=one)
-    members = member_values(alpha, beta, n, [x])[:, 0]
-    norms = [float(e_norm(system, k)) for k in range(1, n + 1)]
-    want = [m / x * w * f(-math.log(x)) / h for m, h in zip(members, norms)]
-    assert got.coeffs == pytest.approx(want, rel=1e-14)
-    # a larger rule is exact too and gives the exact projection
-    big = project(f, system, rule=gauss_jacobi_rule(40, 1.5, 0.5))
-    want = [float(c) for c in exact_projection(alpha, beta, n, 2)]
-    assert big.coeffs == pytest.approx(want, abs=1e-14)
-    assert big.error < 1e-13
-    semi = QuadRule((1.0,), (1.0,), SEMI_AXIS, ("custom",))
-    with pytest.raises(ValueError):
-        project(f, system, rule=semi)
 

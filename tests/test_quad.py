@@ -214,8 +214,13 @@ def test_integrate_semi_axis_float_alpha_is_exact_then_rounded_once(alpha):
 
 
 def test_integrate_semi_axis_divergence_probe():
-    with pytest.raises(DivergenceError):
-        integrate_semi_axis(lambda t: 1.0, 0.0, 0.0)
+    # a callable integrand needs alpha > 0: the decay of g belongs in alpha,
+    # even where g decays (exp(-t/2) at alpha = 0 integrates to 2)
+    for g in (lambda t: 1.0, lambda t: math.exp(-t / 2)):
+        for alpha in (0.0, -0.5, math.nan):
+            with pytest.raises(DivergenceError, match="alpha"):
+                integrate_semi_axis(g, alpha, 0.0)
+    assert integrate_semi_axis(lambda t: 1.0, 0.5, 0.0) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_rule_validation():

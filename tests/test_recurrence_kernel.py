@@ -47,13 +47,13 @@ def _primitive(scale, vec):
     return scale * g, [v // g for v in vec]
 
 
-def fraction_step_recurrence(a, b, n, up_to_k):
-    """Members k = n..up_to_k, each step's multipliers formed in Fractions."""
+def fraction_step_recurrence(a, b, n):
+    """Members k = n..0, each step's multipliers formed in Fractions."""
     members = [(F(1), [0] * n + [1])]
-    if up_to_k < n:
+    if n:
         lead, den = over_common_denominator((a + 2 * n, -(a + b + 2 * n + 1)))
         members.append(_primitive(F(1, den), [0] * (n - 1) + lead))
-    for k in range(n - 1, up_to_k, -1):
+    for k in range(n - 1, 0, -1):
         (s_cur, cur), (s_prev, prev) = members[-1], members[-2]
         assert not cur[0]
         c1, c2, c3, c4, denom = _fraction_factors(a, b, n, k)
@@ -69,11 +69,10 @@ def fraction_step_recurrence(a, b, n, up_to_k):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("a,b", PARAMS)
 def test_exact_recurrence_matches_fraction_step_route(a, b, n):
-    for up_to_k in sorted({0, 1, n // 2, n} & set(range(n + 1))):
-        got = ajp_recurrence(a, b, n, up_to_k)
-        assert got == fraction_step_recurrence(a, b, n, up_to_k), (a, b, n, up_to_k)
-        assert len(got) == n - up_to_k + 1
-        assert all(type(c) is F for p in got for c in p.coeffs), (a, b, n, up_to_k)
+    got = ajp_recurrence(a, b, n)
+    assert got == fraction_step_recurrence(a, b, n), (a, b, n)
+    assert len(got) == n + 1
+    assert all(type(c) is F for p in got for c in p.coeffs), (a, b, n)
 
 
 def test_float_recurrence_n100_is_the_rounded_member():
@@ -159,7 +158,6 @@ def test_spoiled_factor_raises_recurrence_error(monkeypatch, route):
             [[c.hex() for c in p.coeffs] for p in unspoiled]
         return
     a, b = F(1, 2), F(2)
-    ajp_recurrence(a, b, n, up_to_k=bad_k)          # the spoiled step is not reached
     with pytest.raises(RecurrenceError, match=f"k={bad_k - 1} divides by zero"):
         ajp_recurrence(a, b, n)
 

@@ -22,7 +22,7 @@ from altpoly import zfun
 TABLE = Path(__file__).parent / "golden" / "z_search_outcomes.json"
 OMEGAS = ("0", "1/4", "1/2", "1", "2")
 CANDIDATES = {"whole": (20, lambda: zfun.whole_candidates(64)),
-              "rational": (12, lambda: zfun.rational_candidates(64, 4))}
+              "rational": (12, lambda: zfun.rational_candidates(64))}
 
 
 def _cases():

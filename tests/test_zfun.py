@@ -78,8 +78,9 @@ def test_z_search_real_boundary():
 def test_candidate_sets():
     wholes = whole_candidates(5)
     assert wholes == tuple(F(i) for i in range(6))
-    rats = rational_candidates(2, 2)
-    assert F(1, 2) in rats and F(3, 2) in rats
+    rats = rational_candidates(2)
+    assert F(1, 2) in rats and F(3, 2) in rats and F(2, 3) in rats and F(7, 4) in rats
+    assert F(1, 5) not in rats and max(rats) == 2
     assert rats == tuple(sorted(rats))
 
 
@@ -153,7 +154,7 @@ def test_gram_matrix_diagnostic_shape():
 
 @pytest.mark.parametrize("n,omega,candidates,alpha", [
     (8, Fraction(1, 4), whole_candidates(64), 22),
-    (5, 1, rational_candidates(64, 4), Fraction(161, 3)),
+    (5, 1, rational_candidates(64), Fraction(161, 3)),
 ])
 def test_z_build_endpoint_check_by_the_kernel(n, omega, candidates, alpha):
     # float Horner on the expanded member reads about 3.7e-9 at t = 1 on
@@ -241,7 +242,7 @@ def _outcome(f, *args):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_stacked_search_matches_per_candidate_scan(n):
     for omega in (F(0), F(1, 4), F(1, 2), F(1), F(2)):
-        for candidates in (whole_candidates(64), rational_candidates(64, 4)):
+        for candidates in (whole_candidates(64), rational_candidates(64)):
             assert _outcome(z_search, n, omega, candidates) == \
                 _outcome(_scan, n, omega, candidates), (n, omega, len(candidates))
 
@@ -361,6 +362,6 @@ def test_z_build_is_one_eigen_solve_per_candidate_block(monkeypatch):
     # blocks bound the stack: n = 30 takes at most 2**17 // 900 = 145 candidates
     calls.clear()
     with pytest.raises(FeasibilityError):
-        z_search(30, 0, rational_candidates(40, 4))
+        z_search(30, 0, rational_candidates(40))
     assert max(shape[0] for shape in calls) == zfun._STACK_ENTRIES // 900
-    assert sum(shape[0] for shape in calls) == len(rational_candidates(40, 4))
+    assert sum(shape[0] for shape in calls) == len(rational_candidates(40))
