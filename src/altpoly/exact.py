@@ -10,7 +10,8 @@ Two exact scalar kinds are used throughout the package:
 gamma2_ratio is the one entry point for Gamma(a)Gamma(b)/Gamma(c), behind
 every norm, single integral and Beta moment. Floats are the fallback
 whenever the arguments are not rational (or have denominators other than 1
-or 2, where the ratio has no exact form here).
+or 2, where the ratio has no exact form here, or need a product of more
+than EXACT_FACTOR_CAP factors).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from numbers import Rational
 
 from .errors import ValueRangeError
@@ -144,16 +144,13 @@ def simplify_scalar(v):
     return v
 
 
-@lru_cache(maxsize=None)
-def _half_gamma_over_sqrt_pi(p: int) -> Fraction:
-    """Gamma(p + 1/2) / sqrt(pi) = (2p)! / (4^p p!) for whole p >= 0."""
-    if p < 0:
-        raise ExactnessError("gamma at half-integers <= -1/2 not handled")
-    return Fraction(math.factorial(2 * p), 4 ** p * math.factorial(p))
+# Most factors one exact Gamma ratio multiplies; see exact_gamma2_ratio.
+EXACT_FACTOR_CAP = 20_000
 
 
-def _den(v: Fraction) -> int:
-    return Fraction(v).denominator
+def _rising(start: int, step: int, m: int) -> int:
+    """start (start + step) ... (start + (m - 1) step); 1 for m = 0."""
+    return math.prod(range(start, start + m * step, step))
 
 
 def gamma_quotient(x, y) -> Fraction:
@@ -172,11 +169,15 @@ def gamma_quotient(x, y) -> Fraction:
     m = int(diff)
     low = y if m >= 0 else x      # Gamma(low + |m|)/Gamma(low) = low (low+1) ... (low+|m|-1)
     p, q = low.numerator, low.denominator
-    prod = 1
-    for i in range(abs(m)):
-        prod *= p + i * q
+    prod = _rising(p, q, abs(m))
     power = q ** abs(m)
     return Fraction(prod, power) if m >= 0 else Fraction(power, prod)
+
+
+def _numerator_denominator(v) -> tuple[int, int]:
+    if type(v) is not int and type(v) is not Fraction:
+        v = Fraction(v)
+    return v.numerator, v.denominator
 
 
 def exact_gamma2_ratio(a, b, c):
@@ -192,33 +193,61 @@ def exact_gamma2_ratio(a, b, c):
       with c. Their difference is about the whole one, so a huge whole
       argument next to a half-odd one costs O(a) factors.
     * a and b both half-odd: Gamma(a)Gamma(b) = pi * rational, c then whole.
+
+    It computes on the integers 2a, 2b and 2c and builds one Fraction at the
+    end. A whole argument's Gamma is a factorial; Gamma(p + 1/2)/sqrt(pi) is
+    (2p-1)!!/2^p (DLMF 5.5.5), so a ratio of half-odd arguments with a whole
+    difference is a product of odd numbers over a power of 2.
+
+    A ratio needing more than EXACT_FACTOR_CAP (20,000) factors raises
+    ExactnessError, and gamma2_ratio answers on its float line. A huge whole
+    argument next to a half-odd one gets there: beta_moment(a, 1/2) needs
+    2a + 1 factors, and at a = 10^5 its exact value is a fraction of
+    200,000-bit integers that took seconds. Just past the cap, at
+    beta_moment(10^4, 1/2), the float line is off by 1.1e-11 relative.
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if a <= 0 or b <= 0 or c <= 0:
+    (na, da), (nb, db), (nc, dc) = map(_numerator_denominator, (a, b, c))
+    if na <= 0 or nb <= 0 or nc <= 0:
         raise ExactnessError("gamma arguments must be positive")
-    if _den(a) > 2 or _den(b) > 2 or _den(c) > 2:
+    if da > 2 or db > 2 or dc > 2:
         raise ExactnessError("only denominators 1 and 2 supported exactly")
-    if (a + b - c).denominator != 1:
+    # the doubled arguments: odd for a half-odd argument, even for a whole one
+    a2, b2, c2 = na * (2 // da), nb * (2 // db), nc * (2 // dc)
+    if (a2 + b2 - c2) & 1:
         raise ExactnessError("a + b - c must be whole")
-    if a.denominator == b.denominator == 1:
-        small, large = sorted((a, b))
-        return math.factorial(int(small) - 1) * gamma_quotient(large, c)
-    if _den(a) == 1:
-        # Gamma(a) is a factorial, Gamma(b)/Gamma(c) has whole difference
-        return math.factorial(int(a) - 1) * gamma_quotient(b, c)
-    if _den(b) == 1:
-        return math.factorial(int(b) - 1) * gamma_quotient(a, c)
-    # both half-odd, so c is whole
-    p = int(a - Fraction(1, 2))
-    q = int(b - Fraction(1, 2))
-    rat = _half_gamma_over_sqrt_pi(p) * _half_gamma_over_sqrt_pi(q) / math.factorial(int(c) - 1)
-    return PiRational(0, rat)
+    if a2 & 1 and b2 & 1:
+        # Gamma(a) Gamma(b) / pi = (a2-2)!! (b2-2)!! / 2^((a2-1)/2 + (b2-1)/2), c whole
+        halves, c = (a2 >> 1) + (b2 >> 1), c2 >> 1
+        _check_cap(halves + c - 1)
+        odd = _rising(1, 2, a2 >> 1) * _rising(1, 2, b2 >> 1)
+        return PiRational(0, Fraction(odd, math.factorial(c - 1) << halves))
+    # the factorial of the whole one (the smaller of two), the other over c
+    if a2 & 1 or b2 & 1:
+        whole, paired = (a2, b2) if b2 & 1 else (b2, a2)
+    else:
+        whole, paired = min(a2, b2), max(a2, b2)
+    m = (paired - c2) >> 1
+    _check_cap((whole >> 1) - 1 + abs(m))
+    low = c2 if m >= 0 else paired
+    if low & 1:
+        # Gamma(low/2 + |m|) / Gamma(low/2) = low (low + 2) ... / 2^|m|
+        prod, power = _rising(low, 2, abs(m)), 1 << abs(m)
+    else:
+        prod, power = _rising(low >> 1, 1, abs(m)), 1
+    fact = math.factorial((whole >> 1) - 1)
+    return Fraction(fact * prod, power) if m >= 0 else Fraction(fact * power, prod)
+
+
+def _check_cap(factors: int) -> None:
+    if factors > EXACT_FACTOR_CAP:
+        raise ExactnessError(
+            f"exact Gamma ratio needs {factors} factors, more than {EXACT_FACTOR_CAP}")
 
 
 def gamma2_ratio(a, b, c):
     """Gamma(a) Gamma(b) / Gamma(c): exact_gamma2_ratio, simplified to a
     Fraction where the pi part is zero, when a, b and c are exact and the
-    ratio has an exact form; otherwise exp(lgamma(a) + lgamma(b) -
+    ratio has an exact form within EXACT_FACTOR_CAP factors; otherwise exp(lgamma(a) + lgamma(b) -
     lgamma(c)) on the arguments, each rounded once to a float.
     ValueRangeError naming a, b and c when that float leaves the double
     range."""

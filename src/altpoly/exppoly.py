@@ -268,6 +268,14 @@ def project(f, sys: ExpPolySystem) -> ProjectionResult:
     it: an exp target at a rate that is not a whole number, or any t times
     exp(-r t), loses digits (alpha = 1, beta = 0, n = 3, exp(0.25 t) is off
     by 6.4e-6).
+
+    f must be square-integrable under the system weight, the integral of
+    f(t)**2 exp(-alpha t) (1 - exp(-t))**beta over [0, inf) finite. A
+    callable's growth cannot be checked here, and for an f that is not the
+    rule still returns a finite error: exp(0.6 t) at alpha = 1, beta = 0,
+    n = 3 gives 3.65 where the residual norm diverges. `altpoly project`
+    checks its own targets first and refuses alpha + 2 rate <= 0 with
+    DivergenceError.
     """
     import numpy as np
 

@@ -453,6 +453,19 @@ def test_quad_at_a_huge_whole_exponent_is_quick():
     assert len(cp.stdout.splitlines()) == 4
 
 
+def test_quad_at_a_huge_whole_exponent_next_to_a_half_odd_one_is_quick():
+    # the exact moment would need 2 * 10**6 + 1 factors, past the exact
+    # layer's cap, so the rule takes it from the float Gamma line
+    cp = subprocess.run([sys.executable, "-m", "altpoly", "quad", "--family", "ajp",
+                         "--alpha", "1000000", "--beta", "1/2", "--n", "1", "--m", "3"],
+                        capture_output=True, text=True, timeout=30)
+    assert cp.returncode == 0, cp.stderr
+    weights = [float(line.split(",")[1]) for line in cp.stdout.splitlines()[1:]]
+    # the weights sum to the moment Gamma(a+1) Gamma(3/2) / Gamma(a+5/2)
+    mu0 = math.exp(math.lgamma(1e6 + 1) + math.lgamma(1.5) - math.lgamma(1e6 + 2.5))
+    assert len(weights) == 3 and math.isclose(sum(weights), mu0, rel_tol=1e-9)
+
+
 def test_quad_with_a_node_at_the_endpoint_exits_1_with_typed_error():
     cp = run_cli("quad", "--family", "ajp", "--alpha", "1e20", "--beta", "0", "--n", "1",
                  "--m", "3")

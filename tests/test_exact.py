@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import reference_gamma
 from altpoly import exact
 from altpoly.errors import ValueRangeError
 from altpoly.exact import (
+    EXACT_FACTOR_CAP,
     ExactnessError,
     PiRational,
     double_factorial,
@@ -85,6 +87,55 @@ def test_exact_gamma2_ratio_mixed_is_rational():
 def test_exact_gamma2_ratio_rejects_thirds():
     with pytest.raises(ExactnessError):
         exact_gamma2_ratio(Fraction(1, 3), 1, Fraction(4, 3))
+
+
+def test_exact_gamma2_ratio_matches_the_fraction_chain_reference():
+    # every triple with 2a, 2b, 2c in -2..40 (all under the factor cap), the
+    # one-factor huge pairs, and inputs only Fraction() accepts or rejects:
+    # equal values and result types, equal exceptions and messages
+    assert reference_gamma.mismatches() == []
+
+
+def test_one_factor_cases_stay_exact_far_past_the_cap():
+    assert exact_gamma2_ratio(10 ** 8 + 1, 1, 10 ** 8 + 2) == Fraction(1, 10 ** 8 + 1)
+    assert exact_gamma2_ratio(1, Fraction(2 * 10 ** 8 + 1, 2), Fraction(2 * 10 ** 8 + 3, 2)) \
+        == Fraction(2, 2 * 10 ** 8 + 1)
+    # beta_moment(10**306, 0): the CLI's --alpha 1e306 --beta 0 is this integer
+    got = gamma2_ratio(10 ** 306 + 1, 1, 10 ** 306 + 2)
+    assert got == Fraction(1, 10 ** 306 + 1) and type(got) is Fraction
+
+
+# one shape per pairing rule, needing f factors: the factorial of the
+# smaller whole argument; a whole argument's factorial and a half-odd one
+# paired with c; two half-odd arguments over c!
+CAP_SHAPES = {
+    "whole-pair": lambda f: (f + 1, f + 1, f + 1),
+    "mixed": lambda f: (f // 2 + 1, Fraction(1, 2), Fraction(1, 2) + f - f // 2),
+    "half-pair": lambda f: (Fraction(1, 2), Fraction(1, 2), f + 1),
+}
+
+
+@pytest.mark.parametrize("shape", CAP_SHAPES)
+def test_factor_cap_ends_the_exact_route(shape):
+    args = CAP_SHAPES[shape]
+    got = exact_gamma2_ratio(*args(EXACT_FACTOR_CAP))
+    want = reference_gamma.gamma2_ratio(*args(EXACT_FACTOR_CAP))
+    assert got == want and type(got) is type(want)
+    with pytest.raises(ExactnessError, match=f"needs {EXACT_FACTOR_CAP + 1} factors"):
+        exact_gamma2_ratio(*args(EXACT_FACTOR_CAP + 1))
+
+
+def test_past_the_cap_gamma2_ratio_is_the_float_line_within_the_stated_error():
+    # beta_moment(a, 1/2) = Gamma(a + 1) Gamma(3/2) / Gamma(a + 5/2) needs
+    # 2a + 1 factors: exact to a = 9999, then the float line, within the
+    # 1.1e-11 the docstring states at a = 10**4
+    under = gamma2_ratio(10 ** 4, Fraction(3, 2), Fraction(2 * 10 ** 4 + 3, 2))
+    assert type(under) is Fraction
+    args = (10 ** 4 + 1, Fraction(3, 2), Fraction(2 * 10 ** 4 + 5, 2))
+    past = gamma2_ratio(*args)
+    assert type(past) is float
+    want = reference_gamma.gamma2_ratio(*args)
+    assert abs(Fraction(past) - want) / want < 1.1e-11
 
 
 def lgamma_line(a, b, c):
