@@ -153,27 +153,6 @@ def _rising(start: int, step: int, m: int) -> int:
     return math.prod(range(start, start + m * step, step))
 
 
-def gamma_quotient(x, y) -> Fraction:
-    """Gamma(x)/Gamma(y) for x - y a whole number, as an exact product.
-
-    Both arguments must be positive rationals. With m = |x - y| and s = p/q
-    the smaller argument, the quotient is prod_{i<m} (p + i q) / q^m or its
-    reciprocal: one integer product, one Fraction.
-    """
-    x, y = Fraction(x), Fraction(y)
-    if x <= 0 or y <= 0:
-        raise ExactnessError("gamma_quotient needs positive arguments")
-    diff = x - y
-    if diff.denominator != 1:
-        raise ExactnessError("gamma_quotient needs integer argument difference")
-    m = int(diff)
-    low = y if m >= 0 else x      # Gamma(low + |m|)/Gamma(low) = low (low+1) ... (low+|m|-1)
-    p, q = low.numerator, low.denominator
-    prod = _rising(p, q, abs(m))
-    power = q ** abs(m)
-    return Fraction(prod, power) if m >= 0 else Fraction(power, prod)
-
-
 def _numerator_denominator(v) -> tuple[int, int]:
     if type(v) is not int and type(v) is not Fraction:
         v = Fraction(v)

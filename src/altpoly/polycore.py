@@ -591,8 +591,12 @@ def ode_residual(p: PolyParams, x):
 
 
 def weight_eval(alpha, beta, x):
-    """Weight x**alpha (1-x)**beta; endpoints with negative exponents diverge."""
+    """Weight x**alpha (1-x)**beta for x in [0, 1] (ValueError naming x, alpha
+    and beta outside it or at nan), exact at an exact x and whole exponents;
+    DivergenceError at an endpoint whose exponent is negative."""
     a, b = _param(alpha), _param(beta)
+    if not 0 <= x <= 1:
+        raise ValueError(f"weight needs x in [0, 1]: x = {x}, alpha = {alpha}, beta = {beta}")
     if (x == 0 and a < 0) or (x == 1 and b < 0):
         raise DivergenceError("weight is infinite at this endpoint")
     if is_exact(x) and is_exact(a) and is_exact(b) \

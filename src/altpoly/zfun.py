@@ -46,7 +46,9 @@ def etilde_eval(alpha, beta, n: int, k: int, t) -> float:
 
 def weight_peak(omega) -> float:
     """Abscissa of the semi-axis weight maximum: ln(1+omega) for omega > 0,
-    else the boundary t = 0."""
+    else the boundary t = 0. ValueError for a nan omega."""
+    if omega != omega:
+        raise ValueError(f"weight peak needs a number, got omega = {omega}")
     if omega <= 0:
         return 0.0
     return math.log1p(float(omega))
@@ -334,14 +336,3 @@ def z_collocation_fit(f, spec: ZSystemSpec) -> CollocationResult:
     return CollocationResult(tuple(float(c) for c in coeffs), node_residual,
                              max(errs), cond)
 
-
-def gram_matrix(spec: ZSystemSpec, m: int = 64):
-    """Gram matrix of {1, members} under the uniform weight on [0,1], as a
-    numpy array; reported as a diagnostic only, nothing is asserted about it."""
-    import numpy as np
-
-    xs, ws = np.polynomial.legendre.leggauss(m)
-    ts = 0.5 * (xs + 1)
-    ws = 0.5 * ws
-    vals = spec.member_matrix(ts)
-    return (vals * ws[:, None]).T @ vals

@@ -1,20 +1,52 @@
-"""Reference dense polynomial for tests: one int, Fraction or float per
-coefficient, each operation term by term on those values.
+"""Reference polynomials for tests.
 
-This is the coefficient-tuple form altpoly.poly.DensePoly had before it held
-exact coefficients as integers over one denominator; tests/test_poly.py
-checks the integer form against it. Coefficients are stored ascending:
-``coeffs[i]`` multiplies ``x**i``. Trailing zeros are stripped on
-construction, so the trailing coefficient is nonzero unless the polynomial
-is identically zero (empty tuple).
+RefPoly is a dense polynomial with one int, Fraction or float per
+coefficient, each operation term by term on those values. This is the
+coefficient-tuple form altpoly.poly.DensePoly had before it held exact
+coefficients as integers over one denominator; tests/test_poly.py checks the
+integer form against it. Coefficients are stored ascending: ``coeffs[i]``
+multiplies ``x**i``. Trailing zeros are stripped on construction, so the
+trailing coefficient is nonzero unless the polynomial is identically zero
+(empty tuple).
+
+jacobi_expansion is the one Fraction expansion of P_m^(a,b)(1-2x) the tests
+use as an oracle (tests/test_exact_kernel.py, tests/test_zeros_oracle.py);
+it needs the standard library only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from altpoly.exact import is_exact
+
+
+def _binomials(top: Fraction, m: int) -> list[Fraction]:
+    """C(top, r) for r = 0..m and rational top."""
+    out = [Fraction(1)]
+    for r in range(m):
+        out.append(out[-1] * (top - r) / (r + 1))
+    return out
+
+
+def jacobi_expansion(m: int, a, b) -> list[Fraction]:
+    """The coefficients of x^0..x^m in P_m^(a,b)(1-2x), from the classical sum
+
+        sum_s C(m+a, m-s) C(m+b, s) (-x)^s (1-x)^(m-s)
+
+    with each (1-x)^(m-s) expanded by the binomial theorem. The sum is a
+    polynomial identity in a and b, so every rational a and b work, below -1
+    too."""
+    a, b = Fraction(a), Fraction(b)
+    binom_a, binom_b = _binomials(m + a, m), _binomials(m + b, m)
+    out = [Fraction(0)] * (m + 1)
+    for s in range(m + 1):
+        front = (-1) ** s * binom_a[m - s] * binom_b[s]
+        for i in range(m - s + 1):
+            out[s + i] += front * ((-1) ** i * math.comb(m - s, i))
+    return out
 
 
 def _normalize(coeffs):

@@ -5,8 +5,8 @@ reciprocity rebuild comes from one hypergeometric kernel, so an identity
 between two of them (such as member == x^k * shifted Jacobi) compares the
 kernel with itself. The oracles here are two independent expansions:
 
-* the binomial route: sum_j (-1)^j C(m, j) (a+m)_{m-j} (b+m)_j x^j (1-x)^{m-j} / m!,
-  expanded term by term;
+* the binomial route: sum_s C(m+a, m-s) C(m+b, s) (-x)^s (1-x)^(m-s), each
+  (1-x)^(m-s) expanded by the binomial theorem (reference_poly.jacobi_expansion);
 * the classical route: the Jacobi polynomial in y as the terminating sum
   C(m+a, m-s) C(m+b, s) ((y-1)/2)^s ((y+1)/2)^(m-s), composed with y = 1-2x.
 
@@ -33,6 +33,7 @@ from altpoly.polycore import (
     shifted_jacobi_coefficients,
 )
 from altpoly.quad import beta_moment, weighted_inner_product
+from reference_poly import jacobi_expansion
 
 INTEGER = (F(0), F(2))
 HALF_ODD = (F(-1, 2), F(3, 2))
@@ -43,14 +44,8 @@ SIZES = (0, 1, 2, 7, 18, 40)
 
 
 def binomial_route(m, a, b, lift=0):
-    """x^lift P_m^{(a,b)}(1-2x) by expanding each (1-x)^(m-j)."""
-    out = [F(0)] * (lift + m + 1)
-    for j in range(m + 1):
-        pref = F((-1) ** j * math.comb(m, j)) * falling_factorial(a + m, m - j) \
-            * falling_factorial(b + m, j) / math.factorial(m)
-        for i in range(m - j + 1):
-            out[lift + j + i] += pref * ((-1) ** i * math.comb(m - j, i))
-    return DensePoly(out)
+    """x^lift P_m^{(a,b)}(1-2x) from the binomial expansion."""
+    return DensePoly([F(0)] * lift + jacobi_expansion(m, a, b))
 
 
 def classical_route(m, a, b, lift=0):

@@ -101,6 +101,36 @@ def test_no_module_imports_a_name_it_never_uses(path):
     assert not imported - used, f"{path.name} imports unused {sorted(imported - used)}"
 
 
+def _names_read(node):
+    """The names and attribute names a syntax tree reads."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+# module-level names nothing in the package reads, kept on purpose: the
+# package's module hooks, and the acceptance gate's documented entry
+UNREFERENCED_BY_DESIGN = {("__init__", "__getattr__"), ("__init__", "__dir__"),
+                          ("verify", "run_rows")}
+
+
+def test_every_module_level_definition_is_used_or_exported():
+    # a function or class that only tests reach is library code nothing needs
+    tops = [(path.stem, top) for path in Path(altpoly.__file__).parent.glob("*.py")
+            for top in ast.parse(path.read_text(encoding="utf-8")).body]
+    reads = [_names_read(top) for _, top in tops]
+    unused = []
+    for i, (module, node) in enumerate(tops):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        key = (module, node.name)
+        if node.name in EXPORTS.get(module, ()) or key in UNREFERENCED_BY_DESIGN:
+            continue
+        # the definition's own body does not count
+        if not any(node.name in names for j, names in enumerate(reads) if j != i):
+            unused.append(key)
+    assert not unused, f"defined but never used or exported: {sorted(unused)}"
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         altpoly.no_such_name

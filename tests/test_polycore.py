@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -307,6 +308,18 @@ def test_weight_eval():
         weight_eval(-1, 0, 0)
     with pytest.raises(DivergenceError):
         weight_eval(0, F(-1, 2), 1)
+    for zero, one in ((F(0), F(1)), (0.0, 1.0)):
+        for x in (zero, one):
+            got = weight_eval(2, 3, x)
+            assert got == 0 and type(got) is type(x)
+        assert weight_eval(0, F(1, 2), zero) == weight_eval(F(1, 2), 0, one) == 1
+    # one step outside [0, 1] at each end, exact and float, and nan
+    for x in (-F(1, 10 ** 9), 1 + F(1, 10 ** 9), math.nextafter(0.0, -1.0),
+              math.nextafter(1.0, 2.0), -0.1, F(3, 2), math.nan):
+        for alpha, beta in ((1, 2), (0.5, 0), (F(1, 2), F(-1, 2))):
+            message = re.escape(f"x = {x}, alpha = {alpha}, beta = {beta}")
+            with pytest.raises(ValueError, match=message):
+                weight_eval(alpha, beta, x)
 
 
 def test_endpoint_sign_alternates():

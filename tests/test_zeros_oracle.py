@@ -6,14 +6,15 @@ oracle builds it from the classical sum
 
     P_n^(a,b)(y) = sum_s C(n+a, n-s) C(n+b, s) ((y-1)/2)^s ((y+1)/2)^(n-s),
 
-which at y = 1-2x reads sum_s C(n+a, n-s) C(n+b, s) (-x)^s (1-x)^(n-s),
-on integers over one denominator (float parameters enter as their exact
-binary values). Each zero is bracketed by a sign change on a grid that
-clusters at both ends, exactly n sign changes are required (so every bracket
-holds one zero), and each bracket is bisected in exact arithmetic. The
-oracle uses the standard library only; the closed-form weight check takes
-its two (0,0) family members from `ajp_coefficients`, whose exact values
-tests/test_exact_kernel.py checks against independent expansions.
+which at y = 1-2x reads sum_s C(n+a, n-s) C(n+b, s) (-x)^s (1-x)^(n-s)
+(reference_poly.jacobi_expansion), on integers over one denominator (float
+parameters enter as their exact binary values). Each zero is bracketed by a
+sign change on a grid that clusters at both ends, exactly n sign changes are
+required (so every bracket holds one zero), and each bracket is bisected in
+exact arithmetic. The oracle uses the standard library only; the closed-form
+weight check takes its two (0,0) family members from `ajp_coefficients`,
+whose exact values tests/test_exact_kernel.py checks against independent
+expansions.
 """
 
 import math
@@ -24,27 +25,15 @@ import pytest
 from altpoly.errors import DivergenceError
 from altpoly.exppoly import e_zeros, legendre_type_quadrature, semi_axis_rule
 from altpoly.polycore import PolyParams, ajp_coefficients
+from reference_poly import jacobi_expansion
 
 F = Fraction
-
-
-def _gbinom(top: Fraction, r: int) -> Fraction:
-    """Generalized binomial C(top, r) for rational top."""
-    out = F(1)
-    for i in range(r):
-        out = out * (top - i) / (i + 1)
-    return out
 
 
 def _shifted_jacobi_ints(a: Fraction, b: Fraction, n: int) -> list[int]:
     """Integers c_0..c_n proportional (positive factor) to the x^j
     coefficients of P_n^(a,b)(1-2x)."""
-    coeffs = [F(0)] * (n + 1)
-    for s in range(n + 1):
-        front = _gbinom(n + a, n - s) * _gbinom(n + b, s) * (-1) ** s
-        # (-x)^s (1-x)^(n-s): x^(s+i) with C(n-s, i) (-1)^i
-        for i in range(n - s + 1):
-            coeffs[s + i] += front * math.comb(n - s, i) * (-1) ** i
+    coeffs = jacobi_expansion(n, a, b)
     den = math.lcm(*(c.denominator for c in coeffs))
     return [int(c * den) for c in coeffs]
 

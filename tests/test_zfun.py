@@ -11,7 +11,6 @@ from altpoly.exact import is_exact
 from altpoly.exppoly import ExpPolySystem, e_eval
 from altpoly.zfun import (
     etilde_eval,
-    gram_matrix,
     lambda_max,
     rational_candidates,
     weight_peak,
@@ -42,6 +41,11 @@ def test_weight_peak():
     assert weight_peak(0) == 0.0
     assert weight_peak(-0.3) == 0.0
     assert weight_peak(math.e - 1) == pytest.approx(1.0, rel=1e-15)
+    assert weight_peak(math.inf) == math.inf
+    assert weight_peak(-math.inf) == 0.0
+    assert weight_peak(F(1, 2)) == math.log1p(0.5)
+    with pytest.raises(ValueError, match="omega = nan"):
+        weight_peak(math.nan)
 
 
 def test_z_search_whole_numbers():
@@ -143,13 +147,6 @@ def test_collocation_error_decreases():
     e2 = z_collocation_fit(lambda t: math.exp(-t), z_build(2, 0, whole_candidates())).max_grid_error
     e3 = z_collocation_fit(lambda t: math.exp(-t), z_build(3, 0, whole_candidates())).max_grid_error
     assert e3 < e2
-
-
-def test_gram_matrix_diagnostic_shape():
-    spec = z_build(2, 0, whole_candidates())
-    g = gram_matrix(spec)
-    assert g.shape == (3, 3)
-    assert g[0, 0] == pytest.approx(1.0, rel=1e-12)   # constant against itself
 
 
 @pytest.mark.parametrize("n,omega,candidates,alpha", [
