@@ -26,26 +26,9 @@ EXP_FAMILIES = {"exp", "exp-a", "exp-t"}
 
 
 def _fmt(value) -> str:
-    """Deterministic scalar rendering: p/q for rationals, shortest
-    round-trip for floats."""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (int, Fraction)):
-        return str(value)
-    # only a value that is none of the above can be a PiRational
-    from .exact import PiRational
-    if isinstance(value, PiRational):
-        return str(value)
-    return repr(value)
-
-
-def _parse_scalar(text: str, mode: str):
-    """Numeric flag parsing: decimal and p/q strings become exact rationals
-    unless float mode is forced."""
-    frac = Fraction(text)
-    if mode == "float":
-        return float(frac)
-    return frac
+    """Deterministic scalar rendering: shortest round-trip for floats, p/q
+    for rationals."""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _emit(text: str, out_path):
@@ -153,15 +136,14 @@ def cmd_tabulate(args) -> str:
     if args.family in EXP_FAMILIES:
         ts = [args.tmax * i / (args.points - 1) for i in range(args.points)]
         return _csv(["t", "value"], zip(ts, _family_values(args, [math.exp(-t) for t in ts])))
-    if args.family == "z":
-        if args.omega is None:
-            raise UsageError("--omega is required for family z")
-        from . import zfun
-        spec = zfun.z_build(n, args.omega, zfun.whole_candidates(args.limit))
-        header = ["t"] + [f"Z{n}{j}" for j in range(0, n + 1)]
-        ts = [i / (args.points - 1) for i in range(args.points)]
-        return _csv(header, ([t, *vals] for t, vals in zip(ts, spec._rows(ts, 0).T.tolist())))
-    raise UsageError(f"cannot tabulate family {args.family!r}")
+    # family z
+    if args.omega is None:
+        raise UsageError("--omega is required for family z")
+    from . import zfun
+    spec = zfun.z_build(n, args.omega, zfun.whole_candidates(args.limit))
+    header = ["t"] + [f"Z{n}{j}" for j in range(0, n + 1)]
+    ts = [i / (args.points - 1) for i in range(args.points)]
+    return _csv(header, ([t, *vals] for t, vals in zip(ts, spec._rows(ts, 0).T.tolist())))
 
 
 def cmd_zeros(args) -> str:
@@ -234,9 +216,7 @@ def _target_function(args):
     rate = args.rate
     if args.target == "exp":
         return lambda t: math.exp(-rate * t)
-    if args.target == "texp":
-        return lambda t: t * math.exp(-rate * t)
-    raise UsageError(f"unknown target {args.target!r}")
+    return lambda t: t * math.exp(-rate * t)
 
 
 def cmd_project(args) -> str:
@@ -256,8 +236,6 @@ def cmd_project(args) -> str:
 
 
 def cmd_plot_data(args) -> str:
-    if args.family not in ("a", "t"):
-        raise UsageError("plot-data supports --family a or t")
     _need_n(args.n)
     from .marginal import MarginalKind, plot_table
     kind = MarginalKind.A if args.family == "a" else MarginalKind.T
@@ -331,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True)
         if kflag:
             p.add_argument("--k", type=int, default=0)
-        p.add_argument("--mode", choices=["exact", "float"], default=None)
+        p.add_argument("--mode", choices=["exact", "float"], default="exact")
         p.add_argument("--out", default=None)
         if fmt:
             p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -380,26 +358,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="a", choices=["a", "t"])
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--points", type=_sample_count, default=512)
-    p.add_argument("--mode", choices=["exact", "float"], default=None)
+    # figure data defaults to floats
+    p.add_argument("--mode", choices=["exact", "float"], default="float")
     p.add_argument("--out", default=None)
 
     return parser
 
 
 def _resolve_mode(args, parser):
-    """Set args.mode and parse --alpha, --beta and --omega in it; a value
-    that is no number, divides by zero (1/0) or leaves the float range in
-    float mode is a usage error."""
-    mode = getattr(args, "mode", None)
-    if mode is None:
-        # default: exact wherever parameters permit, except figure/grid data
-        mode = "float" if args.command in ("plot-data",) else "exact"
-    args.mode = mode
+    """Parse --alpha, --beta and --omega in the command's --mode (exact for a
+    command without one): decimal and p/q strings become exact rationals, or
+    floats in float mode. A value that is no number, divides by zero (1/0)
+    or leaves the float range in float mode is a usage error."""
+    mode = getattr(args, "mode", "exact")
     for name in ("alpha", "beta", "omega"):
         text = getattr(args, name, None)
         if text is not None:
             try:
-                setattr(args, name, _parse_scalar(text, mode))
+                value = Fraction(text)
+                setattr(args, name, float(value) if mode == "float" else value)
             except (ValueError, ArithmeticError):
                 kind = "a finite float" if mode == "float" else "a rational number"
                 parser.error(f"argument --{name}: {text!r} is not {kind}")
@@ -425,7 +402,6 @@ def main(argv=None) -> int:
             text, code = handlers[args.command](args), 0
     except UsageError as exc:
         parser.error(str(exc))
-        return 2  # unreachable: parser.error exits
     except (AltpolyError, ValueError, ArithmeticError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__,
                                      "message": str(exc)}) + "\n")

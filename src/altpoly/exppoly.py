@@ -20,9 +20,8 @@ from .marginal import MarginalKind, a_coefficients, member_rows
 from .poly import DensePoly
 from .polycore import (
     PolyParams,
-    _finished,
-    _jacobi_kernel,
     ajp_norm_h,
+    direct_coefficients,
     jacobi_rows,
     rounded_jacobi_coefficients,
 )
@@ -53,19 +52,16 @@ class ExpPolySystem:
         if self.n < 1:
             raise ValueError("system needs n >= 1")
 
-    def _params(self, k: int) -> PolyParams:
-        """Member k as the alternative-family member at (alpha - 1, beta)."""
-        a = Fraction(self.alpha) - 1 if is_exact(self.alpha) else float(self.alpha) - 1
-        return PolyParams(a, self.beta, self.n, k)
-
     def member_poly(self, k: int) -> DensePoly:
-        """Coefficients of the member as a polynomial in x = exp(-t), from the
-        kernel at alpha + 2k shifted exactly (a float alpha - 1 would round)."""
-        p = self._params(k)
-        if p.is_sentinel:
+        """Coefficients of the member as a polynomial in x = exp(-t): the
+        direct polynomial D_{k,n}^{(alpha,beta)} = x^k P_{n-k}^{(alpha+2k,
+        beta)}(1-2x) of polycore.direct_coefficients, whose first parameter
+        is shifted exactly (a float alpha - 1 would round); zero for k = n + 1."""
+        if not 0 <= k <= self.n + 1:
+            raise ValueError(f"k = {k} outside 0..n+1 for n = {self.n}")
+        if k == self.n + 1:
             return DensePoly.zero()
-        nums, den = _jacobi_kernel(p.n - k, Fraction(self.alpha) + 2 * k, Fraction(p.beta))
-        return _finished([0] * k + nums, den, (p.n, k, p.alpha, p.beta))
+        return direct_coefficients(self.alpha, self.beta, k, self.n)
 
 
 def e_eval(sys: ExpPolySystem, k: int, t) -> float:
@@ -85,7 +81,9 @@ def e_norm(sys: ExpPolySystem, k: int):
     function is not part of the orthogonal system)."""
     if k == 0:
         raise DivergenceError("associated function is not integrable on the semi-axis")
-    return ajp_norm_h(sys._params(k))
+    # the alternative-family member at (alpha - 1, beta)
+    a = Fraction(sys.alpha) - 1 if is_exact(sys.alpha) else float(sys.alpha) - 1
+    return ajp_norm_h(PolyParams(a, sys.beta, sys.n, k))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .errors import DivergenceError
-from .exact import PiRational, double_factorial, falling_factorial
+from .exact import PiRational, double_factorial
 from .poly import DensePoly
 from .polycore import (PolyParams, _downward_recurrence, ajp_coefficients, ajp_recurrence,
                        jacobi_rows)
@@ -82,9 +82,10 @@ def a_single_integral(n: int, k: int) -> Fraction:
 
 def t_scaling(n: int, k: int) -> Fraction:
     """Leading normalization (n-k)! / (n-k-1/2)_{n-k} applied to the raw
-    member; makes the endpoint value exactly (-1)^(n-k)."""
+    member; makes the endpoint value exactly (-1)^(n-k). With m = n - k,
+    (m-1/2)_m = (2m-1)!! / 2^m, so it is the integer ratio m! 2^m / (2m-1)!!."""
     m = n - k
-    return Fraction(math.factorial(m)) / falling_factorial(Fraction(2 * m - 1, 2), m)
+    return Fraction(math.factorial(m) << m, double_factorial(2 * m - 1))
 
 
 def t_coefficients(n: int, k: int) -> DensePoly:

@@ -9,11 +9,12 @@ downward three-term recurrence follows.
 Arithmetic is exact whenever alpha and beta are rational; float otherwise.
 Every exact coefficient vector comes from one integer kernel, the
 terminating hypergeometric sum of the shifted Jacobi polynomial
-(_jacobi_kernel): a member is x^k times it at (n - k, alpha + 2k + 1, beta),
-and the direct family and the reciprocity route call it with their
-parameters shifted exactly. It and the one exact downward recurrence
-(_downward_recurrence, shared by marginal's A and T recurrences) give
-DensePoly's exact form, integers over one denominator.
+(_jacobi_kernel), and every exact member is one _lifted call on it: x^k
+times it at (n - k, alpha + 2k + 1, beta), with parameters shifted exactly
+for the direct family (the exponential members) and the reciprocity route.
+It and the one exact downward recurrence (_downward_recurrence, shared by
+marginal's A and T recurrences) give DensePoly's exact form, integers over
+one denominator.
 Gamma-function ratios in the norm and integral formulas go through
 exact.gamma2_ratio: for exact parameters a product of rational factors,
 never through a floating gamma, so exact mode stays exact; otherwise its
@@ -121,8 +122,7 @@ def _ajp_coefficients_cached(n: int, k: int, a, b, _exact: bool) -> DensePoly:
     if k == n + 1:
         return DensePoly.zero()
     # alpha's binary value, shifted exactly
-    nums, den = _jacobi_kernel(n - k, Fraction(a) + 2 * k + 1, Fraction(b))
-    return _finished([0] * k + nums, den, (n, k, a, b))
+    return _lifted(k, n - k, Fraction(a) + 2 * k + 1, b, (n, k, a, b))
 
 
 def ajp_eval(p: PolyParams, x):
@@ -163,7 +163,8 @@ def jacobi_rows(a, b, n: int, xs, lo: int = 0, hi: int | None = None):
 
     RecurrenceError names m, a and b of the P_m^(a,b) whose step divides by
     zero (only for a + b <= -2, which no member with alpha > -2 reaches);
-    ValueRangeError names them when a value is not finite.
+    ValueRangeError names them when a value is not finite, and the first
+    point that is not finite when there is one.
     """
     import numpy as np
 
@@ -224,7 +225,8 @@ def jacobi_rows(a, b, n: int, xs, lo: int = 0, hi: int | None = None):
             out[first - lo:] *= power[first - 1:]
     if not np.isfinite(out).all():
         r = int(np.argmin(np.isfinite(out).all(axis=1)))
-        raise _value_range_error(top - r, a + 2 * (lo + r), b)
+        bad = x[~np.isfinite(x)]
+        raise _value_range_error(top - r, a + 2 * (lo + r), b, float(bad[0]) if bad.size else None)
     return out
 
 
@@ -243,9 +245,9 @@ def _check_step_denominators(lead, a, b, lo: int, top: int):
             f"a = {a + 2 * (lo + r)}, b = {b}, m = {top - r}")
 
 
-def _value_range_error(m: int, a, b) -> ValueRangeError:
-    return ValueRangeError(f"float values of P_m^(a,b)(1-2x) leave the double range "
-                           f"for a = {a}, b = {b}, m = {m}")
+def _value_range_error(m: int, a, b, x=None) -> ValueRangeError:
+    what = "leave the double range" if x is None else f"are not finite at the point x = {x}"
+    return ValueRangeError(f"float values of P_m^(a,b)(1-2x) {what} for a = {a}, b = {b}, m = {m}")
 
 
 def ajp_recurrence(alpha, beta, n: int) -> list[DensePoly]:
@@ -435,10 +437,12 @@ def _round_once(nums, den: int, member) -> list[float]:
         raise CoefficientOverflowError(*member) from exc
 
 
-def _finished(nums, den: int, member) -> DensePoly:
-    """The polynomial nums / den of member = (n, k, alpha, beta), from the
-    kernel at the exact (or binary) parameters: exact when alpha and beta
-    are, else each coefficient rounded once from the kernel's integers."""
+def _lifted(lift: int, m: int, a, b, member, reverse: bool = False) -> DensePoly:
+    """x^lift times the kernel's P_m^{(a,b)}(1-2x), its coefficients reversed
+    for the reciprocity route, as the polynomial of member = (n, k, alpha,
+    beta): exact when alpha and beta are, else each rounded once (_round_once)."""
+    nums, den = _jacobi_kernel(m, Fraction(a), Fraction(b))
+    nums = [0] * lift + (nums[::-1] if reverse else nums)
     if is_exact(member[2]) and is_exact(member[3]):
         return DensePoly(nums, den)
     return DensePoly(_round_once(nums, den, member))
@@ -458,7 +462,7 @@ def shifted_jacobi_coefficients(m: int, a, b) -> DensePoly:
     the negative ones the reciprocity route uses). Float parameters round
     each coefficient once, as rounded_jacobi_coefficients."""
     a, b = _param(a), _param(b)
-    return _finished(*_jacobi_kernel(m, Fraction(a), Fraction(b)), (m, 0, a, b))
+    return _lifted(0, m, a, b, (m, 0, a, b))
 
 
 def shifted_jacobi(m: int, a, b, x):
@@ -477,8 +481,7 @@ def direct_coefficients(alpha, beta, n: int, k: int) -> DensePoly:
     if k < n:
         raise ValueError("direct family is indexed by k >= n")
     a, b = _param(alpha), _param(beta)
-    nums, den = _jacobi_kernel(k - n, Fraction(a) + 2 * n, Fraction(b))
-    return _finished([0] * n + nums, den, (n, k, a, b))
+    return _lifted(n, k - n, Fraction(a) + 2 * n, b, (n, k, a, b))
 
 
 def reciprocity_coefficients(alpha, beta, n: int, k: int) -> DensePoly:
@@ -489,8 +492,8 @@ def reciprocity_coefficients(alpha, beta, n: int, k: int) -> DensePoly:
     so its coefficients are the kernel's in reverse order above k zeros.
     """
     a, b = _param(alpha), _param(beta)
-    nums, den = _jacobi_kernel(n - k, -Fraction(a) - Fraction(b) - 2 * n - 2, Fraction(b))
-    return _finished([0] * k + nums[::-1], den, (n, k, a, b))
+    return _lifted(k, n - k, -Fraction(a) - Fraction(b) - 2 * n - 2, b, (n, k, a, b),
+                   reverse=True)
 
 
 def ajp_derivative(p: PolyParams) -> DensePoly:

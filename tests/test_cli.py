@@ -536,3 +536,12 @@ def test_exact_cli_golden_bytes():
     # regenerate with: PYTHONPATH=src:tests python -c "import test_cli;
     # print(test_cli.exact_cli_transcript(), end='')" > tests/golden/exact_cli.txt
     assert exact_cli_transcript() == (GOLDEN / "exact_cli.txt").read_text()
+
+
+def test_verify_all_golden_bytes(capsys):
+    # regenerate with: PYTHONPATH=src python -m altpoly verify --suite all
+    # --nmax 8 > tests/golden/verify_all_nmax8.json
+    from altpoly.cli import main
+
+    assert main(["verify", "--suite", "all", "--nmax", "8"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify_all_nmax8.json").read_text()

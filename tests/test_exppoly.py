@@ -70,6 +70,18 @@ def test_float_member_poly_is_the_exact_member_at_alpha_minus_one_rounded_once()
             assert sys.member_poly(n + 1).is_zero
 
 
+def test_float_member_poly_overflow_names_the_direct_polynomial():
+    # member k of the (alpha, beta) system is the direct polynomial at
+    # (alpha, beta, k, n), not the alternative member at (alpha - 1, beta, n, k)
+    with pytest.raises(CoefficientOverflowError,
+                       match=r"^float coefficients of member \(n=0, k=406\) overflow the double "
+                             r"range for alpha = 1\.5, beta = 0\.7; use exact parameters$"):
+        ExpPolySystem(1.5, 0.7, 406).member_poly(0)
+    for k in (-1, 5):
+        with pytest.raises(ValueError, match=f"k = {k} outside 0..n\\+1 for n = 3"):
+            ExpPolySystem(1, 0, 3).member_poly(k)
+
+
 # -------------------------------------------------------------------- norms
 
 def test_e_norm_values():

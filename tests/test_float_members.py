@@ -36,7 +36,7 @@ from altpoly.polycore import (
     shifted_jacobi,
     shifted_jacobi_coefficients,
 )
-from altpoly.zfun import rational_candidates, whole_candidates, z_build
+from altpoly.zfun import etilde_eval, rational_candidates, whole_candidates, z_build
 
 GOLDEN = Path(__file__).parent / "golden"
 GRID = [i / 64 for i in range(65)]
@@ -306,6 +306,15 @@ def test_a_value_that_is_not_finite_is_refused():
         jacobi_rows(10 ** 400, 0, 3, [0.5])
     with pytest.raises(ValueRangeError, match="m = 2"):
         jacobi_rows(0.5, 0.5, 2, [math.nan])
+    # a point that is not finite is named, whichever entry point passes it on
+    system = ExpPolySystem(1, 0, 3)
+    for call, point in ((lambda: e_eval(system, 1, math.nan), "nan"),
+                        (lambda: e_eval(system, 1, -math.inf), "inf"),
+                        (lambda: etilde_eval(1, 0, 3, 1, math.nan), "nan"),
+                        (lambda: ajp_eval(PolyParams(1, 0, 3, 0), math.nan), "nan"),
+                        (lambda: shifted_jacobi(3, 1, 0, math.nan), "nan")):
+        with pytest.raises(ValueRangeError, match=f"not finite at the point x = {point} for"):
+            call()
 
 
 def test_tabulate_float_at_a_huge_exponent_exits_1_with_typed_error(capsys):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,15 @@ def test_t_scaling_values():
     assert t_scaling(2, 1) == 2
     assert t_scaling(2, 0) == F(8, 3)
     assert t_scaling(4, 4) == 1
+
+
+def test_t_scaling_equals_the_falling_factorial_ratio():
+    # (n-k)! / (n-k-1/2)_{n-k} as a product of Fractions, for every
+    # m = n - k up to 200 (t_scaling depends on m alone)
+    for k in range(201):
+        m = 200 - k
+        falling = math.prod((Fraction(2 * m - 1, 2) - i for i in range(m)), start=Fraction(1))
+        assert t_scaling(200, k) == math.factorial(m) / falling, m
 
 
 def test_t_coefficients_examples():

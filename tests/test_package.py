@@ -131,6 +131,21 @@ def test_every_module_level_definition_is_used_or_exported():
     assert not unused, f"defined but never used or exported: {sorted(unused)}"
 
 
+# the documented shared step kernel of the A and T recurrences
+SHARED_PRIVATE = {("marginal", "polycore", "_downward_recurrence")}
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # a private name belongs to its module; a sibling that needs it reaches
+    # past the module's public functions
+    reach = [(path.stem, node.module, alias.name)
+             for path in Path(altpoly.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom) and node.level
+             for alias in node.names if alias.name.startswith("_")]
+    assert set(reach) - SHARED_PRIVATE == set(), sorted(set(reach) - SHARED_PRIVATE)
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         altpoly.no_such_name
