@@ -143,7 +143,7 @@ def cmd_tabulate(args) -> str:
     spec = zfun.z_build(n, args.omega, zfun.whole_candidates(args.limit))
     header = ["t"] + [f"Z{n}{j}" for j in range(0, n + 1)]
     ts = [i / (args.points - 1) for i in range(args.points)]
-    return _csv(header, ([t, *vals] for t, vals in zip(ts, spec._rows(ts, 0).T.tolist())))
+    return _csv(header, ([t, *vals] for t, vals in zip(ts, spec.rows(ts).T.tolist())))
 
 
 def cmd_zeros(args) -> str:
@@ -166,8 +166,10 @@ def cmd_zeros(args) -> str:
 def cmd_quad(args) -> str:
     if args.family == "exp":
         _need_n(args.n)
-        from .exppoly import rule_table
-        rows = rule_table(args.n)
+        from .exppoly import legendre_type_quadrature
+        unit = legendre_type_quadrature(args.n)
+        rows = [(s, x, -math.log(x), w, w / x)
+                for s, (x, w) in enumerate(zip(unit.nodes, unit.weights), start=1)]
         if args.format == "json":
             return json.dumps({"n": args.n, "rows": [
                 {"s": s, "x": x, "t": t, "w": w, "v": v}
@@ -181,8 +183,9 @@ def cmd_quad(args) -> str:
         from .quad import gauss_jacobi_rule
         rule = gauss_jacobi_rule(args.m, args.alpha, args.beta)
         if args.format == "json":
-            return rule.to_json() + "\n"
-        return rule.to_csv()
+            return json.dumps({"domain": rule.domain, "weight": list(rule.weight_desc),
+                               "nodes": list(rule.nodes), "weights": list(rule.weights)}) + "\n"
+        return _csv(["node", "weight"], zip(rule.nodes, rule.weights))
     raise UsageError("quad supports --family ajp (Gauss-Jacobi) or exp")
 
 
@@ -209,7 +212,10 @@ def cmd_zbuild(args) -> str:
     if args.format == "csv":
         rows = [(k, lam) for k, lam in enumerate(spec.zeros.lambdas, start=1)]
         return _csv(["k", "lambda"], rows)
-    return spec.to_json() + "\n"
+    return json.dumps({"n": spec.n, "omega": float(spec.omega),
+                       "alpha_n": float(spec.alpha_n), "beta_n": float(spec.beta_n),
+                       "gamma_n": spec.gamma_n, "scaled": spec.scaled,
+                       "lambdas": list(spec.zeros.lambdas)}) + "\n"
 
 
 def _target_function(args):

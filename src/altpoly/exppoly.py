@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import CoefficientOverflowError, DivergenceError, RootFindingError
 from .exact import is_exact
-from .marginal import MarginalKind, a_coefficients, member_rows
+from .marginal import a_coefficients, t_scaling
 from .poly import DensePoly
 from .polycore import (
     PolyParams,
@@ -66,11 +66,15 @@ class ExpPolySystem:
 
 def e_eval(sys: ExpPolySystem, k: int, t) -> float:
     """Member value at t >= 0, x = exp(-t): row k of member_values for
-    k = 0..n (k = 0 is the associated function), zero for k = n + 1."""
+    k = 0..n (k = 0 is the associated function), zero for k = n + 1.
+    ValueError names a t < 0, where x > 1 lies outside the members' [0, 1]."""
     n = sys.n
     if not 0 <= k <= n + 1:
         raise ValueError(f"k = {k} outside 0..n+1 for n = {n}")
-    x = math.exp(-float(t))
+    t = float(t)
+    if t < 0:
+        raise ValueError(f"exponential members live on t >= 0, got t = {t}")
+    x = math.exp(-t)
     return float(member_values(sys.alpha, sys.beta, n, (x,), k, k)[0, 0]) if k <= n else 0.0
 
 
@@ -186,21 +190,14 @@ def legendre_type_quadrature(n: int) -> QuadRule:
 
 
 def semi_axis_rule(n: int) -> QuadRule:
-    """Gauss-type rule on the semi-axis: t_s = -ln x_s, v_s = w_s / x_s;
-    integrates exp(-m t) exactly to 1/m for m = 2..2n+1. The rows of
-    rule_table reversed: x_s ascends strictly, so t_s descends."""
-    rows = rule_table(n)[::-1]
-    return QuadRule(tuple(r[2] for r in rows), tuple(r[4] for r in rows),
-                    SEMI_AXIS, ("semi-axis-exp", n))
-
-
-def rule_table(n: int) -> list[tuple]:
-    """Joint zero/weight table (s, x_s, t_s, w_s, v_s), ascending in x_s."""
+    """Gauss-type rule on the semi-axis: t_s = -ln x_s, v_s = w_s / x_s over
+    the nodes x_s and weights w_s of legendre_type_quadrature, taken in
+    reverse so that t_s ascends; integrates exp(-m t) exactly to 1/m for
+    m = 2..2n+1."""
     unit = legendre_type_quadrature(n)
-    rows = []
-    for s, (x, w) in enumerate(zip(unit.nodes, unit.weights), start=1):
-        rows.append((s, x, -math.log(x), w, w / x))
-    return rows
+    pairs = list(zip(unit.nodes, unit.weights))[::-1]
+    return QuadRule(tuple(-math.log(x) for x, _ in pairs), tuple(w / x for x, w in pairs),
+                    SEMI_AXIS, ("semi-axis-exp", n))
 
 
 def ea_eval(n: int, k: int, t) -> float:
@@ -209,13 +206,11 @@ def ea_eval(n: int, k: int, t) -> float:
 
 
 def et_eval(n: int, k: int, t) -> float:
-    """T-kind exponential member: row k of marginal.member_rows for the T
-    family at x = exp(-t) for k = 0..n; other k go to e_eval, which returns
-    zero for k = n + 1 and refuses the rest."""
-    sys = ExpPolySystem(-0.5, -0.5, n)
-    if not 0 <= k <= n:
-        return e_eval(sys, k, t)
-    return float(member_rows(MarginalKind.T, n, (math.exp(-float(t)),), k, k)[0, 0])
+    """T-kind exponential member: the (-1/2, -1/2) system's member, by
+    e_eval, times marginal.t_scaling(n, k) rounded once for k = 0..n; e_eval
+    returns zero for k = n + 1 and refuses the other k."""
+    value = e_eval(ExpPolySystem(-0.5, -0.5, n), k, t)
+    return value * float(t_scaling(n, k)) if k <= n else value
 
 
 def ea_derivative_relation_residual(n: int, k: int, t) -> float:

@@ -22,22 +22,15 @@ from .polycore import (PolyParams, _downward_recurrence, ajp_coefficients, ajp_r
 
 
 class MarginalKind(enum.Enum):
-    """Tag plus weight descriptor for the two marginal families."""
+    """The two marginal families, each with its weight exponents
+    weight_desc = (alpha, beta)."""
 
-    A = ("A", (Fraction(-1), Fraction(0)))
-    T = ("T", (Fraction(-3, 2), Fraction(-1, 2)))
+    A = (Fraction(-1), Fraction(0))
+    T = (Fraction(-3, 2), Fraction(-1, 2))
 
-    def __init__(self, tag, weight_desc):
-        self.tag = tag
-        self.weight_desc = weight_desc
-
-    @property
-    def alpha(self):
-        return self.weight_desc[0]
-
-    @property
-    def beta(self):
-        return self.weight_desc[1]
+    def __init__(self, alpha, beta):
+        self.alpha, self.beta = alpha, beta
+        self.weight_desc = (alpha, beta)
 
 
 def a_coefficients(n: int, k: int) -> DensePoly:

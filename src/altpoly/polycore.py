@@ -316,7 +316,7 @@ def _downward_recurrence(n: int, first, factors, label: str = "member") -> list[
         g = math.gcd(q1, q2)
         c1, c2, c3 = q2 // g * m1, q2 // g * m2, q1 // g * m3
         vec = [c1 * s - c2 * y - c3 * z for s, y, z in zip_longest(cur[1:], cur, prev, fillvalue=0)]
-        members.append(DensePoly._from(vec, q1 // g * q2 * den))
+        members.append(DensePoly(vec, q1 // g * q2 * den))
     return members
 
 
@@ -361,6 +361,8 @@ def direct_norm_d(alpha, beta, n: int, k: int):
     1/(alpha+beta+2k+1) * Gamma(alpha+k+n+1) Gamma(beta+k-n+1) /
     ((k-n)! Gamma(alpha+beta+k+n+1)).
     """
+    if n < 0:
+        raise ValueError(f"direct family needs n >= 0, got n = {n}, k = {k}")
     if k < n:
         raise ValueError("direct family is indexed by k >= n")
     a, b = _param(alpha), _param(beta)
@@ -478,6 +480,8 @@ def shifted_jacobi(m: int, a, b, x):
 def direct_coefficients(alpha, beta, n: int, k: int) -> DensePoly:
     """Direct-orthogonalization polynomial: x^n times the shifted Jacobi
     polynomial of degree k-n with first parameter translated exactly by 2n."""
+    if n < 0:
+        raise ValueError(f"direct family needs n >= 0, got n = {n}, k = {k}")
     if k < n:
         raise ValueError("direct family is indexed by k >= n")
     a, b = _param(alpha), _param(beta)
@@ -491,6 +495,8 @@ def reciprocity_coefficients(alpha, beta, n: int, k: int) -> DensePoly:
     The degree-(n-k) polynomial in 1/x times x^n lands on powers x^k..x^n,
     so its coefficients are the kernel's in reverse order above k zeros.
     """
+    if not 0 <= k <= n:
+        raise ValueError(f"reciprocity route needs 0 <= k <= n, got n = {n}, k = {k}")
     a, b = _param(alpha), _param(beta)
     return _lifted(k, n - k, -Fraction(a) - Fraction(b) - 2 * n - 2, b, (n, k, a, b),
                    reverse=True)

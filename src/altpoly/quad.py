@@ -12,7 +12,6 @@ exp(-alpha t)(1-exp(-t))**beta reduce to [0,1] through x = exp(-t).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,22 +48,6 @@ class QuadRule:
         if self.weight_desc and self.weight_desc[0] == "gauss-jacobi":
             if any(w <= 0 for w in self.weights):
                 raise ValueError("Gauss-Jacobi weights must be positive")
-
-    def to_csv(self) -> str:
-        lines = ["node,weight"]
-        for x, w in zip(self.nodes, self.weights):
-            lines.append(f"{x!r},{w!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "domain": self.domain,
-                "weight": list(self.weight_desc),
-                "nodes": list(self.nodes),
-                "weights": list(self.weights),
-            }
-        )
 
 
 def beta_moment(a, b):

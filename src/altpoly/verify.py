@@ -225,7 +225,7 @@ def _float_member_grid(top):
     """(family, alpha, beta, n): the ajp family at INT2 and half-integer
     pairs, then the A and T families at their weights."""
     families = ([("ajp", a, b) for a, b in INT2 + _pairs(HALF, HALF)]
-                + [("a", F(-1), F(0)), ("t", *T_WEIGHT)])
+                + [("a", *A_WEIGHT), ("t", *T_WEIGHT)])
     return ((fam, a, b, n) for fam, a, b in families for n in _sparse_ns(top))
 
 
@@ -250,7 +250,8 @@ def _float_member_values(fam, a, b, n):
 
 # --------------------------------------------------------- marginal checks
 
-T_WEIGHT = (F(-3, 2), F(-1, 2))
+A_WEIGHT = marginal.MarginalKind.A.weight_desc
+T_WEIGHT = marginal.MarginalKind.T.weight_desc
 
 
 def _a(n, k):
@@ -262,13 +263,13 @@ def _t(n, k):
 
 
 def _a_relations(n, k):
-    p = PolyParams(-1, 0, n, k)
+    p = PolyParams(*A_WEIGHT, n, k)
     lowering = polycore.dd_lowering_residual(p) if k else ZERO
     return (polycore.dd_raising_residual(p), lowering, polycore.ode_residual_poly(p)), (ZERO,) * 3
 
 
 def _a_orthogonality(n, k, l):
-    oracle = quad.weighted_inner_product(_a(n, k), _a(n, l), -1, 0)
+    oracle = quad.weighted_inner_product(_a(n, k), _a(n, l), *A_WEIGHT)
     want = F(1, 2 * k) if k == l else 0
     return (oracle, marginal.a_norm(n, k, l)), (want, want)
 
@@ -278,7 +279,7 @@ def _t_orthogonality(n, k, l):
 
 
 def _a_single_integral(n, k):
-    oracle = quad.weighted_inner_product(_a(n, k), DensePoly.one(), -1, 0)
+    oracle = quad.weighted_inner_product(_a(n, k), DensePoly.one(), *A_WEIGHT)
     return (oracle, marginal.a_single_integral(n, k)), (F(1, k),) * 2
 
 
@@ -466,7 +467,7 @@ ROWS = [
         lambda n: (marginal.a_recurrence(n),
                    [marginal.a_coefficients(n, k) for k in range(n, -1, -1)]), cap=12),
     Row("a-is-family-member", "marginal", ("n", "k"), _tri,
-        lambda n, k: (_a(n, k), _member(-1, 0, n, k)), cap=12),
+        lambda n, k: (_a(n, k), _member(*A_WEIGHT, n, k)), cap=12),
     Row("a-singular-is-shifted-legendre", "marginal", ("n",), _ns,
         lambda n: (marginal.a_coefficients(n, 0), marginal.shifted_legendre_coefficients(n)),
         cap=10),

@@ -11,7 +11,6 @@ the associated function exactly at t = 1 either way.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +38,8 @@ def lambda_max(alpha, beta, n: int) -> float:
 
 def etilde_eval(alpha, beta, n: int, k: int, t) -> float:
     """Scaled member: the exponential member evaluated at lambda_max * t,
-    so the largest zero of the scaled associated function sits at t = 1."""
+    so the largest zero of the scaled associated function sits at t = 1;
+    e_eval refuses t < 0, naming lambda_max * t."""
     lam = lambda_max(alpha, beta, n)
     return float(e_eval(ExpPolySystem(alpha, beta, n), k, lam * float(t)))
 
@@ -239,40 +239,32 @@ class ZSystemSpec:
 
     def member_matrix(self, ts):
         """member_eval(k, t) for each t (rows) and k = 0..n (columns), as a numpy
-        array; the members come from one member_values call."""
+        array; the members come from one rows call."""
         import numpy as np
 
         out = np.ones((len(ts), self.n + 1))
-        out[:, 1:] = self._rows(ts, 1).T
+        out[:, 1:] = self.rows(ts, 1).T
         return out
 
-    def _rows(self, ts, lo: int):
+    def rows(self, ts, lo: int = 0):
         """The rows k = lo..n of member_values at x = exp(-factor t), one
-        column per t; row 0 is the associated function."""
-        xs = [math.exp(-(self._factor * float(t))) for t in ts]
+        column per t: the one evaluator of the system's values, row 0 the
+        associated function. ValueError names a t < 0, where x > 1 lies
+        outside the members' [0, 1]."""
+        ts = [float(t) for t in ts]
+        for t in ts:
+            if t < 0:
+                raise ValueError(f"Z members live on t >= 0, got t = {t}")
+        xs = [math.exp(-(self._factor * t)) for t in ts]
         return member_values(self.alpha_n, self.beta_n, self.n, xs, lo)
 
     def associated_eval(self, t) -> float:
-        """The k = 0 associated function: e_eval at factor t, like every member."""
-        return e_eval(ExpPolySystem(self.alpha_n, self.beta_n, self.n), 0,
-                      self._factor * float(t))
+        """The k = 0 associated function, row 0 of rows."""
+        return float(self.rows((t,))[0, 0])
 
     def collocation_nodes(self) -> tuple:
         """t = 0 plus the zeros of the associated function mapped into (0,1]."""
         return (0.0,) + tuple(lam / self._factor for lam in self.zeros.lambdas)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "omega": float(self.omega),
-                "alpha_n": float(self.alpha_n),
-                "beta_n": float(self.beta_n),
-                "gamma_n": self.gamma_n,
-                "scaled": self.scaled,
-                "lambdas": list(self.zeros.lambdas),
-            }
-        )
 
 
 def _assemble(n: int, omega, alpha_n, zeros: ZeroSet, unscaled_tol: float) -> ZSystemSpec:

@@ -73,6 +73,75 @@ def test_quad_gauss_jacobi_csv():
     assert cp.stdout.splitlines()[1].startswith("0.5,")
 
 
+def main_stdout(capsys, *argv: str) -> str:
+    """cli.main in process: its standard output, after exit code 0."""
+    from altpoly.cli import main
+
+    assert main(list(argv)) == 0, argv
+    return capsys.readouterr().out
+
+
+def csv_text(header, rows) -> str:
+    """The documented CSV layout: a header line, then one line per row, each
+    value in shortest round-trip form."""
+    return ",".join(header) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("a,b,m", [("0", "0", 2), ("1/2", "-1/2", 5), ("2.5", "0.7", 9)])
+def test_quad_ajp_prints_the_gauss_jacobi_rule(capsys, a, b, m):
+    from fractions import Fraction
+
+    from altpoly.quad import gauss_jacobi_rule
+
+    rule = gauss_jacobi_rule(m, Fraction(a), Fraction(b))
+    assert list(rule.nodes) == sorted(rule.nodes)
+    argv = ["quad", "--family", "ajp", "--alpha", a, "--beta", b, "--n", "0", "--m", str(m)]
+    assert main_stdout(capsys, *argv) == csv_text(["node", "weight"],
+                                                  zip(rule.nodes, rule.weights))
+    assert main_stdout(capsys, *argv, "--format", "json") == json.dumps(
+        {"domain": "unit-interval", "weight": ["gauss-jacobi", float(Fraction(a)),
+                                               float(Fraction(b))],
+         "nodes": list(rule.nodes), "weights": list(rule.weights)}) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 3, 12])
+def test_quad_exp_prints_the_semi_axis_rule_reversed(capsys, n):
+    from altpoly.exppoly import legendre_type_quadrature, semi_axis_rule
+
+    unit = legendre_type_quadrature(n)
+    rows = [(s, x, -math.log(x), w, w / x)
+            for s, (x, w) in enumerate(zip(unit.nodes, unit.weights), start=1)]
+    # x ascends, and (t, v) is the semi-axis rule in reverse
+    assert [row[1] for row in rows] == sorted(unit.nodes)
+    rule = semi_axis_rule(n)
+    assert [(row[2], row[4]) for row in rows[::-1]] == list(zip(rule.nodes, rule.weights))
+    argv = ["quad", "--family", "exp", "--n", str(n)]
+    assert main_stdout(capsys, *argv) == csv_text(["s", "x_s", "t_s", "w_s", "v_s"], rows)
+    assert main_stdout(capsys, *argv, "--format", "json") == json.dumps(
+        {"n": n, "rows": [dict(zip("sxtwv", row)) for row in rows]}) + "\n"
+
+
+@pytest.mark.parametrize("candidates,n,omega", [("whole", 3, "1/2"), ("rational", 2, "1"),
+                                                ("real", 4, "0")])
+def test_zbuild_prints_the_built_system(capsys, candidates, n, omega):
+    from fractions import Fraction
+
+    from altpoly import zfun
+
+    if candidates == "real":
+        spec = zfun.z_build_real(n, Fraction(omega))
+    else:
+        cands = (zfun.whole_candidates if candidates == "whole" else zfun.rational_candidates)(64)
+        spec = zfun.z_build(n, Fraction(omega), cands)
+    argv = ["zbuild", "--n", str(n), "--omega", omega, "--candidates", candidates]
+    assert main_stdout(capsys, *argv) == json.dumps(
+        {"n": n, "omega": float(Fraction(omega)), "alpha_n": float(spec.alpha_n),
+         "beta_n": float(spec.beta_n), "gamma_n": spec.gamma_n, "scaled": spec.scaled,
+         "lambdas": list(spec.zeros.lambdas)}) + "\n"
+    assert main_stdout(capsys, *argv, "--format", "csv") == csv_text(
+        ["k", "lambda"], enumerate(spec.zeros.lambdas, start=1))
+
+
 def test_verify_summary_and_exit():
     cp = run_cli("verify", "--suite", "zfun", "--nmax", "2")
     assert cp.returncode == 0, cp.stderr

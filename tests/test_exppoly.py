@@ -15,7 +15,6 @@ from altpoly.exppoly import (
     guarded_zero_set,
     legendre_type_quadrature,
     project,
-    rule_table,
     semi_axis_rule,
     stacked_zeros,
 )
@@ -229,15 +228,6 @@ def test_discrete_orthogonality():
                           for t, v in zip(rule.nodes, rule.weights))
                 want = 1 / (2 * k) if k == l else 0.0
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (n, k, l)
-
-
-def test_rule_table_ascending_in_x():
-    rows = rule_table(3)
-    xs = [row[1] for row in rows]
-    assert xs == sorted(xs)
-    for s, x, t, w, v in rows:
-        assert t == pytest.approx(-math.log(x), rel=1e-15)
-        assert v == pytest.approx(w / x, rel=1e-15)
 
 
 # ------------------------------------------------------- A/T exponentials

@@ -36,7 +36,8 @@ from altpoly.polycore import (
     shifted_jacobi,
     shifted_jacobi_coefficients,
 )
-from altpoly.zfun import etilde_eval, rational_candidates, whole_candidates, z_build
+from altpoly.zfun import (etilde_eval, lambda_max, rational_candidates, whole_candidates,
+                          z_build)
 
 GOLDEN = Path(__file__).parent / "golden"
 GRID = [i / 64 for i in range(65)]
@@ -309,12 +310,34 @@ def test_a_value_that_is_not_finite_is_refused():
     # a point that is not finite is named, whichever entry point passes it on
     system = ExpPolySystem(1, 0, 3)
     for call, point in ((lambda: e_eval(system, 1, math.nan), "nan"),
-                        (lambda: e_eval(system, 1, -math.inf), "inf"),
+                        (lambda: jacobi_rows(1, 0, 3, [math.inf]), "inf"),
                         (lambda: etilde_eval(1, 0, 3, 1, math.nan), "nan"),
                         (lambda: ajp_eval(PolyParams(1, 0, 3, 0), math.nan), "nan"),
                         (lambda: shifted_jacobi(3, 1, 0, math.nan), "nan")):
         with pytest.raises(ValueRangeError, match=f"not finite at the point x = {point} for"):
             call()
+
+
+def test_a_point_off_the_semi_axis_is_refused():
+    # t < 0 is x = exp(-t) > 1, outside the members' [0, 1]: every
+    # semi-axis evaluator refuses it by name, -inf included; -0.0 answers
+    system = ExpPolySystem(1, 0, 3)
+    spec = z_build(3, 0, whole_candidates(64))
+    calls = [lambda t: e_eval(system, 1, t), lambda t: ea_eval(3, 1, t),
+             lambda t: et_eval(3, 1, t), lambda t: spec.member_eval(1, t),
+             lambda t: spec.member_matrix([0.5, t]), lambda t: spec.associated_eval(t),
+             lambda t: spec.rows([t])]
+    for call in calls:
+        for t, shown in ((-1.0, "-1.0"), (-math.inf, "-inf"), (-5e-324, "-5e-324")):
+            with pytest.raises(ValueError, match=f"live on t >= 0, got t = {shown}$") as info:
+                call(t)
+            assert type(info.value) is ValueError
+        assert np.array_equal(call(-0.0), call(0.0))
+    # the scaled member names its argument lambda_max * t
+    lam = lambda_max(1, 0, 3)
+    with pytest.raises(ValueError, match=f"live on t >= 0, got t = {-lam}$"):
+        etilde_eval(1, 0, 3, 1, -1.0)
+    assert etilde_eval(1, 0, 3, 1, -0.0) == etilde_eval(1, 0, 3, 1, 0.0)
 
 
 def test_tabulate_float_at_a_huge_exponent_exits_1_with_typed_error(capsys):

@@ -146,6 +146,57 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert set(reach) - SHARED_PRIVATE == set(), sorted(set(reach) - SHARED_PRIVATE)
 
 
+def _absolute_imports(tree):
+    """The top-level names of the modules a syntax tree imports absolutely."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
+def test_only_the_cli_imports_json_or_argparse():
+    # the CLI formats every result; the library modules return values
+    reach = [(path.stem, name) for path in Path(altpoly.__file__).parent.glob("*.py")
+             if path.stem != "cli"
+             for name in _absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
+             if name in ("json", "argparse")]
+    assert not reach, sorted(reach)
+
+
+def _private_attributes(tree):
+    """The single-underscore attribute names a module's classes define: as
+    methods, in __slots__, or by assignment to self._name."""
+    names = set()
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for node in ast.walk(cls):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+                names |= {elt.value for elt in ast.walk(node.value)
+                          if isinstance(elt, ast.Constant) and isinstance(elt.value, str)}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                names.add(node.attr)
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_no_module_reads_a_private_attribute_of_another_modules_class():
+    # a class's private attributes belong to its module; a reader elsewhere
+    # reaches past the class's public methods
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(altpoly.__file__).parent.glob("*.py")}
+    private = {module: _private_attributes(tree) for module, tree in trees.items()}
+    reads = []
+    for module, tree in trees.items():
+        foreign = set().union(*(names for other, names in private.items() if other != module))
+        reads += [(module, node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and node.attr in foreign - private[module]]
+    assert not reads, sorted(reads)
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         altpoly.no_such_name

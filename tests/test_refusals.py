@@ -22,6 +22,17 @@ REFUSALS = [
      "direct norms need alpha > -1 and beta > -1"),
     ("direct_coefficients", lambda: polycore.direct_coefficients(0, 0, 3, 2), ValueError,
      "direct family is indexed by k >= n"),
+    ("direct_coefficients-n=-1", lambda: polycore.direct_coefficients(0, 0, -1, 3), ValueError,
+     "direct family needs n >= 0, got n = -1, k = 3"),
+    ("direct_coefficients-n=-2", lambda: polycore.direct_coefficients(0, 0, -2, -1), ValueError,
+     "direct family needs n >= 0, got n = -2, k = -1"),
+    ("direct_norm_d-n=-1", lambda: polycore.direct_norm_d(0, 0, -1, 3), ValueError,
+     "direct family needs n >= 0, got n = -1, k = 3"),
+    ("direct_norm_d-n=-2", lambda: polycore.direct_norm_d(0, 0, -2, -1), ValueError,
+     "direct family needs n >= 0, got n = -2, k = -1"),
+    *((f"reciprocity_coefficients-k={k}",
+       lambda k=k: polycore.reciprocity_coefficients(0, 0, 3, k), ValueError,
+       f"reciprocity route needs 0 <= k <= n, got n = 3, k = {k}") for k in (-1, 4, 5)),
     ("diff_formula_residual", lambda: polycore.diff_formula_residual(PolyParams(0, 0, 3, 3)),
      ValueError, "differentiation formula applies for k < n"),
     ("dd_lowering_residual", lambda: polycore.dd_lowering_residual(PolyParams(0, 0, 3, 0)),

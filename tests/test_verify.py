@@ -76,7 +76,13 @@ def test_wrong_member_values_fail_exp(monkeypatch, capsys):
 
 def test_wrong_associated_function_fails_zfun(monkeypatch, capsys):
     # z_build's own endpoint guard raises; the row records that as a failure
-    e_eval = zfun.e_eval
-    monkeypatch.setattr(zfun, "e_eval",
-                        lambda sys, k, t: e_eval(sys, k, t) + (1e-6 if k == 0 else 0.0))
+    values = zfun.member_values
+
+    def spoiled(alpha, beta, n, xs, lo=1, hi=None):
+        rows = values(alpha, beta, n, xs, lo, hi)
+        if lo == 0:
+            rows[0] += 1e-6     # the associated function
+        return rows
+
+    monkeypatch.setattr(zfun, "member_values", spoiled)
     assert_caught(capsys, "zfun", "z-system-endpoint", acceptance.test_criterion_09_z_systems)

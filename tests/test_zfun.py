@@ -123,15 +123,6 @@ def test_scaling_consistency_identity():
             e_eval(sys, k, spec.gamma_n), rel=1e-14)
 
 
-def test_spec_json_round_trip():
-    spec = z_build(2, 1, whole_candidates())
-    payload = json.loads(spec.to_json())
-    assert payload["n"] == 2
-    assert payload["scaled"] is True
-    assert len(payload["lambdas"]) == 2
-    assert payload["gamma_n"] == pytest.approx(payload["lambdas"][-1])
-
-
 def test_collocation_constant_and_member():
     spec = z_build(2, 0, whole_candidates())
     r = z_collocation_fit(lambda t: 1.0, spec)
