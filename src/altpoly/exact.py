@@ -12,6 +12,9 @@ every norm, single integral and Beta moment. Floats are the fallback
 whenever the arguments are not rational (or have denominators other than 1
 or 2, where the ratio has no exact form here, or need a product of more
 than EXACT_FACTOR_CAP factors).
+
+exact_param normalizes a parameter once where it enters the library: floats
+stay floats, whole rationals become ints, other rationals Fractions.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
+from numbers import Rational, Real
 
 from .errors import ValueRangeError
 
@@ -30,7 +33,23 @@ class ExactnessError(ValueError):
 
 def is_exact(v) -> bool:
     """True for values participating in exact arithmetic (ints, Fractions, PiRational)."""
+    if type(v) is int or type(v) is Fraction:
+        return True
     return isinstance(v, (int, Rational, PiRational)) and not isinstance(v, bool)
+
+
+def exact_param(v):
+    """A parameter as the arithmetic runs on it, normalized once where it
+    enters: a float (numpy's included) stays a float, a whole rational
+    becomes an int (so its shifts and sums are int arithmetic), any other
+    rational a Fraction; strings such as "7/2" are read as Fractions."""
+    if type(v) is int or isinstance(v, float):
+        return v
+    if type(v) is not Fraction:
+        if isinstance(v, Real) and not isinstance(v, Rational):
+            return v
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
 
 
 def at_binary_values(*values) -> tuple:
@@ -79,8 +98,10 @@ class PiRational:
     pi_coeff: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "rat", Fraction(self.rat))
-        object.__setattr__(self, "pi_coeff", Fraction(self.pi_coeff))
+        if type(self.rat) is not Fraction:
+            object.__setattr__(self, "rat", Fraction(self.rat))
+        if type(self.pi_coeff) is not Fraction:
+            object.__setattr__(self, "pi_coeff", Fraction(self.pi_coeff))
 
     def __add__(self, other):
         if isinstance(other, PiRational):
@@ -229,14 +250,16 @@ def gamma2_ratio(a, b, c):
     ratio has an exact form within EXACT_FACTOR_CAP factors; otherwise exp(lgamma(a) + lgamma(b) -
     lgamma(c)) on the arguments, each rounded once to a float.
     ValueRangeError naming a, b and c when that float leaves the double
-    range."""
+    range or is nan (an infinite or nan argument: inf - inf)."""
     if is_exact(a) and is_exact(b) and is_exact(c):
         try:
             return simplify_scalar(exact_gamma2_ratio(a, b, c))
         except ExactnessError:
             pass
     try:
-        return math.exp(math.lgamma(float(a)) + math.lgamma(float(b)) - math.lgamma(float(c)))
+        value = math.exp(math.lgamma(float(a)) + math.lgamma(float(b)) - math.lgamma(float(c)))
     except OverflowError:
-        raise ValueRangeError(
-            f"Gamma({a}) Gamma({b}) / Gamma({c}) leaves the double range") from None
+        value = math.inf
+    if value < math.inf:
+        return value
+    raise ValueRangeError(f"Gamma({a}) Gamma({b}) / Gamma({c}) leaves the double range")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CoefficientOverflowError, DivergenceError, RootFindingError
 from .exact import is_exact
@@ -24,6 +23,7 @@ from .polycore import (
     direct_coefficients,
     jacobi_rows,
     rounded_jacobi_coefficients,
+    whole_index,
 )
 from .quad import (
     SEMI_AXIS,
@@ -49,6 +49,7 @@ class ExpPolySystem:
     def __post_init__(self):
         if not (self.alpha > -1 and self.beta > -1):
             raise ValueError("system needs alpha > -1 and beta > -1")
+        object.__setattr__(self, "n", whole_index("n", self.n))
         if self.n < 1:
             raise ValueError("system needs n >= 1")
 
@@ -64,6 +65,15 @@ class ExpPolySystem:
         return direct_coefficients(self.alpha, self.beta, k, self.n)
 
 
+def semi_axis_point(t) -> float:
+    """t as a float; ValueError naming it for t < 0, where x = exp(-t) > 1
+    lies outside the members' [0, 1]."""
+    t = float(t)
+    if t < 0:
+        raise ValueError(f"exponential members live on t >= 0, got t = {t}")
+    return t
+
+
 def e_eval(sys: ExpPolySystem, k: int, t) -> float:
     """Member value at t >= 0, x = exp(-t): row k of member_values for
     k = 0..n (k = 0 is the associated function), zero for k = n + 1.
@@ -71,10 +81,7 @@ def e_eval(sys: ExpPolySystem, k: int, t) -> float:
     n = sys.n
     if not 0 <= k <= n + 1:
         raise ValueError(f"k = {k} outside 0..n+1 for n = {n}")
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"exponential members live on t >= 0, got t = {t}")
-    x = math.exp(-t)
+    x = math.exp(-semi_axis_point(t))
     return float(member_values(sys.alpha, sys.beta, n, (x,), k, k)[0, 0]) if k <= n else 0.0
 
 
@@ -86,7 +93,7 @@ def e_norm(sys: ExpPolySystem, k: int):
     if k == 0:
         raise DivergenceError("associated function is not integrable on the semi-axis")
     # the alternative-family member at (alpha - 1, beta)
-    a = Fraction(sys.alpha) - 1 if is_exact(sys.alpha) else float(sys.alpha) - 1
+    a = sys.alpha - 1 if is_exact(sys.alpha) else float(sys.alpha) - 1
     return ajp_norm_h(PolyParams(a, sys.beta, sys.n, k))
 
 

@@ -7,6 +7,9 @@ parameters allow. The lower index runs downward, k = n..0, which is what the
 downward three-term recurrence follows.
 
 Arithmetic is exact whenever alpha and beta are rational; float otherwise.
+Each parameter is normalized once where it enters (exact.exact_param), a
+whole one to an int, so at whole parameters every shift and Gamma-ratio
+argument below is int arithmetic.
 Every exact coefficient vector comes from one integer kernel, the
 terminating hypergeometric sum of the shifted Jacobi polynomial
 (_jacobi_kernel), and every exact member is one _lifted call on it: x^k
@@ -36,6 +39,7 @@ _round_once (float ajp_recurrence returns these members); they serve
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,15 +52,28 @@ from .errors import (
     RecurrenceError,
     ValueRangeError,
 )
-from .exact import at_binary_values, gamma2_ratio, is_exact, over_common_denominator
+from .exact import (at_binary_values, exact_param, gamma2_ratio, is_exact,
+                    over_common_denominator)
 from .poly import DensePoly
 
 
-def _param(v):
-    """Normalize a family parameter: rationals stay exact, floats stay float."""
-    if isinstance(v, float):
+def whole_index(name: str, v) -> int:
+    """v as an int when it is whole by type (an int, or an integer type such
+    as numpy's); ValueError naming it otherwise, so that 2.5 or 3.0 is
+    refused where the family is built rather than deep in its arithmetic."""
+    if type(v) is int:
         return v
-    return Fraction(v)
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{name} must be a whole number, got {name} = {v}") from None
+
+
+def _finite(name: str, v):
+    """v, refused with a ValueError naming it when it is an infinite or nan float."""
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {name} = {v}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -66,7 +83,9 @@ class PolyParams:
     k = n + 1 is admitted as the zero-polynomial sentinel used by the
     downward recurrence. alpha may drop to -1 and below (marginal and formal
     regimes); norm and integral operations then refuse the non-integrable
-    cases individually.
+    cases individually. alpha and beta are normalized once here
+    (exact.exact_param: a whole rational is held as an int) and must be
+    finite; n and k must be whole.
     """
 
     alpha: object
@@ -75,10 +94,12 @@ class PolyParams:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _param(self.alpha))
-        object.__setattr__(self, "beta", _param(self.beta))
+        object.__setattr__(self, "alpha", _finite("alpha", exact_param(self.alpha)))
+        object.__setattr__(self, "beta", _finite("beta", exact_param(self.beta)))
+        object.__setattr__(self, "n", whole_index("n", self.n))
+        object.__setattr__(self, "k", whole_index("k", self.k))
         if self.n < 0:
-            raise ValueError("n must be a whole number")
+            raise ValueError(f"n must be a whole number, got n = {self.n}")
         if not 0 <= self.k <= self.n + 1:
             raise ValueError(f"k = {self.k} outside 0..n+1 for n = {self.n}")
         if not self.beta > -1:
@@ -121,8 +142,8 @@ def ajp_coefficients(p: PolyParams) -> DensePoly:
 def _ajp_coefficients_cached(n: int, k: int, a, b, _exact: bool) -> DensePoly:
     if k == n + 1:
         return DensePoly.zero()
-    # alpha's binary value, shifted exactly
-    return _lifted(k, n - k, Fraction(a) + 2 * k + 1, b, (n, k, a, b))
+    ra, rb = at_binary_values(a, b)     # float parameters at their binary values
+    return _lifted(k, n - k, ra + 2 * k + 1, rb, (n, k, a, b))
 
 
 def ajp_eval(p: PolyParams, x):
@@ -262,7 +283,7 @@ def ajp_recurrence(alpha, beta, n: int) -> list[DensePoly]:
     -4 rounded once), and CoefficientOverflowError names the lowest member
     that leaves the double range.
     """
-    a, b = _param(alpha), _param(beta)
+    a, b, n = exact_param(alpha), exact_param(beta), whole_index("n", n)
     if n < 0:
         raise ValueError("need n >= 0")
     if not (is_exact(a) and is_exact(b)):
@@ -328,11 +349,12 @@ def ajp_norm_h(p: PolyParams):
     in particular the k = 0 member of a marginal system is rejected.
     """
     n, k, a, b = p.n, p.k, p.alpha, p.beta
-    if not a + 2 * k + 1 > 0:
+    a2k1 = a + 2 * k + 1
+    if not a2k1 > 0:
         raise NonNormalizableError(
             f"member (n={n}, k={k}) is non-normalizable for alpha = {a}")
     ratio = gamma2_ratio(a + n + k + 2, b + n - k + 1, a + b + n + k + 2)
-    return ratio / (a + 2 * k + 1) / math.factorial(n - k)
+    return ratio / a2k1 / math.factorial(n - k)
 
 
 def ajp_single_integral(p: PolyParams):
@@ -346,10 +368,9 @@ def ajp_single_integral(p: PolyParams):
     if not a + k + 1 > 0:
         raise DivergenceError(
             f"weighted integral of member (n={n}, k={k}) diverges for alpha = {a}")
-    scale = Fraction(math.factorial(n), math.factorial(k) * math.factorial(n - k))
     ratio = gamma2_ratio(a + k + 1, b + n - k + 1, a + b + n + 2)
     try:
-        return ratio * scale
+        return ratio * math.comb(n, k)
     except OverflowError:
         raise ValueRangeError(
             f"weighted integral of member (n={n}, k={k}) for alpha = {a}, beta = {b}: "
@@ -365,7 +386,7 @@ def direct_norm_d(alpha, beta, n: int, k: int):
         raise ValueError(f"direct family needs n >= 0, got n = {n}, k = {k}")
     if k < n:
         raise ValueError("direct family is indexed by k >= n")
-    a, b = _param(alpha), _param(beta)
+    a, b = exact_param(alpha), exact_param(beta)
     if not (a > -1 and b > -1):
         raise DivergenceError("direct norms need alpha > -1 and beta > -1")
     if a + b + 2 * k + 1 == 0:
@@ -377,7 +398,7 @@ def direct_norm_d(alpha, beta, n: int, k: int):
     return ratio / (a + b + 2 * k + 1) / math.factorial(k - n)
 
 
-def _jacobi_kernel(m: int, a: Fraction, b: Fraction) -> tuple[list[int], int]:
+def _jacobi_kernel(m: int, a, b) -> tuple[list[int], int]:
     """Integers c_0..c_m and one denominator D such that c_j / D is the x^j
     coefficient of the shifted Jacobi polynomial P_m^{(a,b)}(1-2x),
 
@@ -399,7 +420,7 @@ def _jacobi_kernel(m: int, a: Fraction, b: Fraction) -> tuple[list[int], int]:
     zeroes every power below t, and d (m+1+i) + A + B = 0 (a + b = -(m+1+i),
     0 <= i < m) every power above i; the walk starts at the lowest nonzero
     power, built as a product. A polynomial identity in a and b, so any
-    rational parameters work, negative ones included.
+    rational parameters (ints or Fractions) work, negative ones included.
     """
     (big_a, big_b), d = over_common_denominator((a, b))
     ab = big_a + big_b
@@ -440,10 +461,11 @@ def _round_once(nums, den: int, member) -> list[float]:
 
 
 def _lifted(lift: int, m: int, a, b, member, reverse: bool = False) -> DensePoly:
-    """x^lift times the kernel's P_m^{(a,b)}(1-2x), its coefficients reversed
-    for the reciprocity route, as the polynomial of member = (n, k, alpha,
-    beta): exact when alpha and beta are, else each rounded once (_round_once)."""
-    nums, den = _jacobi_kernel(m, Fraction(a), Fraction(b))
+    """x^lift times the kernel's P_m^{(a,b)}(1-2x) at rational a and b, its
+    coefficients reversed for the reciprocity route, as the polynomial of
+    member = (n, k, alpha, beta): exact when alpha and beta are, else each
+    rounded once (_round_once)."""
+    nums, den = _jacobi_kernel(m, a, b)
     nums = [0] * lift + (nums[::-1] if reverse else nums)
     if is_exact(member[2]) and is_exact(member[3]):
         return DensePoly(nums, den)
@@ -455,7 +477,7 @@ def rounded_jacobi_coefficients(m: int, a, b) -> list[float]:
     the rational (or binary float) a and b rounded once to a float;
     CoefficientOverflowError naming n = m, k = 0, alpha = a and beta = b
     when one leaves the double range."""
-    return _round_once(*_jacobi_kernel(m, Fraction(a), Fraction(b)), (m, 0, a, b))
+    return _round_once(*_jacobi_kernel(m, *at_binary_values(a, b)), (m, 0, a, b))
 
 
 def shifted_jacobi_coefficients(m: int, a, b) -> DensePoly:
@@ -463,15 +485,15 @@ def shifted_jacobi_coefficients(m: int, a, b) -> DensePoly:
     hypergeometric kernel; any real parameters (no orthogonality implied for
     the negative ones the reciprocity route uses). Float parameters round
     each coefficient once, as rounded_jacobi_coefficients."""
-    a, b = _param(a), _param(b)
-    return _lifted(0, m, a, b, (m, 0, a, b))
+    a, b = exact_param(a), exact_param(b)
+    return _lifted(0, m, *at_binary_values(a, b), (m, 0, a, b))
 
 
 def shifted_jacobi(m: int, a, b, x):
     """Value of the shifted Jacobi polynomial P_m^{(a,b)}(1-2x) at x: exact
     Horner on the kernel's coefficients when a, b and x are exact, else a
     float from jacobi_rows."""
-    a, b = _param(a), _param(b)
+    a, b = exact_param(a), exact_param(b)
     if is_exact(a) and is_exact(b) and is_exact(x):
         return shifted_jacobi_coefficients(m, a, b)(x)
     return float(jacobi_rows(a, b, m, (float(x),), 0, 0)[0, 0])
@@ -484,8 +506,9 @@ def direct_coefficients(alpha, beta, n: int, k: int) -> DensePoly:
         raise ValueError(f"direct family needs n >= 0, got n = {n}, k = {k}")
     if k < n:
         raise ValueError("direct family is indexed by k >= n")
-    a, b = _param(alpha), _param(beta)
-    return _lifted(n, k - n, Fraction(a) + 2 * n, b, (n, k, a, b))
+    a, b = exact_param(alpha), exact_param(beta)
+    ra, rb = at_binary_values(a, b)
+    return _lifted(n, k - n, ra + 2 * n, rb, (n, k, a, b))
 
 
 def reciprocity_coefficients(alpha, beta, n: int, k: int) -> DensePoly:
@@ -497,9 +520,9 @@ def reciprocity_coefficients(alpha, beta, n: int, k: int) -> DensePoly:
     """
     if not 0 <= k <= n:
         raise ValueError(f"reciprocity route needs 0 <= k <= n, got n = {n}, k = {k}")
-    a, b = _param(alpha), _param(beta)
-    return _lifted(k, n - k, -Fraction(a) - Fraction(b) - 2 * n - 2, b, (n, k, a, b),
-                   reverse=True)
+    a, b = exact_param(alpha), exact_param(beta)
+    ra, rb = at_binary_values(a, b)
+    return _lifted(k, n - k, -ra - rb - 2 * n - 2, rb, (n, k, a, b), reverse=True)
 
 
 def ajp_derivative(p: PolyParams) -> DensePoly:
@@ -578,7 +601,7 @@ def ode_apply(alpha, beta, n: int, k: int, y: DensePoly) -> DensePoly:
     x^2 (1-x) y'' + x [alpha+2-(alpha+beta+3)x] y'
     - [k(alpha+k+1) - n(alpha+beta+n+2)x] y.
     """
-    a, b = _param(alpha), _param(beta)
+    a, b = exact_param(alpha), exact_param(beta)
     d1, d2 = y.derivative(), y.derivative().derivative()
     term2 = DensePoly((0, 0, 1, -1)) * d2                      # x^2(1-x) y''
     term1 = DensePoly((0, a + 2, -(a + b + 3))) * d1           # x(alpha+2-(alpha+beta+3)x) y'
@@ -603,15 +626,14 @@ def weight_eval(alpha, beta, x):
     """Weight x**alpha (1-x)**beta for x in [0, 1] (ValueError naming x, alpha
     and beta outside it or at nan), exact at an exact x and whole exponents;
     DivergenceError at an endpoint whose exponent is negative."""
-    a, b = _param(alpha), _param(beta)
+    a, b = exact_param(alpha), exact_param(beta)
     if not 0 <= x <= 1:
         raise ValueError(f"weight needs x in [0, 1]: x = {x}, alpha = {alpha}, beta = {beta}")
     if (x == 0 and a < 0) or (x == 1 and b < 0):
         raise DivergenceError("weight is infinite at this endpoint")
-    if is_exact(x) and is_exact(a) and is_exact(b) \
-            and Fraction(a).denominator == 1 and Fraction(b).denominator == 1:
+    if is_exact(x) and type(a) is int and type(b) is int:
         xf = Fraction(x)
-        return xf ** int(a) * (1 - xf) ** int(b)
+        return xf ** a * (1 - xf) ** b
     return float(x) ** float(a) * (1.0 - float(x)) ** float(b)
 
 

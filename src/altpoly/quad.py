@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivergenceError, RootFindingError
-from .exact import (at_binary_values, gamma2_ratio, is_exact, over_common_denominator,
-                    simplify_scalar)
+from .exact import (at_binary_values, exact_param, gamma2_ratio, is_exact,
+                    over_common_denominator, simplify_scalar)
 from .poly import DensePoly
 
 UNIT_INTERVAL = "unit-interval"
@@ -55,8 +55,12 @@ def beta_moment(a, b):
 
     Exact for rational exponents with denominator 1 or 2 (a rational, or a
     rational multiple of pi when both exponents are half-odd); float
-    otherwise. Both by exact.gamma2_ratio.
+    otherwise. Both by exact.gamma2_ratio, on the exponents normalized by
+    exact.exact_param (whole ones as ints); ValueRangeError naming its
+    arguments when the float leaves the double range or is nan (an infinite
+    exponent).
     """
+    a, b = exact_param(a), exact_param(b)
     if not (a > -1 and b > -1):
         raise DivergenceError(f"beta moment diverges for exponents ({a}, {b})")
     return gamma2_ratio(a + 1, b + 1, a + b + 2)
@@ -76,6 +80,7 @@ def weighted_inner_product(p: DensePoly, q: DensePoly, alpha, beta):
     PiRational, when every input is rational and the seed is exact
     (exponent denominators 1 and 2); otherwise it is rounded once to a float.
     """
+    alpha, beta = exact_param(alpha), exact_param(beta)
     exact_polys = p.mode == q.mode == "exact"
     rational = exact_polys and is_exact(alpha) and is_exact(beta)
     prod = p * q if exact_polys else \
@@ -83,7 +88,7 @@ def weighted_inner_product(p: DensePoly, q: DensePoly, alpha, beta):
     if prod.is_zero:
         return Fraction(0) if rational else 0.0
     c, low = prod.numerators, prod.lowest_power
-    a, b = Fraction(alpha), Fraction(beta)
+    a, b = at_binary_values(alpha, beta)
     if not a + low > -1:
         raise DivergenceError(
             f"inner product diverges: lowest monomial x^{low} against alpha = {alpha}")

@@ -23,6 +23,7 @@ from .exppoly import (
     e_zeros,
     guarded_zero_set,
     member_values,
+    semi_axis_point,
     stacked_zeros,
 )
 from .exact import is_exact
@@ -39,9 +40,10 @@ def lambda_max(alpha, beta, n: int) -> float:
 def etilde_eval(alpha, beta, n: int, k: int, t) -> float:
     """Scaled member: the exponential member evaluated at lambda_max * t,
     so the largest zero of the scaled associated function sits at t = 1;
-    e_eval refuses t < 0, naming lambda_max * t."""
+    ValueError naming t for t < 0, before any eigen-solve."""
+    t = semi_axis_point(t)
     lam = lambda_max(alpha, beta, n)
-    return float(e_eval(ExpPolySystem(alpha, beta, n), k, lam * float(t)))
+    return float(e_eval(ExpPolySystem(alpha, beta, n), k, lam * t))
 
 
 def weight_peak(omega) -> float:

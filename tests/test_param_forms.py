@@ -1,0 +1,40 @@
+"""Whole exact parameters are held as ints from the entry point on, and every
+input form of a parameter gives the same answers (tests/param_forms.py)."""
+
+from fractions import Fraction
+
+import pytest
+
+import param_forms
+from altpoly import quad
+from altpoly.exact import exact_param
+from altpoly.polycore import PolyParams
+
+
+@pytest.mark.parametrize("pair", param_forms.INT_PAIRS + param_forms.HALF_PAIRS,
+                         ids=lambda pair: f"{pair[0]},{pair[1]}")
+def test_every_form_of_a_parameter_gives_the_same_exact_answers(pair):
+    bad, loose = param_forms.sweep([pair])
+    assert bad == []
+    assert loose == []
+
+
+def test_whole_parameters_are_held_as_ints():
+    for v in (2, Fraction(2), Fraction(4, 2), "2", "4/2"):
+        p = PolyParams(v, v, 3, 1)
+        assert (type(p.alpha), type(p.beta)) == (int, int)
+        assert (p.alpha, p.beta) == (2, 2)
+    p = PolyParams(Fraction(1, 2), "-1/3", 3, 1)
+    assert (type(p.alpha), type(p.beta)) == (Fraction, Fraction)
+    assert (p.alpha, p.beta) == (Fraction(1, 2), Fraction(-1, 3))
+    p = PolyParams(2.0, 0.5, 3, 1)
+    assert (type(p.alpha), type(p.beta)) == (float, float)
+
+
+def test_a_numpy_float_exponent_stays_on_the_float_line():
+    import numpy as np
+
+    a = np.float32(0.5)
+    assert type(exact_param(a)) is np.float32
+    assert quad.beta_moment(a, 0) == quad.beta_moment(0.5, 0)
+    assert quad.gauss_jacobi_rule(3, a, a) == quad.gauss_jacobi_rule(3, 0.5, 0.5)

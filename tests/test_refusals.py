@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from altpoly import marginal, polycore, quad, zfun
-from altpoly.errors import CollocationError, DivergenceError, FeasibilityError
+from altpoly.errors import CollocationError, DivergenceError, FeasibilityError, ValueRangeError
+from altpoly.exact import gamma2_ratio
 from altpoly.exppoly import ExpPolySystem, ea_derivative_relation_residual, semi_axis_rule
 from altpoly.marginal import MarginalKind
 from altpoly.poly import DensePoly
@@ -16,6 +17,24 @@ from altpoly.polycore import PolyParams
 
 REFUSALS = [
     ("ajp_recurrence", lambda: polycore.ajp_recurrence(0, 0, -1), ValueError, "need n >= 0"),
+    ("ajp_recurrence-n=2.5", lambda: polycore.ajp_recurrence(0, 0, 2.5), ValueError,
+     "n must be a whole number, got n = 2.5"),
+    ("PolyParams-n=2.5", lambda: PolyParams(0, 0, 2.5, 0), ValueError,
+     "n must be a whole number, got n = 2.5"),
+    ("PolyParams-n=-1", lambda: PolyParams(0, 0, -1, 0), ValueError,
+     "n must be a whole number, got n = -1"),
+    ("PolyParams-k=1.5", lambda: PolyParams(0, 0, 3, 1.5), ValueError,
+     "k must be a whole number, got k = 1.5"),
+    ("ExpPolySystem-n=2.5", lambda: ExpPolySystem(1, 0, 2.5), ValueError,
+     "n must be a whole number, got n = 2.5"),
+    *((f"PolyParams-alpha={v}", lambda v=v: PolyParams(v, 0, 2, 0), ValueError,
+       f"alpha must be finite, got alpha = {v}") for v in (math.nan, math.inf, -math.inf)),
+    ("beta_moment-a=inf", lambda: quad.beta_moment(math.inf, 0), ValueRangeError,
+     "Gamma(inf) Gamma(1) / Gamma(inf) leaves the double range"),
+    ("beta_moment-b=inf", lambda: quad.beta_moment(0, math.inf), ValueRangeError,
+     "Gamma(1) Gamma(inf) / Gamma(inf) leaves the double range"),
+    ("gamma2_ratio-nan", lambda: gamma2_ratio(math.nan, 1, 2), ValueRangeError,
+     "Gamma(nan) Gamma(1) / Gamma(2) leaves the double range"),
     ("ajp_single_integral", lambda: polycore.ajp_single_integral(PolyParams(-2, 0, 3, 0)),
      DivergenceError, "weighted integral of member (n=3, k=0) diverges for alpha = -2"),
     ("direct_norm_d", lambda: polycore.direct_norm_d(-1, 0, 1, 2), DivergenceError,
