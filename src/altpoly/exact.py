@@ -14,12 +14,16 @@ or 2, where the ratio has no exact form here, or need a product of more
 than EXACT_FACTOR_CAP factors).
 
 exact_param normalizes a parameter once where it enters the library: floats
-stay floats, whole rationals become ints, other rationals Fractions.
+stay floats, whole rationals become ints, other rationals Fractions;
+finite_param adds the refusal of an infinite or nan float by name.
+whole_index is the one check of an index n, k, l or m: whole, and in the
+range its entry point states.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational, Real
@@ -52,6 +56,34 @@ def exact_param(v):
     return v.numerator if v.denominator == 1 else v
 
 
+def finite_param(name: str, v):
+    """exact_param(v), refused with a ValueError naming it when it is an
+    infinite or nan float: how alpha, beta and omega enter every entry point
+    but beta_moment, where an infinite exponent is a ValueRangeError."""
+    if type(v) is int:      # PolyParams' whole parameters skip a call
+        return v
+    v = exact_param(v)
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {name} = {v}")
+    return v
+
+
+def whole_index(name: str, v, lo: int = 0, hi: int | None = None) -> int:
+    """v as an int when it is whole by type (an int, or an integer type such
+    as numpy's) and lies in lo..hi (no upper bound for hi = None): the one
+    check of every index the library takes. Otherwise a ValueError naming
+    it, "n must be a whole number, got n = 2.5" (3.0 too) or "k = 5 outside
+    0..4" ("n = -1 outside 0..inf" without an upper bound)."""
+    if type(v) is not int:
+        try:
+            v = operator.index(v)
+        except TypeError:
+            raise ValueError(f"{name} must be a whole number, got {name} = {v}") from None
+    if v < lo or hi is not None and v > hi:
+        raise ValueError(f"{name} = {v} outside {lo}..{'inf' if hi is None else hi}")
+    return v
+
+
 def at_binary_values(*values) -> tuple:
     """The values unchanged when every one is exact; else each as the
     Fraction of its exact binary value, so that exact arithmetic on them
@@ -63,11 +95,9 @@ def at_binary_values(*values) -> tuple:
 
 
 def falling_factorial(a, m: int):
-    """(a)_m = a (a-1) ... (a-m+1); empty product (m = 0) is 1."""
-    if m < 0:
-        raise ValueError("falling factorial needs m >= 0")
+    """(a)_m = a (a-1) ... (a-m+1) for m >= 0; empty product (m = 0) is 1."""
     result = 1.0 if isinstance(a, float) else Fraction(1)
-    for i in range(m):
+    for i in range(whole_index("m", m)):
         result *= a - i
     return result
 
@@ -80,10 +110,8 @@ def over_common_denominator(values) -> tuple[list[int], int]:
 
 
 def double_factorial(m: int):
-    """m!! with the conventions 0!! = 1 and (-1)!! = 1."""
-    if m < -1:
-        raise ValueError("double factorial defined for m >= -1 only")
-    result = 1
+    """m!! for m >= -1, with the conventions 0!! = 1 and (-1)!! = 1."""
+    m, result = whole_index("m", m, -1), 1
     while m > 1:
         result *= m
         m -= 2

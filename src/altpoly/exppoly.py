@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CoefficientOverflowError, DivergenceError, RootFindingError
-from .exact import is_exact
+from .exact import finite_param, is_exact, whole_index
 from .marginal import a_coefficients, t_scaling
 from .poly import DensePoly
 from .polycore import (
@@ -23,7 +23,6 @@ from .polycore import (
     direct_coefficients,
     jacobi_rows,
     rounded_jacobi_coefficients,
-    whole_index,
 )
 from .quad import (
     SEMI_AXIS,
@@ -39,28 +38,26 @@ from .quad import (
 
 @dataclass(frozen=True)
 class ExpPolySystem:
-    """Exponential system for exponents (alpha, beta), sizes k = 1..n, plus
-    the k = 0 associated function."""
+    """Exponential system for finite exponents alpha, beta > -1, sizes
+    k = 1..n with n >= 1, plus the k = 0 associated function."""
 
     alpha: object
     beta: object
     n: int
 
     def __post_init__(self):
-        if not (self.alpha > -1 and self.beta > -1):
+        a, b = finite_param("alpha", self.alpha), finite_param("beta", self.beta)
+        if not (a > -1 and b > -1):
             raise ValueError("system needs alpha > -1 and beta > -1")
-        object.__setattr__(self, "n", whole_index("n", self.n))
-        if self.n < 1:
-            raise ValueError("system needs n >= 1")
+        object.__setattr__(self, "n", whole_index("n", self.n, 1))
 
     def member_poly(self, k: int) -> DensePoly:
-        """Coefficients of the member as a polynomial in x = exp(-t): the
-        direct polynomial D_{k,n}^{(alpha,beta)} = x^k P_{n-k}^{(alpha+2k,
-        beta)}(1-2x) of polycore.direct_coefficients, whose first parameter
-        is shifted exactly (a float alpha - 1 would round); zero for k = n + 1."""
-        if not 0 <= k <= self.n + 1:
-            raise ValueError(f"k = {k} outside 0..n+1 for n = {self.n}")
-        if k == self.n + 1:
+        """Coefficients of the member k in 0..n+1 as a polynomial in
+        x = exp(-t): the direct polynomial D_{k,n}^{(alpha,beta)} =
+        x^k P_{n-k}^{(alpha+2k, beta)}(1-2x) of polycore.direct_coefficients,
+        whose first parameter is shifted exactly (a float alpha - 1 would
+        round); zero for k = n + 1."""
+        if whole_index("k", k, 0, self.n + 1) == self.n + 1:
             return DensePoly.zero()
         return direct_coefficients(self.alpha, self.beta, k, self.n)
 
@@ -75,23 +72,24 @@ def semi_axis_point(t) -> float:
 
 
 def e_eval(sys: ExpPolySystem, k: int, t) -> float:
-    """Member value at t >= 0, x = exp(-t): row k of member_values for
-    k = 0..n (k = 0 is the associated function), zero for k = n + 1.
-    ValueError names a t < 0, where x > 1 lies outside the members' [0, 1]."""
+    """Member value at t >= 0, x = exp(-t), for k in 0..n+1: row k of
+    member_values for k = 0..n (k = 0 is the associated function), zero for
+    k = n + 1. ValueError names a t < 0, where x > 1 lies outside the
+    members' [0, 1]."""
     n = sys.n
-    if not 0 <= k <= n + 1:
-        raise ValueError(f"k = {k} outside 0..n+1 for n = {n}")
+    k = whole_index("k", k, 0, n + 1)
     x = math.exp(-semi_axis_point(t))
     return float(member_values(sys.alpha, sys.beta, n, (x,), k, k)[0, 0]) if k <= n else 0.0
 
 
 def e_norm(sys: ExpPolySystem, k: int):
-    """Squared weighted norm on the semi-axis:
+    """Squared weighted norm on the semi-axis, k in 1..n:
     1/(alpha+2k) * Gamma(alpha+n+k+1) Gamma(beta+n-k+1) /
-    ((n-k)! Gamma(alpha+beta+n+k+1)); k = 0 is rejected (the associated
-    function is not part of the orthogonal system)."""
+    ((n-k)! Gamma(alpha+beta+n+k+1)); k = 0, the associated function, which
+    is not part of the orthogonal system, raises DivergenceError."""
     if k == 0:
         raise DivergenceError("associated function is not integrable on the semi-axis")
+    k = whole_index("k", k, 1, sys.n)
     # the alternative-family member at (alpha - 1, beta)
     a = sys.alpha - 1 if is_exact(sys.alpha) else float(sys.alpha) - 1
     return ajp_norm_h(PolyParams(a, sys.beta, sys.n, k))
@@ -188,8 +186,8 @@ def guarded_zero_set(n: int, alpha, beta, x, finite=True, simple=True) -> ZeroSe
 
 
 def legendre_type_quadrature(n: int) -> QuadRule:
-    """n-node rule on [0,1] exact for x, x^2, ..., x^(2n) but not for
-    constants: the Gauss-Jacobi rule for the weight x (exact on x * x^j,
+    """n-node rule on [0,1], n >= 1, exact for x, x^2, ..., x^(2n) but not
+    for constants: the Gauss-Jacobi rule for the weight x (exact on x * x^j,
     j <= 2n-1) with each weight divided by its node."""
     rule = gauss_jacobi_rule(n, 1, 0)
     weights = tuple(w / x for x, w in zip(rule.nodes, rule.weights))
@@ -197,10 +195,10 @@ def legendre_type_quadrature(n: int) -> QuadRule:
 
 
 def semi_axis_rule(n: int) -> QuadRule:
-    """Gauss-type rule on the semi-axis: t_s = -ln x_s, v_s = w_s / x_s over
-    the nodes x_s and weights w_s of legendre_type_quadrature, taken in
-    reverse so that t_s ascends; integrates exp(-m t) exactly to 1/m for
-    m = 2..2n+1."""
+    """Gauss-type rule on the semi-axis, n >= 1: t_s = -ln x_s,
+    v_s = w_s / x_s over the nodes x_s and weights w_s of
+    legendre_type_quadrature, taken in reverse so that t_s ascends;
+    integrates exp(-m t) exactly to 1/m for m = 2..2n+1."""
     unit = legendre_type_quadrature(n)
     pairs = list(zip(unit.nodes, unit.weights))[::-1]
     return QuadRule(tuple(-math.log(x) for x, _ in pairs), tuple(w / x for x, w in pairs),
@@ -222,15 +220,16 @@ def et_eval(n: int, k: int, t) -> float:
 
 def ea_derivative_relation_residual(n: int, k: int, t) -> float:
     """Residual of d/dt [E_{n,k-1} + E_{nk}] = -(k-1) E_{n,k-1} + k E_{nk}
-    for the A-kind exponential system, computed symbolically in exp(-t) and
-    evaluated at t; identically zero."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
+    for the A-kind exponential system, n >= 1 and k in 1..n, computed
+    symbolically in exp(-t) and evaluated at t >= 0 (semi_axis_point);
+    identically zero."""
+    n = whole_index("n", n, 1)
+    k = whole_index("k", k, 1, n)
     p, q = a_coefficients(n, k - 1), a_coefficients(n, k)
     # d/dt maps the coefficient of exp(-j t) to -j times itself: -x d/dx
     ddt = -(p + q).derivative().shift_up()
     rhs = p.scale(-(k - 1)) + q.scale(k)
-    return float((ddt - rhs)(math.exp(-float(t))))
+    return float((ddt - rhs)(math.exp(-semi_axis_point(t))))
 
 
 def member_values(alpha, beta, n: int, xs, lo: int = 1, hi: int | None = None):

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .errors import DivergenceError
-from .exact import PiRational, double_factorial
+from .exact import PiRational, double_factorial, whole_index
 from .poly import DensePoly
 from .polycore import (PolyParams, _downward_recurrence, ajp_coefficients, ajp_recurrence,
                        jacobi_rows)
@@ -34,10 +34,9 @@ class MarginalKind(enum.Enum):
 
 
 def a_coefficients(n: int, k: int) -> DensePoly:
-    """A-kind member by its binomial expansion:
+    """A-kind member (k in 0..n) by its binomial expansion:
     sum_j (-1)^j C(n-k, j) C(n+k+j, n-k) x^(k+j); integer coefficients."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
+    n, k = whole_index("n", n), whole_index("k", k, 0, n)
     out = [0] * (n + 1)
     for j in range(n - k + 1):
         out[k + j] = (-1) ** j * math.comb(n - k, j) * math.comb(n + k + j, n - k)
@@ -45,18 +44,17 @@ def a_coefficients(n: int, k: int) -> DensePoly:
 
 
 def a_recurrence(n: int) -> list[DensePoly]:
-    """A-kind members for k = n down to 0 by the downward recurrence
-    starting from x^n and (2n-1)x^(n-1) - 2n x^n: the family's recurrence
-    at alpha = -1, beta = 0 (polycore.ajp_recurrence)."""
-    if n < 1:
-        raise ValueError("recurrence needs n >= 1")
-    return ajp_recurrence(-1, 0, n)
+    """A-kind members for k = n down to 0, n >= 1, by the downward
+    recurrence starting from x^n and (2n-1)x^(n-1) - 2n x^n: the family's
+    recurrence at alpha = -1, beta = 0 (polycore.ajp_recurrence)."""
+    return ajp_recurrence(-1, 0, whole_index("n", n, 1))
 
 
 def a_norm(n: int, k: int, l: int) -> Fraction:
-    """Inner product of A members under 1/x: delta_{kl} / (k+l); requires
-    l >= 1 (the (0,0) pairing diverges)."""
-    _check_indices(n, k, l)
+    """Inner product of A members under 1/x, k and l in 0..n:
+    delta_{kl} / (k+l); the (0,0) pairing diverges."""
+    n = whole_index("n", n)
+    k, l = whole_index("k", k, 0, n), whole_index("l", l, 0, n)
     if k == 0 and l == 0:
         raise DivergenceError("the singular A member has no finite norm")
     if k != l:
@@ -65,9 +63,9 @@ def a_norm(n: int, k: int, l: int) -> Fraction:
 
 
 def a_single_integral(n: int, k: int) -> Fraction:
-    """Integral of an A member against 1/x: equals 1/k for k >= 1."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
+    """Integral of an A member (k in 0..n) against 1/x: equals 1/k, and
+    diverges for k = 0."""
+    n, k = whole_index("n", n), whole_index("k", k, 0, n)
     if k == 0:
         raise DivergenceError("singular A member is not integrable against 1/x")
     return Fraction(1, k)
@@ -75,26 +73,25 @@ def a_single_integral(n: int, k: int) -> Fraction:
 
 def t_scaling(n: int, k: int) -> Fraction:
     """Leading normalization (n-k)! / (n-k-1/2)_{n-k} applied to the raw
-    member; makes the endpoint value exactly (-1)^(n-k). With m = n - k,
-    (m-1/2)_m = (2m-1)!! / 2^m, so it is the integer ratio m! 2^m / (2m-1)!!."""
-    m = n - k
+    member, k in 0..n; makes the endpoint value exactly (-1)^(n-k). With
+    m = n - k, (m-1/2)_m = (2m-1)!! / 2^m, so it is the integer ratio
+    m! 2^m / (2m-1)!!."""
+    m = whole_index("n", n) - whole_index("k", k, 0, n)
     return Fraction(math.factorial(m) << m, double_factorial(2 * m - 1))
 
 
 def t_coefficients(n: int, k: int) -> DensePoly:
-    """T-kind member: scaled alternative polynomial at (-3/2, -1/2)."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
+    """T-kind member (k in 0..n): scaled alternative polynomial at (-3/2, -1/2)."""
+    n, k = whole_index("n", n), whole_index("k", k, 0, n)
     base = ajp_coefficients(PolyParams(Fraction(-3, 2), Fraction(-1, 2), n, k))
     return base.scale(t_scaling(n, k))
 
 
 def t_recurrence(n: int) -> list[DensePoly]:
-    """T-kind members for k = n down to 0 by the downward recurrence
-    starting from x^n and (4n-3)x^(n-1) - (4n-2)x^n, on the exact integer
-    kernel of polycore."""
-    if n < 1:
-        raise ValueError("recurrence needs n >= 1")
+    """T-kind members for k = n down to 0, n >= 1, by the downward
+    recurrence starting from x^n and (4n-3)x^(n-1) - (4n-2)x^n, on the exact
+    integer kernel of polycore."""
+    n = whole_index("n", n, 1)
     first = [0] * (n - 1) + [4 * n - 3, -(4 * n - 2)]
     return _downward_recurrence(n, (first, 1), lambda k: _t_step(n, k), label="T member")
 
@@ -108,10 +105,12 @@ def _t_step(n: int, k: int):
 
 
 def t_norm(n: int, k: int, l: int):
-    """Inner product of T members under x**(-3/2) (1-x)**(-1/2):
-    delta_{kl} * pi/(2(k+l)-1) * (2n-k-l)!!/(2n-k-l-1)!! *
-    (2n+k+l-1)!!/(2n+k+l-2)!!, using 0!! = 1 and (-1)!! = 1."""
-    _check_indices(n, k, l)
+    """Inner product of T members under x**(-3/2) (1-x)**(-1/2), k and l in
+    0..n: delta_{kl} * pi/(2(k+l)-1) * (2n-k-l)!!/(2n-k-l-1)!! *
+    (2n+k+l-1)!!/(2n+k+l-2)!!, using 0!! = 1 and (-1)!! = 1; the (0,0)
+    pairing diverges."""
+    n = whole_index("n", n)
+    k, l = whole_index("k", k, 0, n), whole_index("l", l, 0, n)
     if k == 0 and l == 0:
         raise DivergenceError("the singular T member has no finite norm")
     if k != l:
@@ -126,10 +125,9 @@ def t_norm(n: int, k: int, l: int):
 
 
 def t_single_integral(n: int, k: int):
-    """Integral of a T member against the family weight:
-    (2k-3)!!/(2k)!! * 2n*pi for k >= 1."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
+    """Integral of a T member (k in 0..n) against the family weight:
+    (2k-3)!!/(2k)!! * 2n*pi, diverging for k = 0."""
+    n, k = whole_index("n", n), whole_index("k", k, 0, n)
     if k == 0:
         raise DivergenceError("singular T member is not integrable against the weight")
     coeff = Fraction(double_factorial(2 * k - 3), double_factorial(2 * k)) * 2 * n
@@ -144,11 +142,11 @@ def is_normalizable(kind: MarginalKind, k: int) -> bool:
 
 
 def shifted_legendre_coefficients(m: int) -> DensePoly:
-    """Legendre polynomial composed with 1-2x, built by the classical
-    recurrence; independent oracle for the singular A member."""
+    """Legendre polynomial of degree m >= 0 composed with 1-2x, built by the
+    classical recurrence; independent oracle for the singular A member."""
     y = DensePoly((1, -2))
     prev, cur = DensePoly.one(), y
-    if m == 0:
+    if whole_index("m", m) == 0:
         return prev
     for j in range(1, m):
         nxt = (y * cur.scale(2 * j + 1) - prev.scale(j)).scale(Fraction(1, j + 1))
@@ -157,11 +155,12 @@ def shifted_legendre_coefficients(m: int) -> DensePoly:
 
 
 def shifted_chebyshev_coefficients(m: int) -> DensePoly:
-    """Chebyshev polynomial of the first kind composed with 1-2x, built by
-    the classical recurrence; independent oracle for the singular T member."""
+    """Chebyshev polynomial of the first kind of degree m >= 0 composed with
+    1-2x, built by the classical recurrence; independent oracle for the
+    singular T member."""
     y = DensePoly((1, -2))
     prev, cur = DensePoly.one(), y
-    if m == 0:
+    if whole_index("m", m) == 0:
         return prev
     for _ in range(1, m):
         prev, cur = cur, y * cur.scale(2) - prev
@@ -180,10 +179,11 @@ def member_rows(kind: MarginalKind, n: int, xs, lo: int = 1, hi: int | None = No
 
 
 def plot_table(kind: MarginalKind, n: int, points: int, exact: bool = False):
-    """Rows (x, member values k = 1..n) on a uniform grid including both
-    endpoints; the raw data behind the family figures. Exact values by
+    """Rows (x, member values k = 1..n), n >= 0, on a uniform grid including
+    both endpoints; the raw data behind the family figures. Exact values by
     Horner on the exact members at x = i/(points - 1), else floats from
     member_rows at the float x."""
+    n = whole_index("n", n)
     if points < 2:
         raise ValueError("need at least two sample points")
     if exact:
@@ -193,8 +193,3 @@ def plot_table(kind: MarginalKind, n: int, points: int, exact: bool = False):
         return [(x, tuple(member(x) for member in members)) for x in xs]
     xs = [i / (points - 1) for i in range(points)]
     return list(zip(xs, map(tuple, member_rows(kind, n, xs).T.tolist())))
-
-
-def _check_indices(n: int, k: int, l: int):
-    if not (0 <= k <= n and 0 <= l <= n):
-        raise ValueError("need 0 <= k, l <= n")

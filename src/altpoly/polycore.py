@@ -7,7 +7,7 @@ parameters allow. The lower index runs downward, k = n..0, which is what the
 downward three-term recurrence follows.
 
 Arithmetic is exact whenever alpha and beta are rational; float otherwise.
-Each parameter is normalized once where it enters (exact.exact_param), a
+Each parameter is normalized once where it enters (exact.finite_param), a
 whole one to an int, so at whole parameters every shift and Gamma-ratio
 argument below is int arithmetic.
 Every exact coefficient vector comes from one integer kernel, the
@@ -39,7 +39,6 @@ _round_once (float ajp_recurrence returns these members); they serve
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -52,28 +51,9 @@ from .errors import (
     RecurrenceError,
     ValueRangeError,
 )
-from .exact import (at_binary_values, exact_param, gamma2_ratio, is_exact,
-                    over_common_denominator)
+from .exact import (at_binary_values, finite_param, gamma2_ratio, is_exact,
+                    over_common_denominator, whole_index)
 from .poly import DensePoly
-
-
-def whole_index(name: str, v) -> int:
-    """v as an int when it is whole by type (an int, or an integer type such
-    as numpy's); ValueError naming it otherwise, so that 2.5 or 3.0 is
-    refused where the family is built rather than deep in its arithmetic."""
-    if type(v) is int:
-        return v
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise ValueError(f"{name} must be a whole number, got {name} = {v}") from None
-
-
-def _finite(name: str, v):
-    """v, refused with a ValueError naming it when it is an infinite or nan float."""
-    if isinstance(v, float) and not math.isfinite(v):
-        raise ValueError(f"{name} must be finite, got {name} = {v}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -84,8 +64,8 @@ class PolyParams:
     downward recurrence. alpha may drop to -1 and below (marginal and formal
     regimes); norm and integral operations then refuse the non-integrable
     cases individually. alpha and beta are normalized once here
-    (exact.exact_param: a whole rational is held as an int) and must be
-    finite; n and k must be whole.
+    (exact.finite_param: a whole rational is held as an int, an infinite or
+    nan float refused); n >= 0 and k in 0..n+1 (exact.whole_index).
     """
 
     alpha: object
@@ -94,14 +74,10 @@ class PolyParams:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _finite("alpha", exact_param(self.alpha)))
-        object.__setattr__(self, "beta", _finite("beta", exact_param(self.beta)))
+        object.__setattr__(self, "alpha", finite_param("alpha", self.alpha))
+        object.__setattr__(self, "beta", finite_param("beta", self.beta))
         object.__setattr__(self, "n", whole_index("n", self.n))
-        object.__setattr__(self, "k", whole_index("k", self.k))
-        if self.n < 0:
-            raise ValueError(f"n must be a whole number, got n = {self.n}")
-        if not 0 <= self.k <= self.n + 1:
-            raise ValueError(f"k = {self.k} outside 0..n+1 for n = {self.n}")
+        object.__setattr__(self, "k", whole_index("k", self.k, 0, self.n + 1))
         if not self.beta > -1:
             raise ValueError("beta must exceed -1")
 
@@ -159,10 +135,11 @@ def ajp_eval(p: PolyParams, x):
 
 def jacobi_rows(a, b, n: int, xs, lo: int = 0, hi: int | None = None):
     """Float values of x^k P_{n-k}^{(a+2k, b)}(1-2x) for k = lo..hi (hi = n
-    by default) at the points xs, as a numpy array whose row k - lo is the
-    k-th. These are the alternative-family members at alpha = a - 1 and the
-    exponential-system members at alpha = a, and this is the one float
-    evaluator of member values.
+    by default; n >= 0, lo in 0..n+1, hi in lo-1..n) at the points xs, as a
+    numpy array whose row k - lo is the k-th. These are the
+    alternative-family members at alpha = a - 1 and the exponential-system
+    members at alpha = a, and this is the one float evaluator of member
+    values.
 
     The Jacobi factors come from the classical three-term recurrence (DLMF
     18.9.2; Gautschi, Orthogonal Polynomials, 2004), stable on [0, 1] where
@@ -189,9 +166,9 @@ def jacobi_rows(a, b, n: int, xs, lo: int = 0, hi: int | None = None):
     """
     import numpy as np
 
-    hi = n if hi is None else hi
-    if not 0 <= lo <= hi + 1 <= n + 1:
-        raise ValueError(f"need 0 <= lo <= hi + 1 <= n + 1, got lo = {lo}, hi = {hi}, n = {n}")
+    n = whole_index("n", n)
+    lo = whole_index("lo", lo, 0, n + 1)
+    hi = whole_index("hi", n if hi is None else hi, lo - 1, n)
     x = np.asarray(xs, dtype=float)
     top, rows = n - lo, hi - lo + 1     # the degree of row lo; the row count
     if not rows:
@@ -272,7 +249,7 @@ def _value_range_error(m: int, a, b, x=None) -> ValueRangeError:
 
 
 def ajp_recurrence(alpha, beta, n: int) -> list[DensePoly]:
-    """Members for k = n down to 0 (descending order).
+    """Members for k = n down to 0 (descending order), for n >= 0.
 
     Exact parameters run the downward three-term recurrence from x^n and the
     k = n - 1 member, on the integer kernel _downward_recurrence with the
@@ -283,9 +260,7 @@ def ajp_recurrence(alpha, beta, n: int) -> list[DensePoly]:
     -4 rounded once), and CoefficientOverflowError names the lowest member
     that leaves the double range.
     """
-    a, b, n = exact_param(alpha), exact_param(beta), whole_index("n", n)
-    if n < 0:
-        raise ValueError("need n >= 0")
+    a, b, n = finite_param("alpha", alpha), finite_param("beta", beta), whole_index("n", n)
     if not (is_exact(a) and is_exact(b)):
         # built from k = 0 up, so an overflow names the lowest member
         return [_ajp_coefficients_cached(n, k, a, b, False) for k in range(n + 1)][::-1]
@@ -378,15 +353,12 @@ def ajp_single_integral(p: PolyParams):
 
 
 def direct_norm_d(alpha, beta, n: int, k: int):
-    """Squared norm of the direct-orthogonalization polynomial (k >= n):
-    1/(alpha+beta+2k+1) * Gamma(alpha+k+n+1) Gamma(beta+k-n+1) /
+    """Squared norm of the direct-orthogonalization polynomial (n >= 0,
+    k >= n): 1/(alpha+beta+2k+1) * Gamma(alpha+k+n+1) Gamma(beta+k-n+1) /
     ((k-n)! Gamma(alpha+beta+k+n+1)).
     """
-    if n < 0:
-        raise ValueError(f"direct family needs n >= 0, got n = {n}, k = {k}")
-    if k < n:
-        raise ValueError("direct family is indexed by k >= n")
-    a, b = exact_param(alpha), exact_param(beta)
+    n, k = whole_index("n", n), whole_index("k", k, n)
+    a, b = finite_param("alpha", alpha), finite_param("beta", beta)
     if not (a > -1 and b > -1):
         raise DivergenceError("direct norms need alpha > -1 and beta > -1")
     if a + b + 2 * k + 1 == 0:
@@ -473,54 +445,53 @@ def _lifted(lift: int, m: int, a, b, member, reverse: bool = False) -> DensePoly
 
 
 def rounded_jacobi_coefficients(m: int, a, b) -> list[float]:
-    """Coefficients of P_m^{(a,b)}(1-2x), powers 0..m, each the exact value at
-    the rational (or binary float) a and b rounded once to a float;
-    CoefficientOverflowError naming n = m, k = 0, alpha = a and beta = b
-    when one leaves the double range."""
+    """Coefficients of P_m^{(a,b)}(1-2x), m >= 0, powers 0..m, each the
+    exact value at the rational (or binary float) a and b rounded once to a
+    float; CoefficientOverflowError naming n = m, k = 0, alpha = a and
+    beta = b when one leaves the double range."""
+    m = whole_index("m", m)
     return _round_once(*_jacobi_kernel(m, *at_binary_values(a, b)), (m, 0, a, b))
 
 
 def shifted_jacobi_coefficients(m: int, a, b) -> DensePoly:
-    """Shifted Jacobi polynomial P_m^{(a,b)}(1-2x) on [0,1], from the
-    hypergeometric kernel; any real parameters (no orthogonality implied for
-    the negative ones the reciprocity route uses). Float parameters round
-    each coefficient once, as rounded_jacobi_coefficients."""
-    a, b = exact_param(a), exact_param(b)
+    """Shifted Jacobi polynomial P_m^{(a,b)}(1-2x) on [0,1], m >= 0, from the
+    hypergeometric kernel; any finite real parameters (no orthogonality
+    implied for the negative ones the reciprocity route uses). Float
+    parameters round each coefficient once, as rounded_jacobi_coefficients."""
+    a, b, m = finite_param("a", a), finite_param("b", b), whole_index("m", m)
     return _lifted(0, m, *at_binary_values(a, b), (m, 0, a, b))
 
 
 def shifted_jacobi(m: int, a, b, x):
-    """Value of the shifted Jacobi polynomial P_m^{(a,b)}(1-2x) at x: exact
-    Horner on the kernel's coefficients when a, b and x are exact, else a
-    float from jacobi_rows."""
-    a, b = exact_param(a), exact_param(b)
+    """Value of the shifted Jacobi polynomial P_m^{(a,b)}(1-2x), m >= 0, at
+    x: exact Horner on the kernel's coefficients when a, b and x are exact,
+    else a float from jacobi_rows."""
+    a, b, m = finite_param("a", a), finite_param("b", b), whole_index("m", m)
     if is_exact(a) and is_exact(b) and is_exact(x):
         return shifted_jacobi_coefficients(m, a, b)(x)
     return float(jacobi_rows(a, b, m, (float(x),), 0, 0)[0, 0])
 
 
 def direct_coefficients(alpha, beta, n: int, k: int) -> DensePoly:
-    """Direct-orthogonalization polynomial: x^n times the shifted Jacobi
-    polynomial of degree k-n with first parameter translated exactly by 2n."""
-    if n < 0:
-        raise ValueError(f"direct family needs n >= 0, got n = {n}, k = {k}")
-    if k < n:
-        raise ValueError("direct family is indexed by k >= n")
-    a, b = exact_param(alpha), exact_param(beta)
+    """Direct-orthogonalization polynomial (n >= 0, k >= n): x^n times the
+    shifted Jacobi polynomial of degree k-n with first parameter translated
+    exactly by 2n."""
+    n, k = whole_index("n", n), whole_index("k", k, n)
+    a, b = finite_param("alpha", alpha), finite_param("beta", beta)
     ra, rb = at_binary_values(a, b)
     return _lifted(n, k - n, ra + 2 * n, rb, (n, k, a, b))
 
 
 def reciprocity_coefficients(alpha, beta, n: int, k: int) -> DensePoly:
-    """Member coefficients rebuilt through the reciprocity route:
-    x^n * J_{n-k}^{(-alpha-beta-2n-2, beta)}(1 - 2/x), expanded exactly.
+    """Member coefficients (n >= 0, k in 0..n) rebuilt through the
+    reciprocity route: x^n * J_{n-k}^{(-alpha-beta-2n-2, beta)}(1 - 2/x),
+    expanded exactly.
 
     The degree-(n-k) polynomial in 1/x times x^n lands on powers x^k..x^n,
     so its coefficients are the kernel's in reverse order above k zeros.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"reciprocity route needs 0 <= k <= n, got n = {n}, k = {k}")
-    a, b = exact_param(alpha), exact_param(beta)
+    n, k = whole_index("n", n), whole_index("k", k, 0, n)
+    a, b = finite_param("alpha", alpha), finite_param("beta", beta)
     ra, rb = at_binary_values(a, b)
     return _lifted(k, n - k, -ra - rb - 2 * n - 2, rb, (n, k, a, b), reverse=True)
 
@@ -531,17 +502,16 @@ def ajp_derivative(p: PolyParams) -> DensePoly:
 
 
 def diff_formula_residual(p: PolyParams) -> DensePoly:
-    """Residual of the lowering differentiation formula (k < n):
+    """Residual of the lowering differentiation formula (k in 0..n-1):
     dP/dx - k/x P + (alpha+beta+n+k+2) * P_{n-1,k}^{(alpha+1,beta+1)}.
 
     Zero polynomial iff the identity holds. The k/x term is a left shift,
     legal because the lowest power of the member is exactly k. Exact, at the
     binary values of float parameters.
     """
+    whole_index("k", p.k, 0, p.n - 1)
     p = p if p.exact else PolyParams(*at_binary_values(p.alpha, p.beta), p.n, p.k)
     n, k, a, b = p.n, p.k, p.alpha, p.beta
-    if k >= n:
-        raise ValueError("differentiation formula applies for k < n")
     member = ajp_coefficients(p)
     lhs = member.derivative()
     if k:
@@ -573,7 +543,7 @@ def dd_raising_residual(p: PolyParams) -> DensePoly:
 
 
 def dd_lowering_residual(p: PolyParams) -> DensePoly:
-    """Residual of the lowering differential-difference relation (k >= 1),
+    """Residual of the lowering differential-difference relation (k in 1..n),
     connecting the member with its k-1 neighbor:
 
     (alpha+2k) x(1-x) P' - [-(alpha+2k)(alpha+k+1)
@@ -582,10 +552,9 @@ def dd_lowering_residual(p: PolyParams) -> DensePoly:
 
     Exact, at the binary values of float parameters.
     """
+    whole_index("k", p.k, 1, p.n)
     p = p if p.exact else PolyParams(*at_binary_values(p.alpha, p.beta), p.n, p.k)
     n, k, a, b = p.n, p.k, p.alpha, p.beta
-    if k < 1:
-        raise ValueError("lowering relation applies for k >= 1")
     member = ajp_coefficients(p)
     x_one_minus_x = DensePoly((0, 1, -1))
     lhs = (x_one_minus_x * member.derivative()).scale(a + 2 * k)
@@ -599,9 +568,9 @@ def dd_lowering_residual(p: PolyParams) -> DensePoly:
 def ode_apply(alpha, beta, n: int, k: int, y: DensePoly) -> DensePoly:
     """Apply the family's second-order differential operator to y:
     x^2 (1-x) y'' + x [alpha+2-(alpha+beta+3)x] y'
-    - [k(alpha+k+1) - n(alpha+beta+n+2)x] y.
+    - [k(alpha+k+1) - n(alpha+beta+n+2)x] y, for finite alpha and beta.
     """
-    a, b = exact_param(alpha), exact_param(beta)
+    a, b = finite_param("alpha", alpha), finite_param("beta", beta)
     d1, d2 = y.derivative(), y.derivative().derivative()
     term2 = DensePoly((0, 0, 1, -1)) * d2                      # x^2(1-x) y''
     term1 = DensePoly((0, a + 2, -(a + b + 3))) * d1           # x(alpha+2-(alpha+beta+3)x) y'
@@ -623,10 +592,11 @@ def ode_residual(p: PolyParams, x):
 
 
 def weight_eval(alpha, beta, x):
-    """Weight x**alpha (1-x)**beta for x in [0, 1] (ValueError naming x, alpha
-    and beta outside it or at nan), exact at an exact x and whole exponents;
-    DivergenceError at an endpoint whose exponent is negative."""
-    a, b = exact_param(alpha), exact_param(beta)
+    """Weight x**alpha (1-x)**beta for finite alpha and beta and x in [0, 1]
+    (ValueError naming x, alpha and beta outside it or at nan), exact at an
+    exact x and whole exponents; DivergenceError at an endpoint whose
+    exponent is negative."""
+    a, b = finite_param("alpha", alpha), finite_param("beta", beta)
     if not 0 <= x <= 1:
         raise ValueError(f"weight needs x in [0, 1]: x = {x}, alpha = {alpha}, beta = {beta}")
     if (x == 0 and a < 0) or (x == 1 and b < 0):

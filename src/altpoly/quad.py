@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivergenceError, RootFindingError
-from .exact import (at_binary_values, exact_param, gamma2_ratio, is_exact,
-                    over_common_denominator, simplify_scalar)
+from .exact import (at_binary_values, exact_param, finite_param, gamma2_ratio, is_exact,
+                    over_common_denominator, simplify_scalar, whole_index)
 from .poly import DensePoly
 
 UNIT_INTERVAL = "unit-interval"
@@ -68,8 +68,8 @@ def beta_moment(a, b):
 
 def weighted_inner_product(p: DensePoly, q: DensePoly, alpha, beta):
     """Inner product of two polynomials under the weight x**alpha (1-x)**beta,
-    as the finite sum sum_i c_i mu_i, mu_i = beta_moment(alpha+i, beta), of
-    the product's coefficients c_i.
+    alpha and beta finite, as the finite sum sum_i c_i mu_i,
+    mu_i = beta_moment(alpha+i, beta), of the product's coefficients c_i.
 
     One route for every input: the product is the exact DensePoly product,
     integers over one denominator, float coefficients and exponents entering
@@ -80,7 +80,7 @@ def weighted_inner_product(p: DensePoly, q: DensePoly, alpha, beta):
     PiRational, when every input is rational and the seed is exact
     (exponent denominators 1 and 2); otherwise it is rounded once to a float.
     """
-    alpha, beta = exact_param(alpha), exact_param(beta)
+    alpha, beta = finite_param("alpha", alpha), finite_param("beta", beta)
     exact_polys = p.mode == q.mode == "exact"
     rational = exact_polys and is_exact(alpha) and is_exact(beta)
     prod = p * q if exact_polys else \
@@ -108,10 +108,10 @@ def weighted_inner_product(p: DensePoly, q: DensePoly, alpha, beta):
 
 
 def check_jacobi_weight(m: int, a, b) -> tuple[float, float]:
-    """The exponents as floats, after checking that m >= 1, that the weight
-    x**a (1-x)**b is integrable and that a and b fit in a float."""
-    if m < 1:
-        raise ValueError("need at least one node")
+    """The exponents as floats, after checking that m >= 1 (exact.whole_index),
+    that the weight x**a (1-x)**b is integrable and that a and b fit in a
+    float."""
+    whole_index("m", m, 1)
     try:
         af, bf = float(a), float(b)
     except OverflowError as exc:
@@ -189,10 +189,11 @@ def golub_welsch(mats):
 
 
 def gauss_jacobi_rule(m: int, a, b) -> QuadRule:
-    """m-node Gauss rule on [0,1] for the weight x**a (1-x)**b, exact for
-    polynomial degree <= 2m-1. Golub--Welsch on a stack of one Jacobi matrix
-    (jacobi_matrices, golub_welsch), mapped from [-1,1]; the weights are the
-    Beta moment mu0 times the squared first eigenvector components.
+    """m-node Gauss rule on [0,1], m >= 1, for the weight x**a (1-x)**b,
+    exact for polynomial degree <= 2m-1. Golub--Welsch on a stack of one
+    Jacobi matrix (jacobi_matrices, golub_welsch), mapped from [-1,1]; the
+    weights are the Beta moment mu0 times the squared first eigenvector
+    components.
     RootFindingError naming a, b and m refuses a Jacobi matrix or a Beta
     moment that leaves the double range, nodes that round to x = 0 or 1 or
     coincide (exponents from about 1e16) and a weight that underflows
@@ -233,7 +234,8 @@ def integrate_semi_axis(g, alpha, beta, m: int = 24):
 
     * g given as a DensePoly is treated as a polynomial in exp(-t) and
       integrated exactly through the Beta-moment expansion at alpha - 1
-      formed exactly, the value rounded once to a float for a float alpha.
+      formed exactly, the value rounded once to a float for a float alpha;
+      an infinite or nan alpha or beta raises ValueError naming it.
     * g callable is integrated with the m-node Gauss-Jacobi rule for the
       weight x**(alpha-1) (1-x)**beta, so it needs alpha > 0: g's decay
       belongs in alpha, and alpha <= 0 (or nan) raises DivergenceError.
@@ -241,7 +243,8 @@ def integrate_semi_axis(g, alpha, beta, m: int = 24):
       nothing reports it: g(t) = exp(-t/4) at alpha = 1/4 reads 2.0301 for 2.
     """
     if isinstance(g, DensePoly):
-        value = weighted_inner_product(g, DensePoly.one(), Fraction(alpha) - 1, beta)
+        value = weighted_inner_product(
+            g, DensePoly.one(), Fraction(finite_param("alpha", alpha)) - 1, beta)
         return value if is_exact(alpha) else float(value)
     af, bf = float(alpha), float(beta)
     if not af - 1 > -1:

@@ -26,7 +26,7 @@ from .exppoly import (
     semi_axis_point,
     stacked_zeros,
 )
-from .exact import is_exact
+from .exact import finite_param, is_exact, whole_index
 from .quad import check_jacobi_weight
 
 GAMMA_UNSCALED_TOL = 1e-12
@@ -57,15 +57,16 @@ def weight_peak(omega) -> float:
 
 
 def whole_candidates(limit: int = 64) -> tuple:
-    """Default candidate exponents: whole numbers 0..limit.
+    """Default candidate exponents: whole numbers 0..limit, limit >= 0.
 
     The limit must reach 54 for the largest-zero constraint to be satisfiable
     at n = 5 with equal exponents, hence the roomy default."""
-    return tuple(Fraction(i) for i in range(limit + 1))
+    return tuple(Fraction(i) for i in range(whole_index("limit", limit) + 1))
 
 
 def rational_candidates(limit: int = 64) -> tuple:
-    """Rational candidates in [0, limit] with denominators up to 4."""
+    """Rational candidates in [0, limit], limit >= 0, with denominators up to 4."""
+    limit = whole_index("limit", limit)
     vals = {Fraction(i) for i in range(limit + 1)}
     for den in range(2, 5):
         for num in range(0, limit * den + 1):
@@ -137,6 +138,7 @@ _STACK_ENTRIES = 1 << 17
 
 def _search(n: int, omega, candidates) -> tuple:
     """The chosen candidate and its zero set (see z_search)."""
+    n, omega = whole_index("n", n, 1), finite_param("omega", omega)
     cands = sorted(candidates)
     if not cands:
         raise FeasibilityError("empty candidate set")
@@ -162,7 +164,8 @@ def _search(n: int, omega, candidates) -> tuple:
 
 def z_search(n: int, omega, candidates) -> tuple:
     """Maximize the largest zero over the candidate exponents subject to the
-    zero staying <= 1. Returns (alpha, gamma); ties go to the smallest alpha.
+    zero staying <= 1, for n >= 1 and a finite omega. Returns (alpha, gamma);
+    ties go to the smallest alpha.
 
     Every feasible candidate's zeros come from stacked Golub--Welsch solves
     (exppoly.stacked_zeros: one numpy.linalg.eigh call per block of about
@@ -179,15 +182,16 @@ def z_search(n: int, omega, candidates) -> tuple:
 
 
 def z_search_real(n: int, omega) -> tuple:
-    """Real-valued boundary search: bisect for the exponent where the largest
-    zero equals 1, which attains equality in the gamma <= 1 requirement.
+    """Real-valued boundary search, n >= 1 and a finite omega: bisect for the
+    exponent where the largest zero equals 1, which attains equality in the
+    gamma <= 1 requirement.
     The bracket runs from just above the smallest integrable exponent (-1,
     or -1/omega for omega > 1) to 64 (or just below -1/omega for omega < 0),
     and the search stops once it is narrower than 1e-12.
     Each step reads the largest zero from the stacked solve of z_search on
     one pair, with the checks that need no member; z_build_real runs the
     residual guard once, on the result."""
-    om = float(omega)
+    n, om = whole_index("n", n, 1), float(finite_param("omega", omega))
     lo = (-1.0 / om if om > 1 else -1.0) + 1e-9
     hi = min(64.0, -1.0 / om * (1 - 1e-9)) if om < 0 else 64.0
 
@@ -233,10 +237,9 @@ class ZSystemSpec:
         return self.gamma_n if self.scaled else 1.0
 
     def member_eval(self, k: int, t) -> float:
-        """Basis member on [0,1]: index 0 is the constant 1, index k = 1..n the
-        k-th (possibly rescaled) exponential member."""
-        if not 0 <= k <= self.n:
-            raise ValueError(f"member index {k} outside 0..{self.n}")
+        """Basis member on [0,1], k in 0..n: index 0 is the constant 1, index
+        k = 1..n the k-th (possibly rescaled) exponential member."""
+        k = whole_index("k", k, 0, self.n)
         return float(self.member_matrix((t,))[0, k])
 
     def member_matrix(self, ts):
@@ -252,12 +255,8 @@ class ZSystemSpec:
         """The rows k = lo..n of member_values at x = exp(-factor t), one
         column per t: the one evaluator of the system's values, row 0 the
         associated function. ValueError names a t < 0, where x > 1 lies
-        outside the members' [0, 1]."""
-        ts = [float(t) for t in ts]
-        for t in ts:
-            if t < 0:
-                raise ValueError(f"Z members live on t >= 0, got t = {t}")
-        xs = [math.exp(-(self._factor * t)) for t in ts]
+        outside the members' [0, 1] (exppoly.semi_axis_point)."""
+        xs = [math.exp(-(self._factor * semi_axis_point(t))) for t in ts]
         return member_values(self.alpha_n, self.beta_n, self.n, xs, lo)
 
     def associated_eval(self, t) -> float:
@@ -285,16 +284,18 @@ def _assemble(n: int, omega, alpha_n, zeros: ZeroSet, unscaled_tol: float) -> ZS
 
 
 def z_build(n: int, omega, candidates) -> ZSystemSpec:
-    """Run the search, then assemble the system from the chosen candidate's
-    zeros, so a build is one stacked eigen-solve per candidate block and no
-    more; asserts that the associated function vanishes at t = 1."""
+    """Run the search (n >= 1, a finite omega), then assemble the system
+    from the chosen candidate's zeros, so a build is one stacked eigen-solve
+    per candidate block and no more; asserts that the associated function
+    vanishes at t = 1."""
     alpha_n, zeros = _search(n, omega, candidates)
     omega = Fraction(omega) if is_exact(omega) else float(omega)
     return _assemble(n, omega, alpha_n, zeros, GAMMA_UNSCALED_TOL)
 
 
 def z_build_real(n: int, omega) -> ZSystemSpec:
-    """Same as z_build but with the real-valued boundary search."""
+    """Same as z_build (n >= 1, a finite omega) but with the real-valued
+    boundary search."""
     alpha_n, _ = z_search_real(n, omega)
     alpha_n, omega = float(alpha_n), float(omega)
     return _assemble(n, omega, alpha_n, e_zeros(alpha_n, alpha_n * omega, n), 1e-9)

@@ -77,7 +77,7 @@ def test_float_member_poly_overflow_names_the_direct_polynomial():
                              r"range for alpha = 1\.5, beta = 0\.7; use exact parameters$"):
         ExpPolySystem(1.5, 0.7, 406).member_poly(0)
     for k in (-1, 5):
-        with pytest.raises(ValueError, match=f"k = {k} outside 0..n\\+1 for n = 3"):
+        with pytest.raises(ValueError, match=f"^k = {k} outside 0..4$"):
             ExpPolySystem(1, 0, 3).member_poly(k)
 
 
@@ -247,9 +247,9 @@ def test_ea_et_eval_index_range():
     for ev in (ea_eval, et_eval):
         assert ev(3, 4, 0.5) == 0.0
         for k in (5, -1):
-            with pytest.raises(ValueError, match=f"k = {k} outside 0..n\\+1"):
+            with pytest.raises(ValueError, match=f"^k = {k} outside 0..4$"):
                 ev(3, k, 0.5)
-        with pytest.raises(ValueError, match="n >= 1"):
+        with pytest.raises(ValueError, match="^n = 0 outside 1..inf$"):
             ev(0, 0, 0.5)
 
 

@@ -24,7 +24,8 @@ import pytest
 
 from altpoly import cli, exppoly, marginal, polycore, verify
 from altpoly.errors import RecurrenceError, ValueRangeError
-from altpoly.exppoly import ExpPolySystem, e_eval, ea_eval, et_eval
+from altpoly.exppoly import (ExpPolySystem, e_eval, ea_derivative_relation_residual, ea_eval,
+                             et_eval)
 from altpoly.marginal import MarginalKind, a_coefficients, plot_table, t_coefficients
 from altpoly.poly import DensePoly
 from altpoly.polycore import (
@@ -325,15 +326,16 @@ def test_a_point_off_the_semi_axis_is_refused():
     calls = [lambda t: e_eval(system, 1, t), lambda t: ea_eval(3, 1, t),
              lambda t: et_eval(3, 1, t), lambda t: spec.member_eval(1, t),
              lambda t: spec.member_matrix([0.5, t]), lambda t: spec.associated_eval(t),
-             lambda t: spec.rows([t])]
+             lambda t: spec.rows([t]), lambda t: ea_derivative_relation_residual(3, 1, t)]
     for call in calls:
         for t, shown in ((-1.0, "-1.0"), (-math.inf, "-inf"), (-5e-324, "-5e-324")):
-            with pytest.raises(ValueError, match=f"live on t >= 0, got t = {shown}$") as info:
+            message = f"^exponential members live on t >= 0, got t = {shown}$"
+            with pytest.raises(ValueError, match=message) as info:
                 call(t)
             assert type(info.value) is ValueError
         assert np.array_equal(call(-0.0), call(0.0))
     # the scaled member names the caller's t, not lambda_max * t
-    with pytest.raises(ValueError, match="live on t >= 0, got t = -1.0$"):
+    with pytest.raises(ValueError, match="^exponential members live on t >= 0, got t = -1.0$"):
         etilde_eval(1, 0, 3, 1, -1.0)
     assert etilde_eval(1, 0, 3, 1, -0.0) == etilde_eval(1, 0, 3, 1, 0.0)
 

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +145,28 @@ def test_no_module_imports_a_private_name_of_a_sibling():
              if isinstance(node, ast.ImportFrom) and node.level
              for alias in node.names if alias.name.startswith("_")]
     assert set(reach) - SHARED_PRIVATE == set(), sorted(set(reach) - SHARED_PRIVATE)
+
+
+# the one index check, and semi_axis_point's check on a point t
+RANGE_OWNERS = {("exact", "whole_index"), ("exppoly", "semi_axis_point")}
+# a message that states a range: "k <= n", "n >= 1" or "k = 5 outside 0..4";
+# "outside the open domain" (QuadRule's nodes) names no index range
+RANGE_MESSAGE = re.compile(r"<=|>=|outside \S*\.\.")
+
+
+def test_no_raise_but_the_index_helper_states_an_index_range():
+    # every entry point takes its indices through exact.whole_index; a raise
+    # of its own that states a range is a second check with a second wording
+    stray = []
+    for path in Path(altpoly.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owned = {id(node) for top in ast.walk(tree)
+                 if isinstance(top, ast.FunctionDef) and (path.stem, top.name) in RANGE_OWNERS
+                 for node in ast.walk(top)}
+        stray += [(path.stem, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise) and node.exc and id(node) not in owned
+                  and RANGE_MESSAGE.search(ast.unparse(node.exc))]
+    assert not stray, sorted(stray)
 
 
 def _absolute_imports(tree):

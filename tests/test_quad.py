@@ -297,7 +297,7 @@ def test_rule_checks_the_weight_before_solving(monkeypatch):
         raise AssertionError("eigen-solve reached")
 
     monkeypatch.setattr(quad, "golub_welsch", no_solve)
-    with pytest.raises(ValueError, match="at least one node"):
+    with pytest.raises(ValueError, match="^m = 0 outside 1..inf$"):
         gauss_jacobi_rule(0, 0, 0)
     with pytest.raises(DivergenceError, match="a = -1, b = 0, m = 2"):
         gauss_jacobi_rule(2, -1, 0)
