@@ -11,7 +11,8 @@ gamma2_ratio is the one entry point for Gamma(a)Gamma(b)/Gamma(c), behind
 every norm, single integral and Beta moment. Floats are the fallback
 whenever the arguments are not rational (or have denominators other than 1
 or 2, where the ratio has no exact form here, or need a product of more
-than EXACT_FACTOR_CAP factors).
+than EXACT_FACTOR_CAP factors). Its integer core (_gamma2_doubled) also
+takes polycore's norms and integrals, which form their arguments as ints.
 
 exact_param normalizes a parameter once where it enters the library: floats
 stay floats, whole rationals become ints, other rationals Fractions;
@@ -151,14 +152,17 @@ class PiRational:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return PiRational(self.rat * other, self.pi_coeff * other)
+            # a zero part stays as it is, with no Fraction product
+            return PiRational(self.rat and self.rat * other,
+                              self.pi_coeff and self.pi_coeff * other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return PiRational(self.rat / other, self.pi_coeff / other)
+            return PiRational(self.rat and self.rat / other,
+                              self.pi_coeff and self.pi_coeff / other)
         return NotImplemented
 
     def __eq__(self, other):
@@ -193,6 +197,7 @@ def simplify_scalar(v):
     return v
 
 
+_ZERO = Fraction(0)     # the rat of a pi-rational Gamma ratio, built once
 # Most factors one exact Gamma ratio multiplies; see exact_gamma2_ratio.
 EXACT_FACTOR_CAP = 20_000
 
@@ -222,10 +227,11 @@ def exact_gamma2_ratio(a, b, c):
       argument next to a half-odd one costs O(a) factors.
     * a and b both half-odd: Gamma(a)Gamma(b) = pi * rational, c then whole.
 
-    It computes on the integers 2a, 2b and 2c and builds one Fraction at the
-    end. A whole argument's Gamma is a factorial; Gamma(p + 1/2)/sqrt(pi) is
-    (2p-1)!!/2^p (DLMF 5.5.5), so a ratio of half-odd arguments with a whole
-    difference is a product of odd numbers over a power of 2.
+    It computes on the integers 2a, 2b and 2c (_gamma2_doubled) and builds
+    one Fraction at the end. A whole argument's Gamma is a factorial;
+    Gamma(p + 1/2)/sqrt(pi) is (2p-1)!!/2^p (DLMF 5.5.5), so a ratio of
+    half-odd arguments with a whole difference is a product of odd numbers
+    over a power of 2.
 
     A ratio needing more than EXACT_FACTOR_CAP (20,000) factors raises
     ExactnessError, and gamma2_ratio answers on its float line. A huge whole
@@ -239,8 +245,13 @@ def exact_gamma2_ratio(a, b, c):
         raise ExactnessError("gamma arguments must be positive")
     if da > 2 or db > 2 or dc > 2:
         raise ExactnessError("only denominators 1 and 2 supported exactly")
-    # the doubled arguments: odd for a half-odd argument, even for a whole one
-    a2, b2, c2 = na * (2 // da), nb * (2 // db), nc * (2 // dc)
+    return _gamma2_doubled(na * (2 // da), nb * (2 // db), nc * (2 // dc))
+
+
+def _gamma2_doubled(a2: int, b2: int, c2: int, num: int = 1, den: int = 1):
+    """num/den Gamma(a2/2) Gamma(b2/2) / Gamma(c2/2) for positive ints a2,
+    b2, c2 (odd for a half-odd argument) and nonzero ints num, den, as one
+    Fraction or PiRational: exact_gamma2_ratio's core."""
     if (a2 + b2 - c2) & 1:
         raise ExactnessError("a + b - c must be whole")
     if a2 & 1 and b2 & 1:
@@ -248,7 +259,7 @@ def exact_gamma2_ratio(a, b, c):
         halves, c = (a2 >> 1) + (b2 >> 1), c2 >> 1
         _check_cap(halves + c - 1)
         odd = _rising(1, 2, a2 >> 1) * _rising(1, 2, b2 >> 1)
-        return PiRational(0, Fraction(odd, math.factorial(c - 1) << halves))
+        return PiRational(_ZERO, Fraction(num * odd, den * math.factorial(c - 1) << halves))
     # the factorial of the whole one (the smaller of two), the other over c
     if a2 & 1 or b2 & 1:
         whole, paired = (a2, b2) if b2 & 1 else (b2, a2)
@@ -262,8 +273,8 @@ def exact_gamma2_ratio(a, b, c):
         prod, power = _rising(low, 2, abs(m)), 1 << abs(m)
     else:
         prod, power = _rising(low >> 1, 1, abs(m)), 1
-    fact = math.factorial((whole >> 1) - 1)
-    return Fraction(fact * prod, power) if m >= 0 else Fraction(fact * power, prod)
+    fact = num * math.factorial((whole >> 1) - 1)
+    return Fraction(fact * prod, den * power) if m >= 0 else Fraction(fact * power, den * prod)
 
 
 def _check_cap(factors: int) -> None:

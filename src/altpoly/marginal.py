@@ -1,11 +1,15 @@
 """The two marginal systems: A-kind (weight 1/x) and T-kind
-(weight x**(-3/2) (1-x)**(-1/2)).
+(weight x**(-3/2) (1-x)**(-1/2)), each the alternative family itself at
+(alpha, beta) = (-1, 0) and at (-3/2, -1/2) times t_scaling(n, k).
 
-Both are alternative families whose k = 0 member is orthogonal to all higher
-members yet non-normalizable under the family weight; that singular member is
-a shifted Legendre polynomial (A) or a shifted Chebyshev polynomial (T).
-A-kind coefficients are integers; T-kind values are rational, with norms
-rational multiples of pi kept exact through PiRational.
+Each name is an index check and one polycore call at its family's point:
+ajp_coefficients, ajp_recurrence, ajp_norm_h (zero off the diagonal) or
+ajp_single_integral; t_recurrence runs polycore's recurrence kernel on the
+family's step factors rescaled to the T members (_t_factors). The k = 0
+member of either family is orthogonal to all higher members yet not
+normalizable. The paper's closed forms (the A binomial expansion, the T
+norms and integrals, the shifted Legendre and Chebyshev singular members)
+live in verify, as the expected side of its marginal rows.
 """
 
 from __future__ import annotations
@@ -14,11 +18,10 @@ import enum
 import math
 from fractions import Fraction
 
-from .errors import DivergenceError
 from .exact import PiRational, double_factorial, whole_index
 from .poly import DensePoly
-from .polycore import (PolyParams, _downward_recurrence, ajp_coefficients, ajp_recurrence,
-                       jacobi_rows)
+from .polycore import (PolyParams, _downward_recurrence, _recurrence_factors, ajp_coefficients,
+                       ajp_norm_h, ajp_recurrence, ajp_single_integral, jacobi_rows)
 
 
 class MarginalKind(enum.Enum):
@@ -33,138 +36,91 @@ class MarginalKind(enum.Enum):
         self.weight_desc = (alpha, beta)
 
 
+def _member(kind: MarginalKind, n, k) -> PolyParams:
+    """Member (n, k) at kind's weight, n >= 0 and k in 0..n."""
+    n = whole_index("n", n)
+    return PolyParams(kind.alpha, kind.beta, n, whole_index("k", k, 0, n))
+
+
 def a_coefficients(n: int, k: int) -> DensePoly:
-    """A-kind member (k in 0..n) by its binomial expansion:
-    sum_j (-1)^j C(n-k, j) C(n+k+j, n-k) x^(k+j); integer coefficients."""
-    n, k = whole_index("n", n), whole_index("k", k, 0, n)
-    out = [0] * (n + 1)
-    for j in range(n - k + 1):
-        out[k + j] = (-1) ** j * math.comb(n - k, j) * math.comb(n + k + j, n - k)
-    return DensePoly(out)
+    """A-kind member (k in 0..n): ajp_coefficients at (-1, 0)."""
+    return ajp_coefficients(_member(MarginalKind.A, n, k))
 
 
 def a_recurrence(n: int) -> list[DensePoly]:
-    """A-kind members for k = n down to 0, n >= 1, by the downward
-    recurrence starting from x^n and (2n-1)x^(n-1) - 2n x^n: the family's
-    recurrence at alpha = -1, beta = 0 (polycore.ajp_recurrence)."""
+    """A-kind members for k = n down to 0, n >= 1: ajp_recurrence at (-1, 0),
+    from x^n and (2n-1)x^(n-1) - 2n x^n."""
     return ajp_recurrence(-1, 0, whole_index("n", n, 1))
 
 
 def a_norm(n: int, k: int, l: int) -> Fraction:
-    """Inner product of A members under 1/x, k and l in 0..n:
-    delta_{kl} / (k+l); the (0,0) pairing diverges."""
-    n = whole_index("n", n)
-    k, l = whole_index("k", k, 0, n), whole_index("l", l, 0, n)
-    if k == 0 and l == 0:
-        raise DivergenceError("the singular A member has no finite norm")
-    if k != l:
-        return Fraction(0)
-    return Fraction(1, k + l)
+    """Inner product of A members under 1/x, k and l in 0..n: ajp_norm_h on
+    the diagonal."""
+    p = _member(MarginalKind.A, n, k)
+    return ajp_norm_h(p) if whole_index("l", l, 0, p.n) == p.k else Fraction(0)
 
 
 def a_single_integral(n: int, k: int) -> Fraction:
-    """Integral of an A member (k in 0..n) against 1/x: equals 1/k, and
-    diverges for k = 0."""
-    n, k = whole_index("n", n), whole_index("k", k, 0, n)
-    if k == 0:
-        raise DivergenceError("singular A member is not integrable against 1/x")
-    return Fraction(1, k)
+    """Integral of an A member (k in 0..n) against 1/x: ajp_single_integral."""
+    return ajp_single_integral(_member(MarginalKind.A, n, k))
 
 
 def t_scaling(n: int, k: int) -> Fraction:
-    """Leading normalization (n-k)! / (n-k-1/2)_{n-k} applied to the raw
-    member, k in 0..n; makes the endpoint value exactly (-1)^(n-k). With
-    m = n - k, (m-1/2)_m = (2m-1)!! / 2^m, so it is the integer ratio
-    m! 2^m / (2m-1)!!."""
+    """Leading normalization (n-k)! / (n-k-1/2)_{n-k} of the raw member, k in
+    0..n, making the endpoint value exactly (-1)^(n-k); with m = n - k,
+    (m-1/2)_m = (2m-1)!! / 2^m, so it is the integer ratio m! 2^m / (2m-1)!!."""
     m = whole_index("n", n) - whole_index("k", k, 0, n)
     return Fraction(math.factorial(m) << m, double_factorial(2 * m - 1))
 
 
 def t_coefficients(n: int, k: int) -> DensePoly:
-    """T-kind member (k in 0..n): scaled alternative polynomial at (-3/2, -1/2)."""
-    n, k = whole_index("n", n), whole_index("k", k, 0, n)
-    base = ajp_coefficients(PolyParams(Fraction(-3, 2), Fraction(-1, 2), n, k))
-    return base.scale(t_scaling(n, k))
+    """T-kind member (k in 0..n): ajp_coefficients times t_scaling(n, k)."""
+    p = _member(MarginalKind.T, n, k)
+    return ajp_coefficients(p).scale(t_scaling(p.n, p.k))
 
 
 def t_recurrence(n: int) -> list[DensePoly]:
-    """T-kind members for k = n down to 0, n >= 1, by the downward
-    recurrence starting from x^n and (4n-3)x^(n-1) - (4n-2)x^n, on the exact
-    integer kernel of polycore."""
+    """T-kind members for k = n down to 0, n >= 1, by polycore's downward
+    recurrence from x^n and (4n-3)x^(n-1) - (4n-2)x^n on _t_factors."""
     n = whole_index("n", n, 1)
     first = [0] * (n - 1) + [4 * n - 3, -(4 * n - 2)]
-    return _downward_recurrence(n, (first, 1), lambda k: _t_step(n, k), label="T member")
+    return _downward_recurrence(n, (first, 1), lambda k: _t_factors(n, k), label="T member")
 
 
-def _t_step(n: int, k: int):
-    """Integer factors (m1, m2, m3, den) of the T-kind step, as polycore._recurrence_factors."""
-    return ((4 * k - 1) * (4 * k - 3) * (4 * k + 1),
-            2 * (4 * k - 1) * (4 * n * n + 4 * k * k - 2 * k - 1),
-            4 * (n - k) * (n + k) * (4 * k - 3),
-            (2 * (n + k) - 1) * (2 * (n - k) + 1) * (4 * k + 1))
+def _t_factors(n: int, k: int):
+    """The step factors of the members P_k at (-3/2, -1/2) for the T members
+    s(m) P_k, m = n - k, s = t_scaling: with s(m+1)/s(m) = 2(m+1)/(2m+1) and
+    s(m+1)/s(m-1) = 4m(m+1)/((2m+1)(2m-1)), m1 and m2 take 2(m+1)(2m-1), m3
+    4m(m+1) and den (2m+1)(2m-1), and the four are divided by their gcd."""
+    m = n - k
+    m1, m2, m3, den = _recurrence_factors(-3, -1, 2, n, k)
+    up = 2 * (m + 1) * (2 * m - 1)
+    m1, m2, m3, den = m1 * up, m2 * up, 4 * m * (m + 1) * m3, (2 * m + 1) * (2 * m - 1) * den
+    g = math.gcd(m1, m2, m3, den)
+    return m1 // g, m2 // g, m3 // g, den // g
 
 
 def t_norm(n: int, k: int, l: int):
-    """Inner product of T members under x**(-3/2) (1-x)**(-1/2), k and l in
-    0..n: delta_{kl} * pi/(2(k+l)-1) * (2n-k-l)!!/(2n-k-l-1)!! *
-    (2n+k+l-1)!!/(2n+k+l-2)!!, using 0!! = 1 and (-1)!! = 1; the (0,0)
-    pairing diverges."""
-    n = whole_index("n", n)
-    k, l = whole_index("k", k, 0, n), whole_index("l", l, 0, n)
-    if k == 0 and l == 0:
-        raise DivergenceError("the singular T member has no finite norm")
-    if k != l:
-        return PiRational(0, 0)
-    s = k + l
-    coeff = (
-        Fraction(1, 2 * s - 1)
-        * Fraction(double_factorial(2 * n - s), double_factorial(2 * n - s - 1))
-        * Fraction(double_factorial(2 * n + s - 1), double_factorial(2 * n + s - 2))
-    )
-    return PiRational(0, coeff)
+    """Inner product of T members under their weight, k and l in 0..n:
+    ajp_norm_h times t_scaling(n, k)^2 on the diagonal."""
+    p = _member(MarginalKind.T, n, k)
+    if whole_index("l", l, 0, p.n) == p.k:
+        return ajp_norm_h(p) * t_scaling(p.n, p.k) ** 2
+    return PiRational(0, 0)
 
 
 def t_single_integral(n: int, k: int):
-    """Integral of a T member (k in 0..n) against the family weight:
-    (2k-3)!!/(2k)!! * 2n*pi, diverging for k = 0."""
-    n, k = whole_index("n", n), whole_index("k", k, 0, n)
-    if k == 0:
-        raise DivergenceError("singular T member is not integrable against the weight")
-    coeff = Fraction(double_factorial(2 * k - 3), double_factorial(2 * k)) * 2 * n
-    return PiRational(0, coeff)
+    """Integral of a T member (k in 0..n) against its weight:
+    ajp_single_integral times t_scaling(n, k)."""
+    p = _member(MarginalKind.T, n, k)
+    return ajp_single_integral(p) * t_scaling(p.n, p.k)
 
 
 def is_normalizable(kind: MarginalKind, k: int) -> bool:
-    """False exactly for the singular k = 0 member of either marginal family."""
+    """False exactly for the singular k = 0 member of either family, k >= 0."""
     if not isinstance(kind, MarginalKind):
         raise TypeError("kind must be a MarginalKind")
-    return k != 0
-
-
-def shifted_legendre_coefficients(m: int) -> DensePoly:
-    """Legendre polynomial of degree m >= 0 composed with 1-2x, built by the
-    classical recurrence; independent oracle for the singular A member."""
-    y = DensePoly((1, -2))
-    prev, cur = DensePoly.one(), y
-    if whole_index("m", m) == 0:
-        return prev
-    for j in range(1, m):
-        nxt = (y * cur.scale(2 * j + 1) - prev.scale(j)).scale(Fraction(1, j + 1))
-        prev, cur = cur, nxt
-    return cur
-
-
-def shifted_chebyshev_coefficients(m: int) -> DensePoly:
-    """Chebyshev polynomial of the first kind of degree m >= 0 composed with
-    1-2x, built by the classical recurrence; independent oracle for the
-    singular T member."""
-    y = DensePoly((1, -2))
-    prev, cur = DensePoly.one(), y
-    if whole_index("m", m) == 0:
-        return prev
-    for _ in range(1, m):
-        prev, cur = cur, y * cur.scale(2) - prev
-    return cur
+    return whole_index("k", k) != 0
 
 
 def member_rows(kind: MarginalKind, n: int, xs, lo: int = 1, hi: int | None = None):
@@ -180,9 +136,8 @@ def member_rows(kind: MarginalKind, n: int, xs, lo: int = 1, hi: int | None = No
 
 def plot_table(kind: MarginalKind, n: int, points: int, exact: bool = False):
     """Rows (x, member values k = 1..n), n >= 0, on a uniform grid including
-    both endpoints; the raw data behind the family figures. Exact values by
-    Horner on the exact members at x = i/(points - 1), else floats from
-    member_rows at the float x."""
+    both endpoints, behind the family figures: exact Horner on the exact
+    members at x = i/(points - 1), else member_rows at the float x."""
     n = whole_index("n", n)
     if points < 2:
         raise ValueError("need at least two sample points")

@@ -8,20 +8,19 @@ downward three-term recurrence follows.
 
 Arithmetic is exact whenever alpha and beta are rational; float otherwise.
 Each parameter is normalized once where it enters (exact.finite_param), a
-whole one to an int, so at whole parameters every shift and Gamma-ratio
-argument below is int arithmetic.
-Every exact coefficient vector comes from one integer kernel, the
-terminating hypergeometric sum of the shifted Jacobi polynomial
+whole one to an int. Every exact coefficient vector comes from one integer
+kernel, the terminating hypergeometric sum of the shifted Jacobi polynomial
 (_jacobi_kernel), and every exact member is one _lifted call on it: x^k
 times it at (n - k, alpha + 2k + 1, beta), with parameters shifted exactly
 for the direct family (the exponential members) and the reciprocity route.
-It and the one exact downward recurrence (_downward_recurrence, shared by
-marginal's A and T recurrences) give DensePoly's exact form, integers over
-one denominator.
-Gamma-function ratios in the norm and integral formulas go through
-exact.gamma2_ratio: for exact parameters a product of rational factors,
-never through a floating gamma, so exact mode stays exact; otherwise its
-one lgamma line.
+It and the one exact downward recurrence (_downward_recurrence) give
+DensePoly's exact form, integers over one denominator. Norms and integrals
+are Gamma ratios (_gamma_ratio), on exact's integer core at parameters of
+denominator 1 or 2, else exact.gamma2_ratio. The marginal A and T families
+are this family at (-1, 0) and (-3/2, -1/2): each marginal name is one call
+of ajp_coefficients, ajp_recurrence (for T, _downward_recurrence on
+_recurrence_factors, rescaled), ajp_norm_h or ajp_single_integral, and the
+paper's closed forms for them live in verify.
 
 Every float member value comes from one evaluator, jacobi_rows: the
 three-term recurrence of P_m^(a,b)(1-2x) in x, over a vector of points and a
@@ -41,8 +40,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import zip_longest
+from operator import add
 
 from .errors import (
     CoefficientOverflowError,
@@ -51,8 +51,8 @@ from .errors import (
     RecurrenceError,
     ValueRangeError,
 )
-from .exact import (at_binary_values, finite_param, gamma2_ratio, is_exact,
-                    over_common_denominator, whole_index)
+from .exact import (ExactnessError, _gamma2_doubled, at_binary_values, finite_param,
+                    gamma2_ratio, is_exact, over_common_denominator, whole_index)
 from .poly import DensePoly
 
 
@@ -324,12 +324,11 @@ def ajp_norm_h(p: PolyParams):
     in particular the k = 0 member of a marginal system is rejected.
     """
     n, k, a, b = p.n, p.k, p.alpha, p.beta
-    a2k1 = a + 2 * k + 1
-    if not a2k1 > 0:
+    if not a > -2 * k - 1:      # alpha + 2k + 1 > 0, without a Fraction sum
         raise NonNormalizableError(
             f"member (n={n}, k={k}) is non-normalizable for alpha = {a}")
-    ratio = gamma2_ratio(a + n + k + 2, b + n - k + 1, a + b + n + k + 2)
-    return ratio / a2k1 / math.factorial(n - k)
+    return _gamma_ratio(a, b, (n, k, 2), (n, -k, 1), (n, k, 2),
+                        over=((a, 2 * k, 1), (math.factorial(n - k),)))
 
 
 def ajp_single_integral(p: PolyParams):
@@ -340,12 +339,11 @@ def ajp_single_integral(p: PolyParams):
     meets a binomial C(n, k) that leaves the double range (from n ~ 1030).
     """
     n, k, a, b = p.n, p.k, p.alpha, p.beta
-    if not a + k + 1 > 0:
+    if not a > -k - 1:          # alpha + k + 1 > 0, without a Fraction sum
         raise DivergenceError(
             f"weighted integral of member (n={n}, k={k}) diverges for alpha = {a}")
-    ratio = gamma2_ratio(a + k + 1, b + n - k + 1, a + b + n + 2)
     try:
-        return ratio * math.comb(n, k)
+        return _gamma_ratio(a, b, (k, 1), (n, -k, 1), (n, 2), times=math.comb(n, k))
     except OverflowError:
         raise ValueRangeError(
             f"weighted integral of member (n={n}, k={k}) for alpha = {a}, beta = {b}: "
@@ -365,9 +363,39 @@ def direct_norm_d(alpha, beta, n: int, k: int):
         # only at k = n = 0: the closed form is the removable 0 * inf case,
         # and the member is the constant 1, whose squared norm is the Beta
         # moment Gamma(a+1) Gamma(b+1) / Gamma(a+b+2)
-        return gamma2_ratio(a + 1, b + 1, a + b + 2)
-    ratio = gamma2_ratio(a + k + n + 1, b + k - n + 1, a + b + k + n + 1)
-    return ratio / (a + b + 2 * k + 1) / math.factorial(k - n)
+        return _gamma_ratio(a, b, (1,), (1,), (2,))
+    return _gamma_ratio(a, b, (k, n, 1), (k, -n, 1), (k, n, 1),
+                        over=((a + b, 2 * k, 1), (math.factorial(k - n),)))
+
+
+def _gamma_ratio(a, b, i: tuple, j: tuple, l: tuple, times: int = 1, over: tuple = ()):
+    """times Gamma(a + i) Gamma(b + j) / Gamma(a + b + l) over each term of
+    over in turn, at positive arguments; i, j, l and each over term (a base,
+    then whole addends) are summed left to right, as the float line always
+    summed them. At a and b of denominator 1 or 2 all go doubled, as ints,
+    to exact's integer core (formed in Fractions they took ajp_norm_h 26 us
+    at (1/2, 3/2) against 5 us at (3, 5)); else, and past its cap, gamma2_ratio."""
+    a2, b2 = _doubled(a), _doubled(b)
+    if a2 is not None and b2 is not None:
+        num, den = times, 1
+        for term in over:
+            num, den = 2 * num, den * (_doubled(term[0]) + 2 * sum(term[1:]))
+        try:
+            return _gamma2_doubled(a2 + 2 * sum(i), b2 + 2 * sum(j), a2 + b2 + 2 * sum(l),
+                                   num, den)
+        except ExactnessError:
+            pass
+    ratio = gamma2_ratio(reduce(add, i, a), reduce(add, j, b), reduce(add, l, a + b)) * times
+    for term in over:
+        ratio = ratio / reduce(add, term)
+    return ratio
+
+
+def _doubled(v):
+    """2v as an int for an int or a Fraction of denominator 1 or 2, else None."""
+    if type(v) is int or type(v) is Fraction and v.denominator <= 2:
+        return v.numerator * (2 // v.denominator)
+    return None
 
 
 def _jacobi_kernel(m: int, a, b) -> tuple[list[int], int]:
@@ -528,8 +556,9 @@ def dd_raising_residual(p: PolyParams) -> DensePoly:
       - (n alpha + (n-k) beta + n^2 + k^2 + 2n) x] P
       + (alpha+beta+n+k+2)(beta+n-k) x P_{n,k+1}
 
-    Exact, at the binary values of float parameters.
+    Exact, at the binary values of float parameters; k in 0..n.
     """
+    whole_index("k", p.k, 0, p.n)
     p = p if p.exact else PolyParams(*at_binary_values(p.alpha, p.beta), p.n, p.k)
     n, k, a, b = p.n, p.k, p.alpha, p.beta
     member = ajp_coefficients(p)
@@ -568,9 +597,12 @@ def dd_lowering_residual(p: PolyParams) -> DensePoly:
 def ode_apply(alpha, beta, n: int, k: int, y: DensePoly) -> DensePoly:
     """Apply the family's second-order differential operator to y:
     x^2 (1-x) y'' + x [alpha+2-(alpha+beta+3)x] y'
-    - [k(alpha+k+1) - n(alpha+beta+n+2)x] y, for finite alpha and beta.
+    - [k(alpha+k+1) - n(alpha+beta+n+2)x] y, for finite alpha and beta,
+    n >= 0 and k in 0..n.
     """
     a, b = finite_param("alpha", alpha), finite_param("beta", beta)
+    n = whole_index("n", n)
+    k = whole_index("k", k, 0, n)
     d1, d2 = y.derivative(), y.derivative().derivative()
     term2 = DensePoly((0, 0, 1, -1)) * d2                      # x^2(1-x) y''
     term1 = DensePoly((0, a + 2, -(a + b + 3))) * d1           # x(alpha+2-(alpha+beta+3)x) y'

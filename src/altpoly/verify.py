@@ -7,10 +7,15 @@ rational multiples of pi, or floats that must agree to the bit. A row with
 a tolerance gets a measured error from its check, which passes below the
 tolerance. `run_suite` runs the rows of a suite with n capped by --nmax
 and by each row's own cap; `run_rows` runs named rows at the n it is given,
-as the acceptance criteria and the module tests do. Every point counts as one check; a failed one, including a check
-that raises, is recorded with its row name, params and detail. Checks reach
-the library through module attributes (polycore.ajp_coefficients), so a
-tracer or a patched function sees every call.
+as the acceptance criteria and the module tests do. Every point counts as
+one check; a failed one, including a check that raises, is recorded with its
+row name, params and detail. Checks reach the library through module
+attributes (polycore.ajp_coefficients), so a tracer or a patched function
+sees every call.
+
+The marginal names are polycore's kernel calls at (-1, 0) and (-3/2, -1/2);
+the paper's closed forms for those families (the A expansion, the T norms
+and integrals, the singular members) live here, as the marginal rows' want.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import math
 from fractions import Fraction
 
 from . import exppoly, marginal, polycore, quad, zfun
+from .exact import PiRational, double_factorial, whole_index
 from .poly import DensePoly
 from .polycore import PolyParams
 
@@ -262,6 +268,46 @@ def _t(n, k):
     return _once(marginal.t_coefficients, n, k)
 
 
+def _a_expansion(n, k):
+    """A member: sum_j (-1)^j C(n-k, j) C(n+k+j, n-k) x^(k+j)."""
+    return DensePoly([0] * k + [(-1) ** j * math.comb(n - k, j) * math.comb(n + k + j, n - k)
+                                for j in range(n - k + 1)])
+
+
+def _t_norm_formula(n, k, l):
+    """T inner product, (k, l) != (0, 0): delta_{kl} pi/(2s-1) (2n-s)!!/(2n-s-1)!!
+    (2n+s-1)!!/(2n+s-2)!! with s = k + l, 0!! = (-1)!! = 1."""
+    if k != l:
+        return 0
+    s, df = k + l, double_factorial
+    return PiRational(0, F(df(2 * n - s) * df(2 * n + s - 1),
+                           (2 * s - 1) * df(2 * n - s - 1) * df(2 * n + s - 2)))
+
+
+def _t_integral_formula(n, k):
+    """T single integral, k >= 1: (2k-3)!!/(2k)!! 2n pi."""
+    return PiRational(0, F(double_factorial(2 * k - 3) * 2 * n, double_factorial(2 * k)))
+
+
+def shifted_legendre_coefficients(m: int) -> DensePoly:
+    """P_m(1-2x), m >= 0, by the classical recurrence from P_0 = 1: the
+    oracle of the singular A member."""
+    y, prev, cur = DensePoly((1, -2)), DensePoly.zero(), DensePoly.one()
+    for j in range(whole_index("m", m)):
+        prev, cur = cur, (y * cur.scale(2 * j + 1) - prev.scale(j)).scale(F(1, j + 1))
+    return cur
+
+
+def shifted_chebyshev_coefficients(m: int) -> DensePoly:
+    """T_m(1-2x), m >= 0, by the classical recurrence from T_0 = 1 and
+    T_-1 = T_1: the oracle of the singular T member."""
+    y = DensePoly((1, -2))
+    prev, cur = y, DensePoly.one()
+    for _ in range(whole_index("m", m)):
+        prev, cur = cur, y * cur.scale(2) - prev
+    return cur
+
+
 def _a_relations(n, k):
     p = PolyParams(*A_WEIGHT, n, k)
     lowering = polycore.dd_lowering_residual(p) if k else ZERO
@@ -275,7 +321,8 @@ def _a_orthogonality(n, k, l):
 
 
 def _t_orthogonality(n, k, l):
-    return quad.weighted_inner_product(_t(n, k), _t(n, l), *T_WEIGHT), marginal.t_norm(n, k, l)
+    oracle = quad.weighted_inner_product(_t(n, k), _t(n, l), *T_WEIGHT)
+    return (oracle, marginal.t_norm(n, k, l)), (_t_norm_formula(n, k, l),) * 2
 
 
 def _a_single_integral(n, k):
@@ -285,7 +332,7 @@ def _a_single_integral(n, k):
 
 def _t_single_integral(n, k):
     oracle = quad.weighted_inner_product(_t(n, k), DensePoly.one(), *T_WEIGHT)
-    return oracle, marginal.t_single_integral(n, k)
+    return (oracle, marginal.t_single_integral(n, k)), (_t_integral_formula(n, k),) * 2
 
 
 # -------------------------------------------------------------- exp checks
@@ -349,8 +396,8 @@ def _t_exponential_norms(n):
     integral, half = quad.integrate_semi_axis, F(-1, 2)
     got = ([integral(_t(n, k) * _t(n, l), half, half) for k, l in _upper(n)]
            + [integral(_t(n, k), half, half) for k in range(1, n + 1)])
-    want = ([marginal.t_norm(n, k, l) for k, l in _upper(n)]
-            + [marginal.t_single_integral(n, k) for k in range(1, n + 1)])
+    want = ([_t_norm_formula(n, k, l) for k, l in _upper(n)]
+            + [_t_integral_formula(n, k) for k in range(1, n + 1)])
     return got, want
 
 
@@ -467,13 +514,11 @@ ROWS = [
         lambda n: (marginal.a_recurrence(n),
                    [marginal.a_coefficients(n, k) for k in range(n, -1, -1)]), cap=12),
     Row("a-is-family-member", "marginal", ("n", "k"), _tri,
-        lambda n, k: (_a(n, k), _member(*A_WEIGHT, n, k)), cap=12),
+        lambda n, k: (_a(n, k), _a_expansion(n, k)), cap=12),
     Row("a-singular-is-shifted-legendre", "marginal", ("n",), _ns,
-        lambda n: (marginal.a_coefficients(n, 0), marginal.shifted_legendre_coefficients(n)),
-        cap=10),
+        lambda n: (marginal.a_coefficients(n, 0), shifted_legendre_coefficients(n)), cap=10),
     Row("t-singular-is-shifted-chebyshev", "marginal", ("n",), _ns,
-        lambda n: (marginal.t_coefficients(n, 0), marginal.shifted_chebyshev_coefficients(n)),
-        cap=10),
+        lambda n: (marginal.t_coefficients(n, 0), shifted_chebyshev_coefficients(n)), cap=10),
     Row("t-recurrence-vs-scaled-family", "marginal", ("n",), _ns,
         lambda n: (marginal.t_recurrence(n),
                    [marginal.t_coefficients(n, k) for k in range(n, -1, -1)]), cap=10),

@@ -48,9 +48,8 @@ def etilde_eval(alpha, beta, n: int, k: int, t) -> float:
 
 def weight_peak(omega) -> float:
     """Abscissa of the semi-axis weight maximum: ln(1+omega) for omega > 0,
-    else the boundary t = 0. ValueError for a nan omega."""
-    if omega != omega:
-        raise ValueError(f"weight peak needs a number, got omega = {omega}")
+    else the boundary t = 0, for a finite omega (exact.finite_param)."""
+    omega = finite_param("omega", omega)
     if omega <= 0:
         return 0.0
     return math.log1p(float(omega))

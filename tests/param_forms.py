@@ -6,11 +6,12 @@ value and in type, element by element, with member coefficients Fractions,
 and the same refusal where one refuses.
 
 The grid is exact-int's pairs (0..6)^2 and exact-half's half-odd pairs
-(-1/2..7/2)^2 of the benchmark, at n <= 12: every k for members, norms,
-integrals, recurrences and the direct and reciprocity routes, and k = 0, 1,
-n // 2, n - 1 and n for the inner products and the identity residuals
-(about 6 to 8 s in all on a two-vCPU Xeon with Python 3.11). It needs neither numpy nor
-pytest, so a bare interpreter can run it:
+(-1/2..7/2)^2 of the benchmark, and the A and T marginal points (-1, 0) and
+(-3/2, -1/2), whose k = 0 norms and integrals are refused, at n <= 12: every
+k for members, norms, integrals, recurrences and the direct and reciprocity
+routes, and k = 0, 1, n // 2, n - 1 and n for the inner products and the
+identity residuals (about 6 to 8 s in all on a two-vCPU Xeon with Python
+3.11). It needs neither numpy nor pytest, so a bare interpreter can run it:
 
     PYTHONPATH=src:tests python -c "import param_forms; param_forms.check()"
 """
@@ -29,6 +30,7 @@ from altpoly.polycore import PolyParams
 N_MAX = 12
 INT_PAIRS = list(product(range(7), repeat=2))
 HALF_PAIRS = list(product((Fraction(2 * i - 1, 2) for i in range(5)), repeat=2))
+MARGINAL_PAIRS = [(-1, 0), (Fraction(-3, 2), Fraction(-1, 2))]
 RESIDUALS = ("ode_residual_poly", "diff_formula_residual", "dd_raising_residual",
              "dd_lowering_residual")
 
@@ -87,17 +89,18 @@ def results(a, b) -> dict:
 def inexact(got: dict) -> list:
     """The calls of one results() whose answer is not exact: a member
     coefficient that is not a Fraction, or a norm, integral or Beta moment
-    that is not a Fraction or PiRational."""
+    that is not a Fraction or PiRational (a refusal is no answer)."""
     bad = []
     for key, value in got.items():
         if key[0] == "ajp_coefficients":
             bad += [key] if any(t is not Fraction for t, _ in value[2]) else []
         elif key[0] in ("ajp_norm_h", "ajp_single_integral", "beta_moment"):
-            bad += [] if value[0] in (Fraction, PiRational) else [key]
+            answered = not issubclass(value[0], Exception)
+            bad += [key] if answered and value[0] not in (Fraction, PiRational) else []
     return bad
 
 
-def sweep(pairs=INT_PAIRS + HALF_PAIRS) -> tuple[list, list]:
+def sweep(pairs=INT_PAIRS + HALF_PAIRS + MARGINAL_PAIRS) -> tuple[list, list]:
     """(mismatches, inexact): (pair, form, call) wherever a form's result
     differs from the first form's in value, type or refusal, and (pair,
     call) wherever the first form's answer is not exact."""
@@ -117,5 +120,6 @@ def check():
     bad, loose = sweep()
     assert not bad, f"{len(bad)} mismatches, first: {bad[0]}"
     assert not loose, f"{len(loose)} answers not exact, first: {loose[0]}"
-    print(f"param_forms: {len(INT_PAIRS)} whole pairs in 3 forms and {len(HALF_PAIRS)} "
-          f"half-odd pairs in 2, {len(results(0, 0))} calls each, agree")
+    print(f"param_forms: {len(INT_PAIRS)} whole pairs in 3 forms, {len(HALF_PAIRS)} "
+          f"half-odd pairs in 2 and the marginal points (-1, 0) and (-3/2, -1/2), "
+          f"{len(results(0, 0))} calls each, agree")

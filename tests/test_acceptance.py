@@ -14,15 +14,9 @@ import pytest
 
 from altpoly import verify
 from altpoly.exppoly import legendre_type_quadrature
-from altpoly.marginal import (
-    MarginalKind,
-    a_coefficients,
-    plot_table,
-    shifted_chebyshev_coefficients,
-    shifted_legendre_coefficients,
-    t_coefficients,
-)
+from altpoly.marginal import MarginalKind, a_coefficients, plot_table, t_coefficients
 from altpoly.poly import DensePoly
+from altpoly.verify import shifted_chebyshev_coefficients, shifted_legendre_coefficients
 from altpoly.zfun import whole_candidates, z_search, z_search_real
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -13,8 +13,6 @@ from altpoly.marginal import (
     a_single_integral,
     is_normalizable,
     plot_table,
-    shifted_chebyshev_coefficients,
-    shifted_legendre_coefficients,
     t_coefficients,
     t_norm,
     t_scaling,
@@ -22,6 +20,7 @@ from altpoly.marginal import (
 )
 from altpoly.poly import DensePoly
 from altpoly.quad import weighted_inner_product
+from altpoly.verify import shifted_chebyshev_coefficients, shifted_legendre_coefficients
 
 F = Fraction
 

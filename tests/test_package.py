@@ -132,8 +132,12 @@ def test_every_module_level_definition_is_used_or_exported():
     assert not unused, f"defined but never used or exported: {sorted(unused)}"
 
 
-# the documented shared step kernel of the A and T recurrences
-SHARED_PRIVATE = {("marginal", "polycore", "_downward_recurrence")}
+# the documented shared kernels: the downward recurrence and the family's
+# step factors, which the T recurrence rescales, and the integer Gamma core
+# that polycore's norms and integrals feed with doubled arguments
+SHARED_PRIVATE = {("marginal", "polycore", "_downward_recurrence"),
+                  ("marginal", "polycore", "_recurrence_factors"),
+                  ("polycore", "exact", "_gamma2_doubled")}
 
 
 def test_no_module_imports_a_private_name_of_a_sibling():

@@ -11,7 +11,8 @@ from altpoly.exact import exact_param
 from altpoly.polycore import PolyParams
 
 
-@pytest.mark.parametrize("pair", param_forms.INT_PAIRS + param_forms.HALF_PAIRS,
+@pytest.mark.parametrize("pair", param_forms.INT_PAIRS + param_forms.HALF_PAIRS
+                         + param_forms.MARGINAL_PAIRS,
                          ids=lambda pair: f"{pair[0]},{pair[1]}")
 def test_every_form_of_a_parameter_gives_the_same_exact_answers(pair):
     bad, loose = param_forms.sweep([pair])

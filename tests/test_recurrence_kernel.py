@@ -1,20 +1,25 @@
 """The exact downward recurrences on polycore's integer step kernel.
 
 The exact ajp_recurrence, and with it a_recurrence (the family at
-alpha = -1, beta = 0), and t_recurrence all step through
+alpha = -1, beta = 0), and t_recurrence (the family's step factors at
+(-3/2, -1/2), rescaled to the T members) all step through
 polycore._downward_recurrence; the float ajp_recurrence returns the float
 ajp_coefficients members.
 The oracles here do not: the exact ajp members come from the earlier route
 that evaluates each step's factors in Fraction arithmetic (copied below),
-the A and T members from their closed-form expansions, and the A step's
-factors from the paper's formula.
+the A and T members from the hypergeometric kernel (ajp_coefficients), and
+the A and T steps' factors from the paper's formulas.
+Every marginal name is one kernel call at its family's point: spoiling a
+kernel function changes the answer of each name that calls it.
 """
 
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import altpoly
 from altpoly import marginal, polycore
 from altpoly.errors import CoefficientOverflowError, RecurrenceError
 from altpoly.exact import over_common_denominator
@@ -126,7 +131,36 @@ def test_a_recurrence_is_the_family_recurrence_at_minus_one_zero(n):
         a_recurrence(0)
 
 
+def t_step(n: int, k: int):
+    """The paper's integer factors (m1, m2, m3, den) of the T-kind step, as
+    a_step."""
+    return ((4 * k - 1) * (4 * k - 3) * (4 * k + 1),
+            2 * (4 * k - 1) * (4 * n * n + 4 * k * k - 2 * k - 1),
+            4 * (n - k) * (n + k) * (4 * k - 3),
+            (2 * (n + k) - 1) * (2 * (n - k) + 1) * (4 * k + 1))
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_t_factors_are_the_papers_step_in_lowest_terms(n):
+    # t_recurrence's factors, the family's at (-3/2, -1/2) rescaled by the
+    # t_scaling ratios, are the paper's T step divided by its gcd
+    for k in range(1, n):
+        paper = t_step(n, k)
+        g = math.gcd(*paper)
+        assert marginal._t_factors(n, k) == tuple(f // g for f in paper), (n, k)
+
+
 # ------------------------------------------------------- spoiled factors
+
+def spoil(monkeypatch, fn, replacement):
+    """Replace fn at every altpoly module attribute that holds it, so a
+    sibling that imported it by name calls the replacement too."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "altpoly" and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
+
 
 def _zero_den_at(factors, bad_k):
     def spoiled(*args):
@@ -138,14 +172,13 @@ def _zero_den_at(factors, bad_k):
 @pytest.mark.parametrize("route", ["ajp", "ajp-float", "A", "T"])
 def test_spoiled_factor_raises_recurrence_error(monkeypatch, route):
     n, bad_k = 6, 3
+    unspoiled = ajp_recurrence(0.5, 2.0, n)
+    spoil(monkeypatch, polycore._recurrence_factors,
+          _zero_den_at(polycore._recurrence_factors, bad_k))
     if route == "T":
-        monkeypatch.setattr(marginal, "_t_step", _zero_den_at(marginal._t_step, bad_k))
-        with pytest.raises(RecurrenceError, match=f"T member k={bad_k - 1}"):
+        with pytest.raises(RecurrenceError, match=f"the step to T member k={bad_k - 1} divides"):
             t_recurrence(n)
         return
-    unspoiled = ajp_recurrence(0.5, 2.0, n)
-    monkeypatch.setattr(polycore, "_recurrence_factors",
-                        _zero_den_at(polycore._recurrence_factors, bad_k))
     if route == "A":
         with pytest.raises(RecurrenceError, match=f"member k={bad_k - 1} divides by zero"):
             a_recurrence(n)
@@ -183,3 +216,51 @@ def test_nonzero_constant_term_raises_recurrence_error(label):
     first = ([1] + [0] * (n - 2) + [2 * n - 1, -2 * n], 1)
     with pytest.raises(RecurrenceError, match=f"{label} k={n - 1} has a nonzero constant"):
         polycore._downward_recurrence(n, first, lambda k: a_step(n, k), label=label)
+
+
+KERNEL, FACTORS = polycore._jacobi_kernel, polycore._recurrence_factors
+
+
+def _doubled_result(fn):
+    def spoiled(*args):
+        return 2 * fn(*args)
+    return spoiled
+
+
+def _halved_kernel(m, a, b):
+    nums, den = KERNEL(m, a, b)
+    return nums, 2 * den
+
+
+def _doubled_den(*args):
+    m1, m2, m3, den = FACTORS(*args)
+    return m1, m2, m3, 2 * den
+
+
+# each kernel function, its spoiled form, and the marginal calls that must
+# answer differently once it is spoiled
+KERNEL_CALLS = [
+    (polycore.ajp_norm_h, _doubled_result(polycore.ajp_norm_h),
+     [(marginal.a_norm, (6, 3, 3)), (marginal.t_norm, (6, 3, 3))]),
+    (polycore.ajp_single_integral, _doubled_result(polycore.ajp_single_integral),
+     [(marginal.a_single_integral, (6, 3)), (marginal.t_single_integral, (6, 3))]),
+    (KERNEL, _halved_kernel,
+     [(marginal.a_coefficients, (6, 3)), (marginal.t_coefficients, (6, 3))]),
+    (FACTORS, _doubled_den, [(marginal.a_recurrence, (6,)), (marginal.t_recurrence, (6,))]),
+]
+
+
+def test_every_marginal_name_answers_through_its_kernel_call(monkeypatch):
+    # a marginal name that computed its object a second way would keep its
+    # answer with the kernel spoiled
+    assert {call.__name__ for _, _, calls in KERNEL_CALLS for call, _ in calls} == \
+        set(altpoly._EXPORTS["marginal"]) - {"MarginalKind", "is_normalizable"}
+    for fn, spoiled, calls in KERNEL_CALLS:
+        before = [call(*args) for call, args in calls]
+        with monkeypatch.context() as patch:
+            spoil(patch, fn, spoiled)
+            polycore._ajp_coefficients_cached.cache_clear()
+            after = [call(*args) for call, args in calls]
+        polycore._ajp_coefficients_cached.cache_clear()
+        for (call, args), old, new in zip(calls, before, after):
+            assert new != old, (fn.__name__, call.__name__, args)

@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 
 import altpoly
-from altpoly import exppoly, marginal, polycore, quad, zfun
-from altpoly.errors import CollocationError, DivergenceError, FeasibilityError, ValueRangeError
+from altpoly import exppoly, marginal, polycore, quad, verify, zfun
+from altpoly.errors import (CollocationError, DivergenceError, FeasibilityError,
+                            NonNormalizableError, ValueRangeError)
 from altpoly.exact import double_factorial, falling_factorial, gamma2_ratio
 from altpoly.exppoly import ExpPolySystem, ea_derivative_relation_residual, semi_axis_rule
 from altpoly.marginal import MarginalKind
@@ -25,10 +26,16 @@ from altpoly.polycore import PolyParams
 
 SYSTEM = ExpPolySystem(1, 0, 3)
 XS = (0.0, 0.5, 1.0)
-A_SINGULAR = (DivergenceError, "singular A member is not integrable against 1/x")
-T_SINGULAR = (DivergenceError, "singular T member is not integrable against the weight")
-A_NORM = (DivergenceError, "the singular A member has no finite norm")
-T_NORM = (DivergenceError, "the singular T member has no finite norm")
+
+
+def singular_integral(n, alpha):
+    """The kernel's refusal of the singular member's integral at (n, 0)."""
+    return DivergenceError, f"weighted integral of member (n={n}, k=0) diverges for alpha = {alpha}"
+
+
+def singular_norm(n, alpha):
+    """The kernel's refusal of the singular member's norm at (n, 0)."""
+    return NonNormalizableError, f"member (n={n}, k=0) is non-normalizable for alpha = {alpha}"
 
 
 def edge(entry, index, lo, hi, call, refusals=None, named=None):
@@ -67,6 +74,9 @@ EDGES = [
     edge("diff_formula_residual", "k", 0, 2,
          lambda v: polycore.diff_formula_residual(PolyParams(0, 0, 3, v)),
          {-1: (ValueError, "k = -1 outside 0..4")}, named={3: "diff_formula_residual"}),
+    edge("dd_raising_residual", "k", 0, 3,
+         lambda v: polycore.dd_raising_residual(PolyParams(0, 0, 3, v)),
+         {-1: (ValueError, "k = -1 outside 0..4")}),
     edge("dd_lowering_residual", "k", 1, 3,
          lambda v: polycore.dd_lowering_residual(PolyParams(0, 0, 3, v)),
          named={0: "dd_lowering_residual"}),
@@ -77,26 +87,29 @@ EDGES = [
     edge("t_coefficients", "k", 0, 3, lambda v: marginal.t_coefficients(3, v),
          named={4: "t_coefficients"}),
     edge("a_single_integral", "n", 0, None, lambda v: marginal.a_single_integral(v, 0),
-         {0: A_SINGULAR}),
+         {0: singular_integral(0, -1)}),
     edge("a_single_integral", "k", 0, 3, lambda v: marginal.a_single_integral(3, v),
-         {0: A_SINGULAR}, named={4: "a_single_integral"}),
+         {0: singular_integral(3, -1)}, named={4: "a_single_integral"}),
     edge("t_single_integral", "n", 0, None, lambda v: marginal.t_single_integral(v, 0),
-         {0: T_SINGULAR}),
+         {0: singular_integral(0, "-3/2")}),
     edge("t_single_integral", "k", 0, 3, lambda v: marginal.t_single_integral(3, v),
-         {0: T_SINGULAR}, named={4: "t_single_integral"}),
+         {0: singular_integral(3, "-3/2")}, named={4: "t_single_integral"}),
     edge("t_scaling", "n", 0, None, lambda v: marginal.t_scaling(v, 0)),
     edge("t_scaling", "k", 0, 3, lambda v: marginal.t_scaling(3, v)),
-    edge("a_norm", "n", 0, None, lambda v: marginal.a_norm(v, 0, 0), {0: A_NORM}),
+    edge("a_norm", "n", 0, None, lambda v: marginal.a_norm(v, 0, 0), {0: singular_norm(0, -1)}),
     edge("a_norm", "k", 0, 3, lambda v: marginal.a_norm(3, v, 1), named={4: "a_norm"}),
-    edge("a_norm", "l", 0, 3, lambda v: marginal.a_norm(3, 0, v), {0: A_NORM}),
-    edge("t_norm", "n", 0, None, lambda v: marginal.t_norm(v, 0, 0), {0: T_NORM}),
-    edge("t_norm", "k", 0, 3, lambda v: marginal.t_norm(3, v, 0), {0: T_NORM}),
+    edge("a_norm", "l", 0, 3, lambda v: marginal.a_norm(3, 0, v), {0: singular_norm(3, -1)}),
+    edge("t_norm", "n", 0, None, lambda v: marginal.t_norm(v, 0, 0),
+         {0: singular_norm(0, "-3/2")}),
+    edge("t_norm", "k", 0, 3, lambda v: marginal.t_norm(3, v, 0), {0: singular_norm(3, "-3/2")}),
     edge("t_norm", "l", 0, 3, lambda v: marginal.t_norm(3, 2, v)),
     edge("a_recurrence", "n", 1, None, marginal.a_recurrence),
     edge("t_recurrence", "n", 1, None, marginal.t_recurrence, named={0: "t_recurrence"}),
-    edge("shifted_legendre_coefficients", "m", 0, None, marginal.shifted_legendre_coefficients),
-    edge("shifted_chebyshev_coefficients", "m", 0, None,
-         marginal.shifted_chebyshev_coefficients),
+    edge("shifted_legendre_coefficients", "m", 0, None, verify.shifted_legendre_coefficients),
+    edge("shifted_chebyshev_coefficients", "m", 0, None, verify.shifted_chebyshev_coefficients),
+    edge("is_normalizable", "k", 0, None, lambda v: marginal.is_normalizable(MarginalKind.A, v)),
+    edge("ode_apply", "n", 0, None, lambda v: polycore.ode_apply(0, 0, v, 0, DensePoly((1, 1)))),
+    edge("ode_apply", "k", 0, 3, lambda v: polycore.ode_apply(0, 0, 3, v, DensePoly((1, 1)))),
     edge("plot_table", "n", 0, None, lambda v: marginal.plot_table(MarginalKind.A, v, 5)),
     edge("ExpPolySystem", "n", 1, None, lambda v: ExpPolySystem(1, 0, v)),
     edge("ExpPolySystem.member_poly", "k", 0, 4, SYSTEM.member_poly),
@@ -173,6 +186,8 @@ NONFINITE = [
     ("z_build-omega=nan", lambda: zfun.z_build(2, math.nan, zfun.whole_candidates(8)),
      "omega", math.nan),
     ("z_search_real-omega=inf", lambda: zfun.z_search_real(2, math.inf), "omega", math.inf),
+    *((f"weight_peak-omega={v}", lambda v=v: zfun.weight_peak(v), "omega", v)
+      for v in (math.nan, math.inf, -math.inf)),
 ]
 
 REFUSALS = [
@@ -194,7 +209,7 @@ REFUSALS = [
     ("direct_coefficients-n=1.0", lambda: polycore.direct_coefficients(0, 0, 1.0, 3), ValueError,
      "n must be a whole number, got n = 1.0"),
     ("t_scaling-k=5", lambda: marginal.t_scaling(3, 5), ValueError, "k = 5 outside 0..3"),
-    ("shifted_chebyshev_coefficients-m=-2", lambda: marginal.shifted_chebyshev_coefficients(-2),
+    ("shifted_chebyshev_coefficients-m=-2", lambda: verify.shifted_chebyshev_coefficients(-2),
      ValueError, "m = -2 outside 0..inf"),
     ("t_single_integral-n=3.5", lambda: marginal.t_single_integral(3.5, 1), ValueError,
      "n must be a whole number, got n = 3.5"),

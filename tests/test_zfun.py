@@ -41,11 +41,11 @@ def test_weight_peak():
     assert weight_peak(0) == 0.0
     assert weight_peak(-0.3) == 0.0
     assert weight_peak(math.e - 1) == pytest.approx(1.0, rel=1e-15)
-    assert weight_peak(math.inf) == math.inf
-    assert weight_peak(-math.inf) == 0.0
-    assert weight_peak(F(1, 2)) == math.log1p(0.5)
-    with pytest.raises(ValueError, match="omega = nan"):
-        weight_peak(math.nan)
+    assert weight_peak(F(1, 2)) == weight_peak("1/2") == math.log1p(0.5)
+    # omega enters through exact.finite_param: an infinite or nan omega is refused
+    for omega in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^omega must be finite, got omega = {omega}$"):
+            weight_peak(omega)
 
 
 def test_z_search_whole_numbers():
