@@ -8,11 +8,11 @@ Two exact scalar kinds are used throughout the package:
   quantities like Beta moments at half-integer exponents exact.
 
 gamma2_ratio is the one entry point for Gamma(a)Gamma(b)/Gamma(c), behind
-every norm, single integral and Beta moment. Floats are the fallback
-whenever the arguments are not rational (or have denominators other than 1
-or 2, where the ratio has no exact form here, or need a product of more
-than EXACT_FACTOR_CAP factors). Its integer core (_gamma2_doubled) also
-takes polycore's norms and integrals, which form their arguments as ints.
+every Beta moment. Floats are the fallback whenever the arguments are not
+rational (or have denominators other than 1 or 2, where the ratio has no
+exact form here, or need a product of more than EXACT_FACTOR_CAP factors).
+Its exact core, _gamma_quotient on doubled integer arguments, also takes
+polycore's norms and integrals, with no factor cap.
 
 exact_param normalizes a parameter once where it enters the library: floats
 stay floats, whole rationals become ints, other rationals Fractions;
@@ -112,11 +112,8 @@ def over_common_denominator(values) -> tuple[list[int], int]:
 
 def double_factorial(m: int):
     """m!! for m >= -1, with the conventions 0!! = 1 and (-1)!! = 1."""
-    m, result = whole_index("m", m, -1), 1
-    while m > 1:
-        result *= m
-        m -= 2
-    return result
+    m = whole_index("m", m, -1)
+    return _rising(2 - (m & 1), 2, (m + 1) >> 1)
 
 
 @dataclass(frozen=True)
@@ -152,17 +149,14 @@ class PiRational:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            # a zero part stays as it is, with no Fraction product
-            return PiRational(self.rat and self.rat * other,
-                              self.pi_coeff and self.pi_coeff * other)
+            return PiRational(self.rat * other, self.pi_coeff * other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return PiRational(self.rat and self.rat / other,
-                              self.pi_coeff and self.pi_coeff / other)
+            return PiRational(self.rat / other, self.pi_coeff / other)
         return NotImplemented
 
     def __eq__(self, other):
@@ -197,90 +191,77 @@ def simplify_scalar(v):
     return v
 
 
-_ZERO = Fraction(0)     # the rat of a pi-rational Gamma ratio, built once
 # Most factors one exact Gamma ratio multiplies; see exact_gamma2_ratio.
 EXACT_FACTOR_CAP = 20_000
+_ZERO = Fraction(0)     # a Gamma quotient's zero rat: PiRational(0, q) converts 0 each call
 
 
 def _rising(start: int, step: int, m: int) -> int:
-    """start (start + step) ... (start + (m - 1) step); 1 for m = 0."""
-    return math.prod(range(start, start + m * step, step))
+    """start (start + step) ... (start + (m - 1) step); 1 for m = 0, in
+    halves so that big factors multiply (10^4 factors: ms, not a second)."""
+    if start == step == 1:
+        return math.factorial(m)
+    if m < 64:
+        return math.prod(range(start, start + m * step, step))
+    return _rising(start, step, m >> 1) * _rising(start + (m >> 1) * step, step, m - (m >> 1))
 
 
-def _numerator_denominator(v) -> tuple[int, int]:
-    if type(v) is not int and type(v) is not Fraction:
-        v = Fraction(v)
-    return v.numerator, v.denominator
+def _doubled(v):
+    """2v as an int for an int or a Fraction of denominator 1 or 2, else None."""
+    if type(v) is int or type(v) is Fraction and v.denominator <= 2:
+        return v.numerator * (2 // v.denominator)
+    return None
 
 
 def exact_gamma2_ratio(a, b, c):
-    """Gamma(a) Gamma(b) / Gamma(c) exactly, as Fraction or PiRational.
+    """Gamma(a) Gamma(b) / Gamma(c) exactly, as Fraction or PiRational, for
+    positive rationals of denominator 1 or 2 with a + b - c whole: the
+    _gamma_quotient of the doubled arguments over Gamma(1), which takes the
+    factorial of the smaller of two whole arguments (a Beta moment at one
+    huge whole exponent costs one factor) or of a whole one next to a
+    half-odd one (O(a) factors for a huge whole a).
 
-    Supported regimes (all arguments positive rationals with denominator 1 or 2,
-    and a + b - c a whole number):
-
-    * a and b whole: the factorial of the smaller, the larger paired with c,
-      so a Beta moment at one huge whole exponent, Gamma(a+1)Gamma(1)/Gamma(a+2),
-      costs one factor.
-    * one of a, b whole: the factorial of the whole one, the half-odd paired
-      with c. Their difference is about the whole one, so a huge whole
-      argument next to a half-odd one costs O(a) factors.
-    * a and b both half-odd: Gamma(a)Gamma(b) = pi * rational, c then whole.
-
-    It computes on the integers 2a, 2b and 2c (_gamma2_doubled) and builds
-    one Fraction at the end. A whole argument's Gamma is a factorial;
-    Gamma(p + 1/2)/sqrt(pi) is (2p-1)!!/2^p (DLMF 5.5.5), so a ratio of
-    half-odd arguments with a whole difference is a product of odd numbers
-    over a power of 2.
-
-    A ratio needing more than EXACT_FACTOR_CAP (20,000) factors raises
-    ExactnessError, and gamma2_ratio answers on its float line. A huge whole
-    argument next to a half-odd one gets there: beta_moment(a, 1/2) needs
-    2a + 1 factors, and at a = 10^5 its exact value is a fraction of
-    200,000-bit integers that took seconds. Just past the cap, at
-    beta_moment(10^4, 1/2), the float line is off by 1.1e-11 relative.
+    More than EXACT_FACTOR_CAP (20,000) factors raise ExactnessError, and
+    gamma2_ratio answers on its float line: beta_moment(a, 1/2) needs 2a + 1
+    factors; just past the cap, at a = 10^4, its relative error is 1.1e-11.
     """
-    (na, da), (nb, db), (nc, dc) = map(_numerator_denominator, (a, b, c))
-    if na <= 0 or nb <= 0 or nc <= 0:
+    a, b, c = (v if type(v) is int or type(v) is Fraction else Fraction(v) for v in (a, b, c))
+    if a <= 0 or b <= 0 or c <= 0:
         raise ExactnessError("gamma arguments must be positive")
-    if da > 2 or db > 2 or dc > 2:
+    a2, b2, c2 = _doubled(a), _doubled(b), _doubled(c)
+    if a2 is None or b2 is None or c2 is None:
         raise ExactnessError("only denominators 1 and 2 supported exactly")
-    return _gamma2_doubled(na * (2 // da), nb * (2 // db), nc * (2 // dc))
+    return _gamma_quotient(a2, b2, c2, cap=EXACT_FACTOR_CAP)
 
 
-def _gamma2_doubled(a2: int, b2: int, c2: int, num: int = 1, den: int = 1):
-    """num/den Gamma(a2/2) Gamma(b2/2) / Gamma(c2/2) for positive ints a2,
-    b2, c2 (odd for a half-odd argument) and nonzero ints num, den, as one
-    Fraction or PiRational: exact_gamma2_ratio's core."""
-    if (a2 + b2 - c2) & 1:
+def _gamma_quotient(a2: int, b2: int, c2: int, d2: int = 2, num: int = 1, den: int = 1,
+                    cap: int | None = None):
+    """num/den Gamma(a2/2) Gamma(b2/2) / (Gamma(c2/2) Gamma(d2/2)) for
+    positive ints a2, b2, c2, an even d2 (odd: a half-odd argument) and
+    positive num and den, as one Fraction, or PiRational for odd a2, b2 over
+    even c2: each top pairs with a bottom of its parity (sorted when both
+    could: the fewest factors), or two odd tops with Gamma(1/2)^2 = pi. A
+    pair x - y = 2m is |m| factors, (y/2)(y/2 + 1)... or y(y + 2).../2^m
+    (DLMF 5.5.5); more than cap of them raise ExactnessError."""
+    if (a2 + b2 + c2) & 1:
         raise ExactnessError("a + b - c must be whole")
-    if a2 & 1 and b2 & 1:
-        # Gamma(a) Gamma(b) / pi = (a2-2)!! (b2-2)!! / 2^((a2-1)/2 + (b2-1)/2), c whole
-        halves, c = (a2 >> 1) + (b2 >> 1), c2 >> 1
-        _check_cap(halves + c - 1)
-        odd = _rising(1, 2, a2 >> 1) * _rising(1, 2, b2 >> 1)
-        return PiRational(_ZERO, Fraction(num * odd, den * math.factorial(c - 1) << halves))
-    # the factorial of the whole one (the smaller of two), the other over c
-    if a2 & 1 or b2 & 1:
-        whole, paired = (a2, b2) if b2 & 1 else (b2, a2)
-    else:
-        whole, paired = min(a2, b2), max(a2, b2)
-    m = (paired - c2) >> 1
-    _check_cap((whole >> 1) - 1 + abs(m))
-    low = c2 if m >= 0 else paired
-    if low & 1:
-        # Gamma(low/2 + |m|) / Gamma(low/2) = low (low + 2) ... / 2^|m|
-        prod, power = _rising(low, 2, abs(m)), 1 << abs(m)
-    else:
-        prod, power = _rising(low >> 1, 1, abs(m)), 1
-    fact = num * math.factorial((whole >> 1) - 1)
-    return Fraction(fact * prod, den * power) if m >= 0 else Fraction(fact * power, den * prod)
+    if (a2 ^ c2) & 1 or not (a2 ^ d2) & 1 and (a2 > b2) != (c2 > d2):
+        c2, d2 = d2, c2
+    pi = (a2 ^ c2) & 1
+    pairs = ((a2, 1), (b2, 1), (2, c2), (2, d2)) if pi else ((a2, c2), (b2, d2))
+    if cap is not None and (factors := sum(abs(x - y) for x, y in pairs) >> 1) > cap:
+        raise ExactnessError(f"exact Gamma ratio needs {factors} factors, more than {cap}")
+    if pi:      # the pairs at once: (a2-2)!! (b2-2)!! / 2^(a2//2 + b2//2) / the factorials
+        num *= _rising(1, 2, a2 >> 1) * _rising(1, 2, b2 >> 1)
+        den *= math.factorial((c2 >> 1) - 1) * math.factorial((d2 >> 1) - 1)
+        return PiRational(_ZERO, Fraction(num, den << (a2 >> 1) + (b2 >> 1)))
+    for x, y in pairs:
+        if x != y:
+            low, m = min(x, y), abs(x - y) >> 1
+            prod, power = (_rising(low, 2, m), 1 << m) if low & 1 else (_rising(low >> 1, 1, m), 1)
+            num, den = (num * prod, den * power) if x > y else (num * power, den * prod)
+    return Fraction(num, den)
 
-
-def _check_cap(factors: int) -> None:
-    if factors > EXACT_FACTOR_CAP:
-        raise ExactnessError(
-            f"exact Gamma ratio needs {factors} factors, more than {EXACT_FACTOR_CAP}")
 
 
 def gamma2_ratio(a, b, c):

@@ -1,14 +1,10 @@
 """The two marginal systems: A-kind (weight 1/x) and T-kind
-(weight x**(-3/2) (1-x)**(-1/2)), each the alternative family itself at
-(alpha, beta) = (-1, 0) and at (-3/2, -1/2) times t_scaling(n, k).
-
-Each name is an index check and one polycore call at its family's point:
-ajp_coefficients, ajp_recurrence, ajp_norm_h (zero off the diagonal) or
-ajp_single_integral; t_recurrence runs polycore's recurrence kernel on the
-family's step factors rescaled to the T members (_t_factors). The k = 0
-member of either family is orthogonal to all higher members yet not
-normalizable. The paper's closed forms (the A binomial expansion, the T
-norms and integrals, the shifted Legendre and Chebyshev singular members)
+(weight x**(-3/2) (1-x)**(-1/2)), the alternative family at (alpha, beta) =
+(-1, 0) and at (-3/2, -1/2) times t_scaling(n, k). Each name is an index
+check and one polycore call at its family's point; the T scale enters the
+integers of the norm and integral kernels and of the recurrence's step
+factors. The k = 0 member of either family is orthogonal to all higher
+members yet not normalizable. The paper's closed forms for both families
 live in verify, as the expected side of its marginal rows.
 """
 
@@ -17,11 +13,12 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
+from functools import partial
 
 from .exact import PiRational, double_factorial, whole_index
 from .poly import DensePoly
-from .polycore import (PolyParams, _downward_recurrence, _recurrence_factors, ajp_coefficients,
-                       ajp_norm_h, ajp_recurrence, ajp_single_integral, jacobi_rows)
+from .polycore import (PolyParams, _downward_recurrence, _norm_h, _recurrence_factors,
+                       _single_integral, ajp_coefficients, ajp_recurrence, jacobi_rows)
 
 
 class MarginalKind(enum.Enum):
@@ -36,15 +33,18 @@ class MarginalKind(enum.Enum):
         self.weight_desc = (alpha, beta)
 
 
-def _member(kind: MarginalKind, n, k) -> PolyParams:
-    """Member (n, k) at kind's weight, n >= 0 and k in 0..n."""
+_A, _T = MarginalKind.A.weight_desc, MarginalKind.T.weight_desc
+
+
+def _indices(n, k) -> tuple[int, int]:
+    """n >= 0 and k in 0..n."""
     n = whole_index("n", n)
-    return PolyParams(kind.alpha, kind.beta, n, whole_index("k", k, 0, n))
+    return n, whole_index("k", k, 0, n)
 
 
 def a_coefficients(n: int, k: int) -> DensePoly:
     """A-kind member (k in 0..n): ajp_coefficients at (-1, 0)."""
-    return ajp_coefficients(_member(MarginalKind.A, n, k))
+    return ajp_coefficients(PolyParams(*_A, *_indices(n, k)))
 
 
 def a_recurrence(n: int) -> list[DensePoly]:
@@ -54,29 +54,31 @@ def a_recurrence(n: int) -> list[DensePoly]:
 
 
 def a_norm(n: int, k: int, l: int) -> Fraction:
-    """Inner product of A members under 1/x, k and l in 0..n: ajp_norm_h on
-    the diagonal."""
-    p = _member(MarginalKind.A, n, k)
-    return ajp_norm_h(p) if whole_index("l", l, 0, p.n) == p.k else Fraction(0)
+    """Inner product of A members under 1/x, k and l in 0..n: ajp_norm_h's
+    kernel on the diagonal."""
+    n, k = _indices(n, k)
+    return _norm_h(*_A, n, k) if whole_index("l", l, 0, n) == k else Fraction(0)
 
 
 def a_single_integral(n: int, k: int) -> Fraction:
-    """Integral of an A member (k in 0..n) against 1/x: ajp_single_integral."""
-    return ajp_single_integral(_member(MarginalKind.A, n, k))
+    """Integral of an A member (k in 0..n) against 1/x: ajp_single_integral's kernel."""
+    return _single_integral(*_A, *_indices(n, k))
 
 
 def t_scaling(n: int, k: int) -> Fraction:
     """Leading normalization (n-k)! / (n-k-1/2)_{n-k} of the raw member, k in
-    0..n, making the endpoint value exactly (-1)^(n-k); with m = n - k,
-    (m-1/2)_m = (2m-1)!! / 2^m, so it is the integer ratio m! 2^m / (2m-1)!!."""
-    m = whole_index("n", n) - whole_index("k", k, 0, n)
-    return Fraction(math.factorial(m) << m, double_factorial(2 * m - 1))
+    0..n, making the endpoint value exactly (-1)^(n-k)."""
+    return Fraction(*_t_scale(*_indices(n, k)))
+
+
+def _t_scale(n: int, k: int) -> tuple[int, int]:
+    """t_scaling as the ints m! 2^m and (2m-1)!! = 2^m (m-1/2)_m, m = n - k."""
+    return math.factorial(n - k) << n - k, double_factorial(2 * (n - k) - 1)
 
 
 def t_coefficients(n: int, k: int) -> DensePoly:
     """T-kind member (k in 0..n): ajp_coefficients times t_scaling(n, k)."""
-    p = _member(MarginalKind.T, n, k)
-    return ajp_coefficients(p).scale(t_scaling(p.n, p.k))
+    return ajp_coefficients(PolyParams(*_T, *_indices(n, k))).scale(t_scaling(n, k))
 
 
 def t_recurrence(n: int) -> list[DensePoly]:
@@ -84,36 +86,33 @@ def t_recurrence(n: int) -> list[DensePoly]:
     recurrence from x^n and (4n-3)x^(n-1) - (4n-2)x^n on _t_factors."""
     n = whole_index("n", n, 1)
     first = [0] * (n - 1) + [4 * n - 3, -(4 * n - 2)]
-    return _downward_recurrence(n, (first, 1), lambda k: _t_factors(n, k), label="T member")
+    return _downward_recurrence(n, (first, 1), partial(_t_factors, n), label="T member")
 
 
 def _t_factors(n: int, k: int):
-    """The step factors of the members P_k at (-3/2, -1/2) for the T members
-    s(m) P_k, m = n - k, s = t_scaling: with s(m+1)/s(m) = 2(m+1)/(2m+1) and
-    s(m+1)/s(m-1) = 4m(m+1)/((2m+1)(2m-1)), m1 and m2 take 2(m+1)(2m-1), m3
-    4m(m+1) and den (2m+1)(2m-1), and the four are divided by their gcd."""
+    """The step factors of P_k at (-3/2, -1/2) rescaled to s(m) P_k, m = n - k,
+    s = t_scaling: as s(m+1)/s(m) = 2(m+1)/(2m+1) and s(m+1)/s(m-1) = 4m(m+1)/
+    ((2m+1)(2m-1)), m3 takes 2m/(2m-1) and den (2m+1)/(2(m+1)), both whole."""
     m = n - k
     m1, m2, m3, den = _recurrence_factors(-3, -1, 2, n, k)
-    up = 2 * (m + 1) * (2 * m - 1)
-    m1, m2, m3, den = m1 * up, m2 * up, 4 * m * (m + 1) * m3, (2 * m + 1) * (2 * m - 1) * den
-    g = math.gcd(m1, m2, m3, den)
-    return m1 // g, m2 // g, m3 // g, den // g
+    return m1, m2, m3 // (2 * m - 1) * 2 * m, den // (2 * m + 2) * (2 * m + 1)
 
 
 def t_norm(n: int, k: int, l: int):
     """Inner product of T members under their weight, k and l in 0..n:
-    ajp_norm_h times t_scaling(n, k)^2 on the diagonal."""
-    p = _member(MarginalKind.T, n, k)
-    if whole_index("l", l, 0, p.n) == p.k:
-        return ajp_norm_h(p) * t_scaling(p.n, p.k) ** 2
-    return PiRational(0, 0)
+    ajp_norm_h's kernel with t_scaling(n, k)^2 on the diagonal."""
+    n, k = _indices(n, k)
+    if whole_index("l", l, 0, n) != k:
+        return PiRational(0, 0)
+    num, den = _t_scale(n, k)
+    return _norm_h(*_T, n, k, num * num, den * den)
 
 
 def t_single_integral(n: int, k: int):
     """Integral of a T member (k in 0..n) against its weight:
-    ajp_single_integral times t_scaling(n, k)."""
-    p = _member(MarginalKind.T, n, k)
-    return ajp_single_integral(p) * t_scaling(p.n, p.k)
+    ajp_single_integral's kernel with t_scaling(n, k)."""
+    n, k = _indices(n, k)
+    return _single_integral(*_T, n, k, *_t_scale(n, k))
 
 
 def is_normalizable(kind: MarginalKind, k: int) -> bool:

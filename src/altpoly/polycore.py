@@ -15,12 +15,10 @@ times it at (n - k, alpha + 2k + 1, beta), with parameters shifted exactly
 for the direct family (the exponential members) and the reciprocity route.
 It and the one exact downward recurrence (_downward_recurrence) give
 DensePoly's exact form, integers over one denominator. Norms and integrals
-are Gamma ratios (_gamma_ratio), on exact's integer core at parameters of
-denominator 1 or 2, else exact.gamma2_ratio. The marginal A and T families
-are this family at (-1, 0) and (-3/2, -1/2): each marginal name is one call
-of ajp_coefficients, ajp_recurrence (for T, _downward_recurrence on
-_recurrence_factors, rescaled), ajp_norm_h or ajp_single_integral, and the
-paper's closed forms for them live in verify.
+are Gamma ratios, exact._gamma_quotient on doubled integer arguments at
+parameters of denominator 1 or 2 (exact for every n), else gamma2_ratio.
+The marginal A and T families call these kernels at (-1, 0) and (-3/2, -1/2)
+(_norm_h and _single_integral with the T scale, _recurrence_factors).
 
 Every float member value comes from one evaluator, jacobi_rows: the
 three-term recurrence of P_m^(a,b)(1-2x) in x, over a vector of points and a
@@ -40,9 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import zip_longest
-from operator import add
 
 from .errors import (
     CoefficientOverflowError,
@@ -51,8 +48,8 @@ from .errors import (
     RecurrenceError,
     ValueRangeError,
 )
-from .exact import (ExactnessError, _gamma2_doubled, at_binary_values, finite_param,
-                    gamma2_ratio, is_exact, over_common_denominator, whole_index)
+from .exact import (_doubled, _gamma_quotient, at_binary_values, finite_param, gamma2_ratio,
+                    is_exact, over_common_denominator, whole_index)
 from .poly import DensePoly
 
 
@@ -302,8 +299,9 @@ def _downward_recurrence(n: int, first, factors, label: str = "member") -> list[
     if n:
         members.append(DensePoly(*first))
     for k in range(n - 1, 0, -1):
-        (cur, q1), (prev, q2) = ((p.numerators, p.denominator) for p in members[-1:-3:-1])
-        if any(cur[:1]):
+        cur, q1, prev, q2 = (members[-1].numerators, members[-1].denominator,
+                             members[-2].numerators, members[-2].denominator)
+        if cur and cur[0]:
             raise RecurrenceError(
                 f"{label} k={k} has a nonzero constant term, cannot apply 1/x step")
         m1, m2, m3, den = factors(k)
@@ -317,33 +315,46 @@ def _downward_recurrence(n: int, first, factors, label: str = "member") -> list[
 
 
 def ajp_norm_h(p: PolyParams):
-    """Squared weighted norm h = 1/(alpha+2k+1) *
-    Gamma(alpha+n+k+2) Gamma(beta+n-k+1) / ((n-k)! Gamma(alpha+beta+n+k+2)).
+    """Squared weighted norm h = 1/(alpha+2k+1) * Gamma(alpha+n+k+2)
+    Gamma(beta+n-k+1) / ((n-k)! Gamma(alpha+beta+n+k+2)), k in 0..n, where
+    the diagonal integral converges, alpha + 2k + 1 > 0: the k = 0 member of
+    a marginal system is refused."""
+    return _norm_h(p.alpha, p.beta, p.n, p.k)
 
-    Valid whenever the diagonal integral converges, i.e. alpha + 2k + 1 > 0;
-    in particular the k = 0 member of a marginal system is rejected.
-    """
-    n, k, a, b = p.n, p.k, p.alpha, p.beta
+
+def _norm_h(a, b, n: int, k: int, num: int = 1, den: int = 1):
+    """num/den times ajp_norm_h of member (n, k) at (a, b) as PolyParams holds them."""
+    k = whole_index("k", k, 0, n)
     if not a > -2 * k - 1:      # alpha + 2k + 1 > 0, without a Fraction sum
-        raise NonNormalizableError(
-            f"member (n={n}, k={k}) is non-normalizable for alpha = {a}")
-    return _gamma_ratio(a, b, (n, k, 2), (n, -k, 1), (n, k, 2),
-                        over=((a, 2 * k, 1), (math.factorial(n - k),)))
+        raise NonNormalizableError(f"member (n={n}, k={k}) is non-normalizable for alpha = {a}")
+    if None not in (a2 := _doubled(a), b2 := _doubled(b)):     # exact, for every n
+        return _gamma_quotient(a2 + 2 * (n + k + 2), b2 + 2 * (n - k + 1),
+                               a2 + b2 + 2 * (n + k + 2), 2 * (n - k + 1),
+                               2 * num, (a2 + 4 * k + 2) * den)
+    ratio = gamma2_ratio(a + n + k + 2, b + n - k + 1, a + b + n + k + 2)
+    return ratio / (a + 2 * k + 1) / math.factorial(n - k) * num / den
 
 
 def ajp_single_integral(p: PolyParams):
-    """Integral of the weighted member over [0,1]:
+    """Integral of the weighted member over [0,1], k in 0..n:
     Gamma(alpha+k+1)/k! * Gamma(beta+n-k+1)/(n-k)! * n!/Gamma(alpha+beta+n+2).
-
     ValueRangeError naming n, k, alpha and beta when a float Gamma ratio
-    meets a binomial C(n, k) that leaves the double range (from n ~ 1030).
-    """
-    n, k, a, b = p.n, p.k, p.alpha, p.beta
+    meets a binomial C(n, k) that leaves the double range (from n ~ 1030)."""
+    return _single_integral(p.alpha, p.beta, p.n, p.k)
+
+
+def _single_integral(a, b, n: int, k: int, num: int = 1, den: int = 1):
+    """num/den times ajp_single_integral of member (n, k) at (a, b), as _norm_h."""
+    k = whole_index("k", k, 0, n)
     if not a > -k - 1:          # alpha + k + 1 > 0, without a Fraction sum
         raise DivergenceError(
             f"weighted integral of member (n={n}, k={k}) diverges for alpha = {a}")
+    if None not in (a2 := _doubled(a), b2 := _doubled(b)):     # exact, for every n
+        return _gamma_quotient(a2 + 2 * k + 2, b2 + 2 * (n - k + 1), a2 + b2 + 2 * n + 4,
+                               num=math.comb(n, k) * num, den=den)
+    ratio = gamma2_ratio(a + k + 1, b + n - k + 1, a + b + n + 2)
     try:
-        return _gamma_ratio(a, b, (k, 1), (n, -k, 1), (n, 2), times=math.comb(n, k))
+        return ratio * math.comb(n, k) * num / den
     except OverflowError:
         raise ValueRangeError(
             f"weighted integral of member (n={n}, k={k}) for alpha = {a}, beta = {b}: "
@@ -360,42 +371,14 @@ def direct_norm_d(alpha, beta, n: int, k: int):
     if not (a > -1 and b > -1):
         raise DivergenceError("direct norms need alpha > -1 and beta > -1")
     if a + b + 2 * k + 1 == 0:
-        # only at k = n = 0: the closed form is the removable 0 * inf case,
-        # and the member is the constant 1, whose squared norm is the Beta
-        # moment Gamma(a+1) Gamma(b+1) / Gamma(a+b+2)
-        return _gamma_ratio(a, b, (1,), (1,), (2,))
-    return _gamma_ratio(a, b, (k, n, 1), (k, -n, 1), (k, n, 1),
-                        over=((a + b, 2 * k, 1), (math.factorial(k - n),)))
-
-
-def _gamma_ratio(a, b, i: tuple, j: tuple, l: tuple, times: int = 1, over: tuple = ()):
-    """times Gamma(a + i) Gamma(b + j) / Gamma(a + b + l) over each term of
-    over in turn, at positive arguments; i, j, l and each over term (a base,
-    then whole addends) are summed left to right, as the float line always
-    summed them. At a and b of denominator 1 or 2 all go doubled, as ints,
-    to exact's integer core (formed in Fractions they took ajp_norm_h 26 us
-    at (1/2, 3/2) against 5 us at (3, 5)); else, and past its cap, gamma2_ratio."""
-    a2, b2 = _doubled(a), _doubled(b)
-    if a2 is not None and b2 is not None:
-        num, den = times, 1
-        for term in over:
-            num, den = 2 * num, den * (_doubled(term[0]) + 2 * sum(term[1:]))
-        try:
-            return _gamma2_doubled(a2 + 2 * sum(i), b2 + 2 * sum(j), a2 + b2 + 2 * sum(l),
-                                   num, den)
-        except ExactnessError:
-            pass
-    ratio = gamma2_ratio(reduce(add, i, a), reduce(add, j, b), reduce(add, l, a + b)) * times
-    for term in over:
-        ratio = ratio / reduce(add, term)
-    return ratio
-
-
-def _doubled(v):
-    """2v as an int for an int or a Fraction of denominator 1 or 2, else None."""
-    if type(v) is int or type(v) is Fraction and v.denominator <= 2:
-        return v.numerator * (2 // v.denominator)
-    return None
+        # only at k = n = 0, the removable 0 * inf case: the member is the
+        # constant 1, of squared norm the Beta moment at (a, b)
+        return gamma2_ratio(a + 1, b + 1, a + b + 2)
+    if None not in (a2 := _doubled(a), b2 := _doubled(b)):     # exact, for every n
+        return _gamma_quotient(a2 + 2 * (k + n + 1), b2 + 2 * (k - n + 1),
+                               a2 + b2 + 2 * (k + n + 1), 2 * (k - n + 1), 2, a2 + b2 + 4 * k + 2)
+    ratio = gamma2_ratio(a + k + n + 1, b + k - n + 1, a + b + k + n + 1)
+    return ratio / (a + b + 2 * k + 1) / math.factorial(k - n)
 
 
 def _jacobi_kernel(m: int, a, b) -> tuple[list[int], int]:

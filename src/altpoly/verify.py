@@ -11,11 +11,8 @@ as the acceptance criteria and the module tests do. Every point counts as
 one check; a failed one, including a check that raises, is recorded with its
 row name, params and detail. Checks reach the library through module
 attributes (polycore.ajp_coefficients), so a tracer or a patched function
-sees every call.
-
-The marginal names are polycore's kernel calls at (-1, 0) and (-3/2, -1/2);
-the paper's closed forms for those families (the A expansion, the T norms
-and integrals, the singular members) live here, as the marginal rows' want.
+sees every call. The paper's closed forms of the marginal families, which
+marginal computes as polycore kernel calls, are the marginal rows' want.
 """
 
 from __future__ import annotations
@@ -277,11 +274,9 @@ def _a_expansion(n, k):
 def _t_norm_formula(n, k, l):
     """T inner product, (k, l) != (0, 0): delta_{kl} pi/(2s-1) (2n-s)!!/(2n-s-1)!!
     (2n+s-1)!!/(2n+s-2)!! with s = k + l, 0!! = (-1)!! = 1."""
-    if k != l:
-        return 0
     s, df = k + l, double_factorial
     return PiRational(0, F(df(2 * n - s) * df(2 * n + s - 1),
-                           (2 * s - 1) * df(2 * n - s - 1) * df(2 * n + s - 2)))
+                           (2 * s - 1) * df(2 * n - s - 1) * df(2 * n + s - 2))) if k == l else 0
 
 
 def _t_integral_formula(n, k):

@@ -10,7 +10,7 @@ The grid is exact-int's pairs (0..6)^2 and exact-half's half-odd pairs
 (-3/2, -1/2), whose k = 0 norms and integrals are refused, at n <= 12: every
 k for members, norms, integrals, recurrences and the direct and reciprocity
 routes, and k = 0, 1, n // 2, n - 1 and n for the inner products and the
-identity residuals (about 6 to 8 s in all on a two-vCPU Xeon with Python
+identity residuals (about 5.5 s in all on a two-vCPU Xeon with Python
 3.11). It needs neither numpy nor pytest, so a bare interpreter can run it:
 
     PYTHONPATH=src:tests python -c "import param_forms; param_forms.check()"

@@ -186,3 +186,5 @@ def test_pi_rational_arithmetic():
     assert a / 2 == PiRational(Fraction(1, 4), Fraction(1, 6))
     assert float(PiRational(0, Fraction(1, 2))) == pytest.approx(math.pi / 2)
     assert str(PiRational(0, Fraction(1, 2))) == "1/2*pi"
+    with pytest.raises(ZeroDivisionError):
+        PiRational(0, 0) / 0

@@ -135,6 +135,21 @@ def test_t_single_integral():
         t_single_integral(3, 0)
 
 
+@pytest.mark.parametrize("call, args, want", [
+    (a_norm, (20002, 1, 1), F(1, 2)),
+    (a_norm, (10 ** 6, 3, 3), F(1, 6)),
+    (a_single_integral, (20002, 10001), F(1, 10001)),
+    (t_norm, (5001, 5001, 5001), verify._t_norm_formula(5001, 5001, 5001)),
+    (t_norm, (12000, 3, 3), verify._t_norm_formula(12000, 3, 3)),
+    (t_single_integral, (12000, 6000), verify._t_integral_formula(12000, 6000)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_norms_and_integrals_stay_exact_past_the_factor_cap(call, args, want):
+    # past the 20,000 factors of EXACT_FACTOR_CAP a Gamma ratio of the Beta
+    # moments turns float; the marginal names answer exactly for every n
+    got = call(*args)
+    assert got == want and type(got) is type(want)
+
+
 def test_t_ode():
     assert not verify.run_rows({"t-ode": 8})["failures"]
 

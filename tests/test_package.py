@@ -133,11 +133,16 @@ def test_every_module_level_definition_is_used_or_exported():
 
 
 # the documented shared kernels: the downward recurrence and the family's
-# step factors, which the T recurrence rescales, and the integer Gamma core
-# that polycore's norms and integrals feed with doubled arguments
+# step factors, which the T recurrence rescales; the norm and integral
+# kernels behind ajp_norm_h and ajp_single_integral, which the marginal
+# names call with their scale; and the Gamma quotient on doubled arguments
+# with its doubling, which polycore's norms and integrals call
 SHARED_PRIVATE = {("marginal", "polycore", "_downward_recurrence"),
                   ("marginal", "polycore", "_recurrence_factors"),
-                  ("polycore", "exact", "_gamma2_doubled")}
+                  ("marginal", "polycore", "_norm_h"),
+                  ("marginal", "polycore", "_single_integral"),
+                  ("polycore", "exact", "_doubled"),
+                  ("polycore", "exact", "_gamma_quotient")}
 
 
 def test_no_module_imports_a_private_name_of_a_sibling():

@@ -77,6 +77,11 @@ EDGES = [
     edge("dd_raising_residual", "k", 0, 3,
          lambda v: polycore.dd_raising_residual(PolyParams(0, 0, 3, v)),
          {-1: (ValueError, "k = -1 outside 0..4")}),
+    edge("ajp_norm_h", "k", 0, 3, lambda v: polycore.ajp_norm_h(PolyParams(0, 0, 3, v)),
+         {-1: (ValueError, "k = -1 outside 0..4")}),
+    edge("ajp_single_integral", "k", 0, 3,
+         lambda v: polycore.ajp_single_integral(PolyParams(0, 0, 3, v)),
+         {-1: (ValueError, "k = -1 outside 0..4")}),
     edge("dd_lowering_residual", "k", 1, 3,
          lambda v: polycore.dd_lowering_residual(PolyParams(0, 0, 3, v)),
          named={0: "dd_lowering_residual"}),
