@@ -14,16 +14,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import CoefficientOverflowError, DivergenceError, RootFindingError
-from .exact import finite_param, is_exact, whole_index
+from .exact import finite_param, whole_index
 from .marginal import a_coefficients, t_scaling
 from .poly import DensePoly
-from .polycore import (
-    PolyParams,
-    ajp_norm_h,
-    direct_coefficients,
-    jacobi_rows,
-    rounded_jacobi_coefficients,
-)
+from .polycore import (PolyParams, ajp_norm_h, direct_coefficients, jacobi_rows,
+                       shifted_jacobi_coefficients)
 from .quad import (
     SEMI_AXIS,
     UNIT_INTERVAL,
@@ -39,15 +34,17 @@ from .quad import (
 @dataclass(frozen=True)
 class ExpPolySystem:
     """Exponential system for finite exponents alpha, beta > -1, sizes
-    k = 1..n with n >= 1, plus the k = 0 associated function."""
+    k = 1..n with n >= 1, plus the k = 0 associated function. alpha and
+    beta are held as exact.finite_param gives them, as in PolyParams."""
 
     alpha: object
     beta: object
     n: int
 
     def __post_init__(self):
-        a, b = finite_param("alpha", self.alpha), finite_param("beta", self.beta)
-        if not (a > -1 and b > -1):
+        object.__setattr__(self, "alpha", finite_param("alpha", self.alpha))
+        object.__setattr__(self, "beta", finite_param("beta", self.beta))
+        if not (self.alpha > -1 and self.beta > -1):
             raise ValueError("system needs alpha > -1 and beta > -1")
         object.__setattr__(self, "n", whole_index("n", self.n, 1))
 
@@ -91,8 +88,7 @@ def e_norm(sys: ExpPolySystem, k: int):
         raise DivergenceError("associated function is not integrable on the semi-axis")
     k = whole_index("k", k, 1, sys.n)
     # the alternative-family member at (alpha - 1, beta)
-    a = sys.alpha - 1 if is_exact(sys.alpha) else float(sys.alpha) - 1
-    return ajp_norm_h(PolyParams(a, sys.beta, sys.n, k))
+    return ajp_norm_h(PolyParams(sys.alpha - 1, sys.beta, sys.n, k))
 
 
 @dataclass(frozen=True)
@@ -161,7 +157,7 @@ def guarded_zero_set(n: int, alpha, beta, x, finite=True, simple=True) -> ZeroSe
     if not finite:
         raise range_error(n, alpha, beta)
     try:
-        coeffs = np.array(rounded_jacobi_coefficients(n, alpha, beta))
+        coeffs = np.array(shifted_jacobi_coefficients(n, alpha, beta).to_floats().coeffs)
     except OverflowError:
         raise CoefficientOverflowError(n, 0, alpha, beta,
                                        "the zero guard evaluates it in floats") from None

@@ -65,7 +65,7 @@ class DensePoly:
     @property
     def coeffs(self) -> tuple:
         """The float tuple, or the exact coefficients built on each read and
-        not kept, so that a cached polynomial holds one copy."""
+        not kept, so that a polynomial holds its integers only."""
         if self.numerators is None or self._ints:
             return self._terms
         den, zero = self.denominator, Fraction(0)

@@ -28,9 +28,9 @@ Horner), as do exppoly.member_values (every exponential and Z value, the
 k = 0 associated function included), marginal's figure data and the CLI's
 float tabulate. Float Horner on the expanded coefficients cancels on [0, 1]
 (off by 2e5 at n = 30 for members of size 7). Float coefficients are the
-exact ones at the binary values of float parameters, each rounded once by
-_round_once (float ajp_recurrence returns these members); they serve
-`coeffs --mode float` and the zero guard of exppoly.guarded_zero_set.
+exact ones at the binary values of float parameters, each rounded once in
+_lifted; they serve float ajp_recurrence, `coeffs --mode float` and, through
+shifted_jacobi_coefficients, the zero guard of exppoly.guarded_zero_set.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import zip_longest
 
 from .errors import (
@@ -102,17 +101,13 @@ def ajp_coefficients(p: PolyParams) -> DensePoly:
     x^k times the shifted Jacobi polynomial P_{n-k}^{(alpha+2k+1, beta)}(1-2x),
     from the integer kernel: exact for exact parameters; for float
     parameters the exact value at their binary values, rounded once, and
-    CoefficientOverflowError when one leaves the double range.
-
-    Results are cached; the key carries the arithmetic mode because exact and
-    float parameters can compare equal (Fraction(1,2) == 0.5) yet must not
-    share coefficients.
+    CoefficientOverflowError when one leaves the double range. Computed on
+    demand; verify shares members within a run.
     """
-    return _ajp_coefficients_cached(p.n, p.k, p.alpha, p.beta, p.exact)
+    return _member(p.n, p.k, p.alpha, p.beta)
 
 
-@lru_cache(maxsize=4096)
-def _ajp_coefficients_cached(n: int, k: int, a, b, _exact: bool) -> DensePoly:
+def _member(n: int, k: int, a, b) -> DensePoly:
     if k == n + 1:
         return DensePoly.zero()
     ra, rb = at_binary_values(a, b)     # float parameters at their binary values
@@ -260,7 +255,7 @@ def ajp_recurrence(alpha, beta, n: int) -> list[DensePoly]:
     a, b, n = finite_param("alpha", alpha), finite_param("beta", beta), whole_index("n", n)
     if not (is_exact(a) and is_exact(b)):
         # built from k = 0 up, so an overflow names the lowest member
-        return [_ajp_coefficients_cached(n, k, a, b, False) for k in range(n + 1)][::-1]
+        return [_member(n, k, a, b) for k in range(n + 1)][::-1]
     (big_a, big_b), d = over_common_denominator((a, b))
     first = [0] * (n - 1) + [big_a + 2 * n * d, -(big_a + big_b + (2 * n + 1) * d)]
     return _downward_recurrence(
@@ -318,7 +313,8 @@ def ajp_norm_h(p: PolyParams):
     """Squared weighted norm h = 1/(alpha+2k+1) * Gamma(alpha+n+k+2)
     Gamma(beta+n-k+1) / ((n-k)! Gamma(alpha+beta+n+k+2)), k in 0..n, where
     the diagonal integral converges, alpha + 2k + 1 > 0: the k = 0 member of
-    a marginal system is refused."""
+    a marginal system is refused. ValueRangeError as ajp_single_integral's
+    when a float norm's (n-k)! leaves the double range (n - k > 170)."""
     return _norm_h(p.alpha, p.beta, p.n, p.k)
 
 
@@ -332,7 +328,10 @@ def _norm_h(a, b, n: int, k: int, num: int = 1, den: int = 1):
                                a2 + b2 + 2 * (n + k + 2), 2 * (n - k + 1),
                                2 * num, (a2 + 4 * k + 2) * den)
     ratio = gamma2_ratio(a + n + k + 2, b + n - k + 1, a + b + n + k + 2)
-    return ratio / (a + 2 * k + 1) / math.factorial(n - k) * num / den
+    try:
+        return ratio / (a + 2 * k + 1) / math.factorial(n - k) * num / den
+    except OverflowError:
+        raise _range_error("squared norm of member", n, k, a, b, f"factorial ({n - k})!") from None
 
 
 def ajp_single_integral(p: PolyParams):
@@ -356,15 +355,21 @@ def _single_integral(a, b, n: int, k: int, num: int = 1, den: int = 1):
     try:
         return ratio * math.comb(n, k) * num / den
     except OverflowError:
-        raise ValueRangeError(
-            f"weighted integral of member (n={n}, k={k}) for alpha = {a}, beta = {b}: "
-            f"the binomial C({n}, {k}) leaves the double range") from None
+        raise _range_error("weighted integral of member", n, k, a, b,
+                           f"binomial C({n}, {k})") from None
+
+
+def _range_error(what: str, n: int, k: int, a, b, factor: str) -> ValueRangeError:
+    """A float norm or integral refused: its integer factor leaves the double range."""
+    return ValueRangeError(f"{what} (n={n}, k={k}) for alpha = {a}, beta = {b}: "
+                           f"the {factor} leaves the double range")
 
 
 def direct_norm_d(alpha, beta, n: int, k: int):
     """Squared norm of the direct-orthogonalization polynomial (n >= 0,
     k >= n): 1/(alpha+beta+2k+1) * Gamma(alpha+k+n+1) Gamma(beta+k-n+1) /
-    ((k-n)! Gamma(alpha+beta+k+n+1)).
+    ((k-n)! Gamma(alpha+beta+k+n+1)); ValueRangeError as ajp_norm_h's
+    when a float norm's (k-n)! leaves the double range.
     """
     n, k = whole_index("n", n), whole_index("k", k, n)
     a, b = finite_param("alpha", alpha), finite_param("beta", beta)
@@ -378,7 +383,10 @@ def direct_norm_d(alpha, beta, n: int, k: int):
         return _gamma_quotient(a2 + 2 * (k + n + 1), b2 + 2 * (k - n + 1),
                                a2 + b2 + 2 * (k + n + 1), 2 * (k - n + 1), 2, a2 + b2 + 4 * k + 2)
     ratio = gamma2_ratio(a + k + n + 1, b + k - n + 1, a + b + k + n + 1)
-    return ratio / (a + b + 2 * k + 1) / math.factorial(k - n)
+    try:
+        return ratio / (a + b + 2 * k + 1) / math.factorial(k - n)
+    except OverflowError:
+        raise _range_error("direct squared norm", n, k, a, b, f"factorial ({k - n})!") from None
 
 
 def _jacobi_kernel(m: int, a, b) -> tuple[list[int], int]:
@@ -433,42 +441,27 @@ def _jacobi_kernel(m: int, a, b) -> tuple[list[int], int]:
     return nums, d ** m * math.factorial(m)
 
 
-def _round_once(nums, den: int, member) -> list[float]:
-    """nums[i] / den, each rounded once to a float (an integer true division,
-    correctly rounded); CoefficientOverflowError naming member = (n, k,
-    alpha, beta) when one leaves the double range."""
-    try:
-        return [c / den for c in nums]
-    except OverflowError as exc:
-        raise CoefficientOverflowError(*member) from exc
-
-
 def _lifted(lift: int, m: int, a, b, member, reverse: bool = False) -> DensePoly:
     """x^lift times the kernel's P_m^{(a,b)}(1-2x) at rational a and b, its
     coefficients reversed for the reciprocity route, as the polynomial of
     member = (n, k, alpha, beta): exact when alpha and beta are, else each
-    rounded once (_round_once)."""
+    integer over the kernel's denominator rounded once (CoefficientOverflowError
+    naming the member when one leaves the double range)."""
     nums, den = _jacobi_kernel(m, a, b)
     nums = [0] * lift + (nums[::-1] if reverse else nums)
     if is_exact(member[2]) and is_exact(member[3]):
         return DensePoly(nums, den)
-    return DensePoly(_round_once(nums, den, member))
-
-
-def rounded_jacobi_coefficients(m: int, a, b) -> list[float]:
-    """Coefficients of P_m^{(a,b)}(1-2x), m >= 0, powers 0..m, each the
-    exact value at the rational (or binary float) a and b rounded once to a
-    float; CoefficientOverflowError naming n = m, k = 0, alpha = a and
-    beta = b when one leaves the double range."""
-    m = whole_index("m", m)
-    return _round_once(*_jacobi_kernel(m, *at_binary_values(a, b)), (m, 0, a, b))
+    try:
+        return DensePoly([c / den for c in nums])
+    except OverflowError as exc:
+        raise CoefficientOverflowError(*member) from exc
 
 
 def shifted_jacobi_coefficients(m: int, a, b) -> DensePoly:
     """Shifted Jacobi polynomial P_m^{(a,b)}(1-2x) on [0,1], m >= 0, from the
     hypergeometric kernel; any finite real parameters (no orthogonality
     implied for the negative ones the reciprocity route uses). Float
-    parameters round each coefficient once, as rounded_jacobi_coefficients."""
+    parameters round each coefficient once (_lifted)."""
     a, b, m = finite_param("a", a), finite_param("b", b), whole_index("m", m)
     return _lifted(0, m, *at_binary_values(a, b), (m, 0, a, b))
 

@@ -8,10 +8,12 @@ and the same refusal where one refuses.
 The grid is exact-int's pairs (0..6)^2 and exact-half's half-odd pairs
 (-1/2..7/2)^2 of the benchmark, and the A and T marginal points (-1, 0) and
 (-3/2, -1/2), whose k = 0 norms and integrals are refused, at n <= 12: every
-k for members, norms, integrals, recurrences and the direct and reciprocity
-routes, and k = 0, 1, n // 2, n - 1 and n for the inner products and the
-identity residuals (about 5.5 s in all on a two-vCPU Xeon with Python
-3.11). It needs neither numpy nor pytest, so a bare interpreter can run it:
+k for members, norms, integrals, recurrences, the direct and reciprocity
+routes and the exponential system's members and norms (ExpPolySystem,
+refused below alpha, beta > -1), and k = 0, 1, n // 2, n - 1 and n for the
+inner products and the identity residuals (about 5.5 s in all on a two-vCPU
+Xeon with Python 3.11). It needs neither numpy nor pytest, so a bare
+interpreter can run it:
 
     PYTHONPATH=src:tests python -c "import param_forms; param_forms.check()"
 """
@@ -24,6 +26,7 @@ from itertools import product
 from altpoly import polycore as pc
 from altpoly import quad
 from altpoly.exact import PiRational
+from altpoly.exppoly import ExpPolySystem, e_norm
 from altpoly.poly import DensePoly
 from altpoly.polycore import PolyParams
 
@@ -59,9 +62,7 @@ def outcome(fn, *args):
 
 
 def results(a, b) -> dict:
-    """Every entry point at (a, b), keyed by call; the member cache is
-    emptied first, so each form computes its members itself."""
-    pc._ajp_coefficients_cached.cache_clear()
+    """Every entry point at (a, b), keyed by call."""
     out = {("beta_moment", "ab"): outcome(quad.beta_moment, a, b),
            ("beta_moment", "ba"): outcome(quad.beta_moment, b, a)}
     for n in range(N_MAX + 1):
@@ -83,6 +84,10 @@ def results(a, b) -> dict:
                     outcome(quad.weighted_inner_product, member, other, a, b))
                 for name in RESIDUALS:
                     out[name, n, k] = outcome(getattr(pc, name), p)
+        for k in range(n + 2):      # the system's k = 0 norm and k = n + 1 member refuse
+            out["ExpPolySystem.member_poly", n, k] = outcome(
+                lambda: ExpPolySystem(a, b, n).member_poly(k))
+            out["e_norm", n, k] = outcome(lambda: e_norm(ExpPolySystem(a, b, n), k))
     return out
 
 
@@ -92,9 +97,10 @@ def inexact(got: dict) -> list:
     that is not a Fraction or PiRational (a refusal is no answer)."""
     bad = []
     for key, value in got.items():
-        if key[0] == "ajp_coefficients":
+        if key[0] in ("ajp_coefficients", "ExpPolySystem.member_poly") and \
+                value[0] == "DensePoly":
             bad += [key] if any(t is not Fraction for t, _ in value[2]) else []
-        elif key[0] in ("ajp_norm_h", "ajp_single_integral", "beta_moment"):
+        elif key[0] in ("ajp_norm_h", "ajp_single_integral", "beta_moment", "e_norm"):
             answered = not issubclass(value[0], Exception)
             bad += [key] if answered and value[0] not in (Fraction, PiRational) else []
     return bad

@@ -235,3 +235,52 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(altpoly, "_EXPORT")
     with pytest.raises(ImportError):
         exec("from altpoly import no_such_name", {})
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# backticked snake_case names in the README that name no package definition:
+# a directory, FLINT's polynomial type, benchmark metrics and math subscripts
+README_NON_DEFINITIONS = {"__pycache__", "fmpq_poly", "ops_per_s", "setup_s", "peak_rss_mb",
+                          "c_", "mu_", "x_s"}
+
+
+def _defined_names():
+    """Every module-level definition, class attribute and dataclass field of
+    the package's modules, __init__ included."""
+    names = set()
+    for path in Path(altpoly.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in [top, *(top.body if isinstance(top, ast.ClassDef) else ())]:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def readme_names(text):
+    """The snake_case names of the text's backticked spans outside fenced
+    blocks: a span that is a name, dotted or not, alone or called, gives its
+    last part."""
+    names = set()
+    for span in re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S)):
+        head = re.match(r"([A-Za-z_][\w.]*)(?:\(|$)", span)
+        last = head.group(1).rsplit(".", 1)[-1] if head else ""
+        if re.fullmatch(r"_*[a-z][a-z0-9]*(?:_[a-z0-9]*)+", last):
+            names.add(last)
+    return names
+
+
+def test_the_readme_names_only_what_the_package_defines():
+    text, defined = README.read_text(encoding="utf-8"), _defined_names()
+    names = readme_names(text)
+    assert names - defined - README_NON_DEFINITIONS == set(), \
+        sorted(names - defined - README_NON_DEFINITIONS)
+    # an exemption the README no longer needs is dropped from the list
+    assert README_NON_DEFINITIONS <= names - defined, \
+        sorted(README_NON_DEFINITIONS - (names - defined))
+    # a README that still names a deleted function fails the check
+    stale = readme_names(text + "\nthe guard's `polycore.rounded_jacobi_coefficients(m, a, b)`")
+    assert stale - defined - README_NON_DEFINITIONS == {"rounded_jacobi_coefficients"}
+    assert {"ajp_coefficients", "whole_index", "member_poly", "__getattr__"} <= names & defined

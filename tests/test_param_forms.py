@@ -1,6 +1,7 @@
 """Whole exact parameters are held as ints from the entry point on, and every
 input form of a parameter gives the same answers (tests/param_forms.py)."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import param_forms
 from altpoly import quad
 from altpoly.exact import exact_param
+from altpoly.exppoly import ExpPolySystem, e_eval, project
 from altpoly.polycore import PolyParams
 
 
@@ -39,3 +41,12 @@ def test_a_numpy_float_exponent_stays_on_the_float_line():
     assert type(exact_param(a)) is np.float32
     assert quad.beta_moment(a, 0) == quad.beta_moment(0.5, 0)
     assert quad.gauss_jacobi_rule(3, a, a) == quad.gauss_jacobi_rule(3, 0.5, 0.5)
+
+
+def test_a_system_holds_its_exponents_normalized_for_the_float_layer():
+    # the string "1/2" reaches e_eval and project as Fraction(1, 2) does
+    given, want = ExpPolySystem("1/2", 0, 3), ExpPolySystem(Fraction(1, 2), 0, 3)
+    assert (type(given.alpha), given.alpha, type(given.beta)) == (Fraction, Fraction(1, 2), int)
+    assert [e_eval(given, k, 0.7) for k in range(5)] == [e_eval(want, k, 0.7) for k in range(5)]
+    target = lambda t: math.exp(-2 * t)
+    assert project(target, given) == project(target, want)

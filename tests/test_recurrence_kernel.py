@@ -99,6 +99,21 @@ def test_float_recurrence_overflow_is_refused():
         ajp_recurrence(1.5, 0.5, 406)
 
 
+@pytest.mark.parametrize("a,b", [(F(1, 2), F(-3, 2)), (F(1), F(-3))])
+def test_recurrence_answers_below_beta_minus_one_in_both_modes(a, b):
+    # PolyParams refuses beta <= -1 and ajp_recurrence does not, so neither
+    # mode may build its members through PolyParams
+    with pytest.raises(ValueError, match="beta must exceed -1"):
+        PolyParams(float(a), float(b), 2, 0)
+    for n in range(7):
+        exact = ajp_recurrence(a, b, n)
+        assert exact == fraction_step_recurrence(a, b, n), (a, b, n)
+        # the float members: the exact ones at the binary parameters, rounded once
+        got = ajp_recurrence(float(a), float(b), n)
+        assert [[c.hex() for c in p.coeffs] for p in got] == \
+            [[float(c).hex() for c in p.coeffs] for p in exact], (a, b, n)
+
+
 # ----------------------------------------------------------------- A and T
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 13, 20, 29, 40])
@@ -183,7 +198,6 @@ def test_spoiled_factor_raises_recurrence_error(monkeypatch, route):
         return
     if route == "ajp-float":
         # float members come from the kernel and take no step
-        polycore._ajp_coefficients_cached.cache_clear()
         got = ajp_recurrence(0.5, 2.0, n)
         assert [[c.hex() for c in p.coeffs] for p in got] == \
             [[c.hex() for c in p.coeffs] for p in unspoiled]
@@ -263,8 +277,6 @@ def test_every_marginal_name_answers_through_its_kernel_call(monkeypatch):
         before = [call(*args) for call, args in calls]
         with monkeypatch.context() as patch:
             spoil(patch, fn, spoiled)
-            polycore._ajp_coefficients_cached.cache_clear()
             after = [call(*args) for call, args in calls]
-        polycore._ajp_coefficients_cached.cache_clear()
         for (call, args), old, new in zip(calls, before, after):
             assert new != old, (fn.__name__, call.__name__, args)

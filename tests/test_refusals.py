@@ -68,8 +68,6 @@ EDGES = [
          lambda v: polycore.shifted_jacobi(v, 1, 0, Fraction(1, 2))),
     edge("shifted_jacobi_coefficients", "m", 0, None,
          lambda v: polycore.shifted_jacobi_coefficients(v, 1, 0)),
-    edge("rounded_jacobi_coefficients", "m", 0, None,
-         lambda v: polycore.rounded_jacobi_coefficients(v, 1.5, 0.5)),
     # k = -1 leaves the range of PolyParams first
     edge("diff_formula_residual", "k", 0, 2,
          lambda v: polycore.diff_formula_residual(PolyParams(0, 0, 3, v)),
@@ -227,6 +225,14 @@ REFUSALS = [
      "Gamma(1) Gamma(inf) / Gamma(inf) leaves the double range"),
     ("gamma2_ratio-nan", lambda: gamma2_ratio(math.nan, 1, 2), ValueRangeError,
      "Gamma(nan) Gamma(1) / Gamma(2) leaves the double range"),
+    # float norms whose (n-k)! leaves the double range while the Gamma ratio does not
+    ("ajp_norm_h-factorial",
+     lambda: polycore.ajp_norm_h(PolyParams(1.0, 0.5, 10**6 + 171, 10**6)), ValueRangeError,
+     "squared norm of member (n=1000171, k=1000000) for alpha = 1.0, beta = 0.5: "
+     "the factorial (171)! leaves the double range"),
+    ("direct_norm_d-factorial", lambda: polycore.direct_norm_d(1.0, 0.5, 10**6, 10**6 + 171),
+     ValueRangeError, "direct squared norm (n=1000000, k=1000171) for alpha = 1.0, "
+     "beta = 0.5: the factorial (171)! leaves the double range"),
     ("ajp_single_integral", lambda: polycore.ajp_single_integral(PolyParams(-2, 0, 3, 0)),
      DivergenceError, "weighted integral of member (n=3, k=0) diverges for alpha = -2"),
     ("direct_norm_d", lambda: polycore.direct_norm_d(-1, 0, 1, 2), DivergenceError,

@@ -9,6 +9,7 @@ from altpoly import cli, exppoly, verify, zfun
 from altpoly.errors import FeasibilityError, RootFindingError
 from altpoly.exact import is_exact
 from altpoly.exppoly import ExpPolySystem, e_eval
+from altpoly.poly import DensePoly
 from altpoly.zfun import (
     etilde_eval,
     lambda_max,
@@ -247,15 +248,15 @@ def test_scan_covers_a_largest_zero_that_does_not_fall():
 
 def _spoil_residual(monkeypatch, alpha):
     """Make the rounded member of candidate alpha miss its zeros by about 1e-9."""
-    rounded = exppoly.rounded_jacobi_coefficients
+    member = exppoly.shifted_jacobi_coefficients
 
     def spoiled(m, a, b):
-        coeffs = rounded(m, a, b)
+        coeffs = list(member(m, a, b).to_floats().coeffs)
         if a == alpha:
             coeffs[0] *= 1 + 1e-9
-        return coeffs
+        return DensePoly(coeffs)
 
-    monkeypatch.setattr(exppoly, "rounded_jacobi_coefficients", spoiled)
+    monkeypatch.setattr(exppoly, "shifted_jacobi_coefficients", spoiled)
 
 
 def test_a_failing_residual_guard_on_the_chosen_candidate_fails_the_search(monkeypatch):
@@ -297,17 +298,17 @@ def test_a_misplaced_zero_on_a_candidate_that_is_not_chosen_fails_the_search(
 
 def test_z_build_guards_and_builds_only_the_chosen_candidate(monkeypatch):
     counts = {"member": 0, "zero set": 0}
-    rounded, zero_set = exppoly.rounded_jacobi_coefficients, exppoly.ZeroSet
+    member, zero_set = exppoly.shifted_jacobi_coefficients, exppoly.ZeroSet
 
     def counted_member(*args):
         counts["member"] += 1
-        return rounded(*args)
+        return member(*args)
 
     def counted_zero_set(*args):
         counts["zero set"] += 1
         return zero_set(*args)
 
-    monkeypatch.setattr(exppoly, "rounded_jacobi_coefficients", counted_member)
+    monkeypatch.setattr(exppoly, "shifted_jacobi_coefficients", counted_member)
     monkeypatch.setattr(exppoly, "ZeroSet", counted_zero_set)
     spec = z_build(8, F(1, 2), whole_candidates(64))
     assert counts == {"member": 1, "zero set": 1}
