@@ -122,7 +122,7 @@ def e_zeros(alpha, beta, n: int) -> ZeroSet:
     coefficient, at each zero over its largest coefficient magnitude; above
     1e-13, zeros closer than 1e-12, or a zero that rounds to x = 0 or 1,
     raise RootFindingError."""
-    a, b = check_jacobi_weight(n, alpha, beta)
+    alpha, beta, a, b = check_jacobi_weight(n, alpha, beta)
     xs, finite, simple = stacked_zeros(n, [a], [b])
     return guarded_zero_set(n, alpha, beta, xs[0], finite[0], simple[0])
 
@@ -151,34 +151,34 @@ def guarded_zero_set(n: int, alpha, beta, x, finite=True, simple=True) -> ZeroSe
     order: the Jacobi matrix in the double range, the exact member in it,
     the zeros inside (0, 1), apart, and with residuals at most 1e-13 (Horner
     on the member rounded once per coefficient, over its largest
-    coefficient magnitude)."""
-    import numpy as np
-
+    coefficient magnitude, in Python floats: the float operations of
+    DensePoly.__call__ at each zero)."""
     if not finite:
         raise range_error(n, alpha, beta)
     try:
-        coeffs = np.array(shifted_jacobi_coefficients(n, alpha, beta).to_floats().coeffs)
+        coeffs = shifted_jacobi_coefficients(n, alpha, beta).to_floats().coeffs
     except OverflowError:
         raise CoefficientOverflowError(n, 0, alpha, beta,
                                        "the zero guard evaluates it in floats") from None
+    xt = x.tolist()
     if not simple:
-        if not (x[0] < 1 and x[-1] > 0):
+        if not (xt[0] < 1 and xt[-1] > 0):
             raise RootFindingError(
-                f"zeros from x = {float(x[-1])!r} to {float(x[0])!r} leave the open "
+                f"zeros from x = {xt[-1]!r} to {xt[0]!r} leave the open "
                 f"interval (0, 1) for alpha = {alpha}, beta = {beta}, n = {n}")
         raise RootFindingError("zeros are not simple (cluster detected)")
-    # the float operations of DensePoly.__call__
-    acc = np.zeros_like(x)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for c in coeffs[::-1]:
-            acc = acc * x + c
-        residuals = np.abs(acc) / np.abs(coeffs).max()
-    worst = residuals.max()
-    if not worst <= 1e-13:
+    top, scale = coeffs[::-1], max(abs(c) for c in coeffs)
+    residuals = []
+    for v in xt:
+        acc = 0.0
+        for c in top:
+            acc = acc * v + c
+        residuals.append(abs(acc) / scale)
+    if not all(r <= 1e-13 for r in residuals):
+        worst = math.nan if any(math.isnan(r) for r in residuals) else max(residuals)
         raise RootFindingError(f"zero residual too large: {worst:.3g}")
-    xt = tuple(x.tolist())
-    return ZeroSet(float(alpha), float(beta), n, tuple(-math.log(v) for v in xt), xt,
-                   tuple(residuals.tolist()))
+    return ZeroSet(float(alpha), float(beta), n, tuple(-math.log(v) for v in xt), tuple(xt),
+                   tuple(residuals))
 
 
 def legendre_type_quadrature(n: int) -> QuadRule:

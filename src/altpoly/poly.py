@@ -106,11 +106,18 @@ class DensePoly:
     def __call__(self, x):
         """Horner evaluation: exact when both coefficients and x are exact
         (at x = p/q, the integer sum_i c_i p^i q^(deg-i) over den q^deg),
-        else in floats on the coefficients rounded once."""
-        if self.numerators is None or not isinstance(x, Rational):
+        else in floats on the coefficients rounded once (to_floats), an
+        exact polynomial's numerators each divided by its denominator as
+        Horner reaches them, so that no float polynomial is built."""
+        if self.numerators is None:
             acc, x = 0.0, float(x)
-            for c in reversed(self.to_floats().coeffs):
+            for c in reversed(self.to_floats()._coeffs):
                 acc = acc * x + c
+            return acc
+        if not isinstance(x, Rational):
+            acc, x, den = 0.0, float(x), self.denominator
+            for c in reversed(self.numerators):
+                acc = acc * x + c / den
             return acc
         p, q = int(x.numerator), int(x.denominator)
         acc, power = 0, 1
@@ -173,8 +180,12 @@ class DensePoly:
                                self.denominator, self._ints)
 
     def to_floats(self) -> "DensePoly":
-        """Each coefficient rounded once to a float."""
+        """Each coefficient rounded once to a float: an exact polynomial's
+        numerators over its denominator; a float polynomial whose
+        coefficients are all floats is itself, as DensePoly is immutable."""
         if self.numerators is None:
+            if all(type(c) is float for c in self._coeffs):
+                return self
             return DensePoly(tuple(float(c) for c in self._coeffs))
         return DensePoly(tuple(c / self.denominator for c in self.numerators))
 

@@ -107,18 +107,20 @@ def weighted_inner_product(p: DensePoly, q: DensePoly, alpha, beta):
     return float((seed if is_exact(seed) else Fraction(seed)) * total)
 
 
-def check_jacobi_weight(m: int, a, b) -> tuple[float, float]:
-    """The exponents as floats, after checking that m >= 1 (exact.whole_index),
-    that the weight x**a (1-x)**b is integrable and that a and b fit in a
-    float."""
+def check_jacobi_weight(m: int, a, b) -> tuple:
+    """(a, b, af, bf): the exponents normalized by exact.exact_param (so
+    "p/q" strings read as Fractions) and as floats, after checking that
+    m >= 1 (exact.whole_index), that the weight x**a (1-x)**b is integrable
+    and that a and b fit in a float."""
     whole_index("m", m, 1)
+    a, b = exact_param(a), exact_param(b)
     try:
         af, bf = float(a), float(b)
     except OverflowError as exc:
         raise range_error(m, a, b) from exc
     if not (af > -1 and bf > -1):
         raise DivergenceError(f"Gauss-Jacobi weight needs a, b > -1 (a = {a}, b = {b}, m = {m})")
-    return af, bf
+    return a, b, af, bf
 
 
 def range_error(m: int, a, b) -> RootFindingError:
@@ -142,16 +144,23 @@ def _first_offsq(a: float, b: float) -> float:
 def jacobi_matrices(m: int, a, b):
     """Stack of the symmetric tridiagonal Jacobi matrices of the monic
     classical Jacobi family for weight (1-y)^a (1+y)^b on [-1,1], one per
-    pair of float exponents a[r], b[r], as a dense (len(a), m, m) array.
+    pair of float exponents a[r], b[r] > -1, as a dense (len(a), m, m) array.
 
     Each entry is the classical scalar formula evaluated with the same float
     operations in the same order as a Python-float loop over one pair (the
     reference in tests/test_quad.py), so row r is bit for bit the matrix of
-    pair r alone. A pair whose entries leave the double range gives a matrix
-    that is not finite; callers check.
+    pair r alone. Two executions of that one formula: a stack of one pair
+    (every rule, every e_zeros, each bisection step of the Z search) is
+    built entry by entry in Python floats, where numpy's per-call cost on
+    (1, m) arrays would outweigh the arithmetic; a longer stack (the Z
+    search's candidate blocks) by numpy operations over the rows. A pair
+    whose entries leave the double range gives a matrix that is not finite;
+    callers check.
     """
     import numpy as np
 
+    if len(a) == 1:
+        return _one_jacobi_matrix(m, float(a[0]), float(b[0]))
     a = np.asarray(a, dtype=float)[:, None]
     b = np.asarray(b, dtype=float)[:, None]
     apb = a + b
@@ -169,6 +178,30 @@ def jacobi_matrices(m: int, a, b):
             upper[:, 1:] = 4 * ip1 * (ip1 + a) * (ip1 + b) * (ip1 + apb) / ((t * t - 1) * t * t)
             np.sqrt(upper, out=upper)
             lower[:] = upper
+    return mats
+
+
+def _one_jacobi_matrix(m: int, a: float, b: float):
+    """jacobi_matrices for the one pair (a, b): its operations in its order,
+    on Python floats, whose +, -, *, / and math.sqrt round correctly as
+    numpy's do and overflow to inf (or nan) as its errstate lets them. With
+    a, b > -1 no divisor is zero and no square root's argument negative,
+    where Python floats would raise."""
+    import numpy as np
+
+    apb, bb_aa = a + b, b * b - a * a
+    diag = [(b - a) / (apb + 2)]
+    for i in range(1, m):
+        s = 2.0 * i + apb
+        diag.append(bb_aa / (s * (s + 2)))
+    offsq = [_first_offsq(a, b)] if m > 1 else []
+    for ip1 in range(2, m):
+        t = 2.0 * ip1 + apb
+        offsq.append(4.0 * ip1 * (ip1 + a) * (ip1 + b) * (ip1 + apb) / ((t * t - 1) * t * t))
+    off = [math.sqrt(v) for v in offsq]
+    mats = np.zeros((1, m, m))
+    flat = mats.reshape(m * m)
+    flat[::m + 1], flat[1::m + 1], flat[m::m + 1] = diag, off, off
     return mats
 
 
@@ -201,7 +234,7 @@ def gauss_jacobi_rule(m: int, a, b) -> QuadRule:
     """
     import numpy as np
 
-    af, bf = check_jacobi_weight(m, a, b)
+    a, b, af, bf = check_jacobi_weight(m, a, b)
     mats = jacobi_matrices(m, [af], [bf])
     if not np.isfinite(mats).all():
         raise range_error(m, a, b)
@@ -210,13 +243,12 @@ def gauss_jacobi_rule(m: int, a, b) -> QuadRule:
         mu0 = float(beta_moment(a, b))
     except OverflowError as exc:        # the float lgamma fallback, m = 1 only
         raise range_error(m, a, b) from exc
-    x, w = x[0], mu0 * v0sq[0]
-    if not (0 < x[0] and x[-1] < 1 and (x[1:] > x[:-1]).all()):
+    x, w = tuple(x[0].tolist()), tuple((mu0 * v0sq[0]).tolist())
+    if not (0 < x[0] and x[-1] < 1 and all(u < v for u, v in zip(x, x[1:]))):
         raise RootFindingError(f"nodes round to 0 or 1 or coincide for a = {a}, b = {b}, m = {m}")
-    if not (w > 0).all():
+    if not all(v > 0 for v in w):
         raise RootFindingError(f"a weight underflows to 0 for a = {a}, b = {b}, m = {m}")
-    return QuadRule(tuple(float(v) for v in x), tuple(float(v) for v in w),
-                    UNIT_INTERVAL, ("gauss-jacobi", float(a), float(b)))
+    return QuadRule(x, w, UNIT_INTERVAL, ("gauss-jacobi", af, bf))
 
 
 def integrate_unit(f, rule: QuadRule) -> float:

@@ -110,7 +110,7 @@ def _exponents(n: int, alphas, omega) -> tuple:
         else:
             if min(a) > -1 and min(b) > -1:
                 return a, b
-    exps = [check_jacobi_weight(n, alpha, alpha * omega) for alpha in alphas]
+    exps = [check_jacobi_weight(n, alpha, alpha * omega)[2:] for alpha in alphas]
     return [a for a, _ in exps], [b for _, b in exps]
 
 

@@ -20,6 +20,7 @@ from altpoly.exppoly import (
 )
 from altpoly.polycore import PolyParams, ajp_coefficients, ajp_eval
 from altpoly.quad import integrate_semi_axis
+from param_forms import outcome
 
 F = Fraction
 
@@ -152,6 +153,31 @@ def test_stacked_zeros_match_e_zeros_and_the_horner_guard():
             scale = max(abs(c) for c in member.coeffs)
             assert zs.residuals == tuple(abs(member(x)) / scale for x in zs.source_x)
             assert zs.lambdas == tuple(-math.log(x) for x in zs.source_x)
+
+
+# the pairs of test_quad's stacked-rule test, then pairs whose zeros the guard
+# refuses: a Jacobi matrix out of the double range, clustered zeros, zeros
+# that round to x = 1 and, from n = 3, a member that overflows the floats
+GUARD_PAIRS = [(F(-1, 2), F(0)), (F(0), F(0)), (F(1, 2), F(3, 2)), (F(3), F(2)),
+               (F(161, 3), F(161, 6)), (0.999, -0.9), (22.0, 5.5), (F(7, 3), F(64)),
+               (1e200, 0.0), (-0.5, 1e16), (1e120, 0.0), (F(10 ** 120), 0)]
+
+
+def test_e_zeros_equals_the_guard_on_its_row_of_a_multi_pair_stack():
+    # e_zeros solves a stack of one pair, whose Jacobi matrix is built in
+    # Python floats, and guards it in Python floats; the pair's row of a
+    # longer stack is built by numpy
+    seen = set()
+    for n in (1, 2, 5, 11, 30, 60):
+        xs, finite, simple = stacked_zeros(n, [float(a) for a, _ in GUARD_PAIRS],
+                                           [float(b) for _, b in GUARD_PAIRS])
+        for r, (a, b) in enumerate(GUARD_PAIRS):
+            want = outcome(guarded_zero_set, n, a, b, xs[r], finite[r], simple[r])
+            assert outcome(e_zeros, a, b, n) == want, (a, b, n)
+            if issubclass(want[0], Exception):
+                seen.add(next(cause for cause in ("too large for floats", "cluster",
+                                                  "open interval", "overflow") if cause in want[1]))
+    assert seen == {"too large for floats", "cluster", "open interval", "overflow"}
 
 
 def test_e_zeros_takes_no_beta_moment(monkeypatch):

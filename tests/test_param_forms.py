@@ -8,8 +8,9 @@ import pytest
 
 import param_forms
 from altpoly import quad
+from altpoly.errors import DivergenceError, RootFindingError
 from altpoly.exact import exact_param
-from altpoly.exppoly import ExpPolySystem, e_eval, project
+from altpoly.exppoly import ExpPolySystem, e_eval, e_zeros, project
 from altpoly.polycore import PolyParams
 
 
@@ -50,3 +51,17 @@ def test_a_system_holds_its_exponents_normalized_for_the_float_layer():
     assert [e_eval(given, k, 0.7) for k in range(5)] == [e_eval(want, k, 0.7) for k in range(5)]
     target = lambda t: math.exp(-2 * t)
     assert project(target, given) == project(target, want)
+
+
+def test_the_float_rule_layer_reads_p_over_q_exponents():
+    # check_jacobi_weight normalizes by exact.exact_param, so "1/2" is
+    # Fraction(1, 2) for the nodes, the Beta moment and the descriptors
+    assert e_zeros("1/2", "3/2", 3) == e_zeros(Fraction(1, 2), Fraction(3, 2), 3)
+    assert quad.gauss_jacobi_rule(3, "1/2", 0) == quad.gauss_jacobi_rule(3, Fraction(1, 2), 0)
+    assert quad.gauss_jacobi_rule(3, "4/2", "-1/2") == quad.gauss_jacobi_rule(3, 2, Fraction(-1, 2))
+    # a float nan or inf passes exact_param as it is and keeps its refusal
+    for call in (lambda a: e_zeros(a, 0, 3), lambda a: quad.gauss_jacobi_rule(3, a, 0)):
+        with pytest.raises(DivergenceError, match=r"a = nan, b = 0, m = 3\)"):
+            call(math.nan)
+        with pytest.raises(RootFindingError, match="a = inf, b = 0, m = 3 leaves"):
+            call(math.inf)

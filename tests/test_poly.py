@@ -154,3 +154,14 @@ def test_float_times_exact_is_a_float_polynomial():
             if any(isinstance(c, float) for c in want.coeffs):
                 assert got.mode == "float"
         assert p(Fraction(1, 3)) == rp(Fraction(1, 3))
+
+
+def test_float_coefficients_are_rounded_once_and_only_when_not_floats():
+    p = DensePoly((0.5, -1.25, 3.0))
+    assert p.to_floats() is p
+    mixed = DensePoly((1, Fraction(1, 3), 0.5))
+    assert mixed.mode == "float"
+    assert [type(c) for c in mixed.to_floats().coeffs] == [float] * 3
+    assert mixed.to_floats().coeffs == (1.0, 1 / 3, 0.5)
+    for x in (0.0, 0.3, -1.7, 2.5):
+        assert mixed(x).hex() == mixed.to_floats()(x).hex()

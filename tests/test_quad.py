@@ -232,8 +232,9 @@ def test_rule_validation():
 
 
 def _jacobi_matrix_loop(m, a, b):
-    """Reference: one Jacobi matrix entry by entry in Python floats, the
-    single-matrix builder the stacked one replaced."""
+    """Reference: one Jacobi matrix entry by entry in Python floats, written
+    apart from both executions of jacobi_matrices (a stack of one pair and
+    a longer stack)."""
     diag, offsq = [0.0] * m, [0.0] * max(m - 1, 0)
     apb = a + b
     diag[0] = (b - a) / (apb + 2)
@@ -261,6 +262,10 @@ def test_stacked_rules_equal_single_rules_bit_for_bit(m):
     mats = jacobi_matrices(m, a, b)
     x, v0sq = golub_welsch(mats)
     for r, (p, q) in enumerate(STACK_PAIRS):
+        # a stack of one pair is built in Python floats, the eight-pair stack
+        # by numpy: the same bits, signed zeros included
+        one = jacobi_matrices(m, [a[r]], [b[r]])
+        assert one.shape == (1, m, m) and one.tobytes() == mats[r].tobytes()
         assert np.array_equal(mats[r], _jacobi_matrix_loop(m, a[r], b[r]))
         vals, vecs = np.linalg.eigh(_jacobi_matrix_loop(m, a[r], b[r]))
         assert np.array_equal(x[r], (1 - vals[::-1]) / 2)
