@@ -167,7 +167,8 @@ class PiRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.rat, self.pi_coeff))
+        # equal to an int or Fraction when the pi part is zero, so hashed as it
+        return hash((self.rat, self.pi_coeff)) if self.pi_coeff else hash(self.rat)
 
     def __bool__(self):
         return bool(self.rat) or bool(self.pi_coeff)

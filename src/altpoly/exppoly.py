@@ -26,7 +26,7 @@ from .quad import (
     check_jacobi_weight,
     gauss_jacobi_rule,
     golub_welsch,
-    jacobi_matrices,
+    jacobi_entries,
     range_error,
 )
 
@@ -131,16 +131,12 @@ def stacked_zeros(n: int, a, b) -> tuple:
     """One stacked Golub--Welsch solve for the float exponent pairs
     (a[r], b[r]), already checked as check_jacobi_weight checks them:
     (xs, finite, simple), row r of xs the zeros of pair r descending in x
-    (so lambda = -ln x ascends), finite[r] whether its Jacobi matrix stays in
-    the double range and simple[r] whether its zeros lie inside (0, 1) and
-    at least 1e-12 apart. guarded_zero_set turns a row into a ZeroSet or
-    the row's refusal."""
-    import numpy as np
-
-    mats = jacobi_matrices(n, a, b)
-    finite = np.isfinite(mats).all(axis=(1, 2))
-    mats[~finite] = 0.0     # refused by the guard; keeps the stacked solve defined
-    xs = golub_welsch(mats)[0][:, ::-1]
+    (so lambda = -ln x ascends), finite[r] golub_welsch's flag that its
+    Jacobi matrix stays in the double range and simple[r] whether its zeros
+    lie inside (0, 1) and at least 1e-12 apart. guarded_zero_set turns a row
+    into a ZeroSet or the row's refusal."""
+    x, _, finite = golub_welsch(*jacobi_entries(n, a, b))
+    xs = x[:, ::-1]
     simple = (xs[:, 0] < 1) & (xs[:, -1] > 0) & ~(xs[:, :-1] - xs[:, 1:] < 1e-12).any(axis=1)
     return xs, finite, simple
 

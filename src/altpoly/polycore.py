@@ -579,8 +579,8 @@ def ode_apply(alpha, beta, n: int, k: int, y: DensePoly) -> DensePoly:
     a, b = finite_param("alpha", alpha), finite_param("beta", beta)
     n = whole_index("n", n)
     k = whole_index("k", k, 0, n)
-    d1, d2 = y.derivative(), y.derivative().derivative()
-    term2 = DensePoly((0, 0, 1, -1)) * d2                      # x^2(1-x) y''
+    d1 = y.derivative()
+    term2 = DensePoly((0, 0, 1, -1)) * d1.derivative()         # x^2(1-x) y''
     term1 = DensePoly((0, a + 2, -(a + b + 3))) * d1           # x(alpha+2-(alpha+beta+3)x) y'
     term0 = DensePoly((-k * (a + k + 1), n * (a + b + n + 2))) * y
     return term2 + term1 + term0

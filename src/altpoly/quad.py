@@ -141,54 +141,49 @@ def _first_offsq(a: float, b: float) -> float:
         return math.inf
 
 
-def jacobi_matrices(m: int, a, b):
-    """Stack of the symmetric tridiagonal Jacobi matrices of the monic
-    classical Jacobi family for weight (1-y)^a (1+y)^b on [-1,1], one per
-    pair of float exponents a[r], b[r] > -1, as a dense (len(a), m, m) array.
+def jacobi_entries(m: int, a, b) -> tuple:
+    """The two diagonals of the symmetric tridiagonal Jacobi matrices of the
+    monic classical Jacobi family for weight (1-y)^a (1+y)^b on [-1,1], one
+    matrix per pair of float exponents a[r], b[r] > -1: (diag, off), shapes
+    (len(a), m) and (len(a), m - 1), for golub_welsch.
 
     Each entry is the classical scalar formula evaluated with the same float
     operations in the same order as a Python-float loop over one pair (the
-    reference in tests/test_quad.py), so row r is bit for bit the matrix of
+    reference in tests/test_quad.py), so row r is bit for bit the entries of
     pair r alone. Two executions of that one formula: a stack of one pair
     (every rule, every e_zeros, each bisection step of the Z search) is
-    built entry by entry in Python floats, where numpy's per-call cost on
-    (1, m) arrays would outweigh the arithmetic; a longer stack (the Z
-    search's candidate blocks) by numpy operations over the rows. A pair
-    whose entries leave the double range gives a matrix that is not finite;
-    callers check.
+    built entry by entry in Python floats and returned as lists, where
+    numpy's per-call cost on (1, m) arrays would outweigh the arithmetic; a
+    longer stack (the Z search's candidate blocks) by numpy operations over
+    the rows, returned as arrays. A pair whose entries leave the double
+    range has entries that are not finite; golub_welsch flags it.
     """
+    if len(a) == 1:
+        return _one_jacobi_entries(m, float(a[0]), float(b[0]))
     import numpy as np
 
-    if len(a) == 1:
-        return _one_jacobi_matrix(m, float(a[0]), float(b[0]))
     a = np.asarray(a, dtype=float)[:, None]
     b = np.asarray(b, dtype=float)[:, None]
     apb = a + b
-    mats = np.zeros((len(a), m, m))
-    flat = mats.reshape(len(a), m * m)
-    diag, upper, lower = flat[:, ::m + 1], flat[:, 1::m + 1], flat[:, m::m + 1]
+    diag, offsq = np.empty((len(a), m)), np.empty((len(a), m - 1))
     with np.errstate(over="ignore", invalid="ignore"):
         diag[:, :1] = (b - a) / (apb + 2)
         s = np.arange(2.0, 2 * m, 2) + apb            # s = 2i + a + b, i = 1..m-1
         diag[:, 1:] = (b * b - a * a) / (s * (s + 2))
         if m > 1:
-            upper[:, 0] = [_first_offsq(x, y) for x, y in zip(a[:, 0].tolist(), b[:, 0].tolist())]
+            offsq[:, 0] = [_first_offsq(x, y) for x, y in zip(a[:, 0].tolist(), b[:, 0].tolist())]
             ip1 = np.arange(2, m, dtype=float)        # i + 1, i = 1..m-2
             t = 2 * ip1 + apb
-            upper[:, 1:] = 4 * ip1 * (ip1 + a) * (ip1 + b) * (ip1 + apb) / ((t * t - 1) * t * t)
-            np.sqrt(upper, out=upper)
-            lower[:] = upper
-    return mats
+            offsq[:, 1:] = 4 * ip1 * (ip1 + a) * (ip1 + b) * (ip1 + apb) / ((t * t - 1) * t * t)
+        return diag, np.sqrt(offsq)
 
 
-def _one_jacobi_matrix(m: int, a: float, b: float):
-    """jacobi_matrices for the one pair (a, b): its operations in its order,
+def _one_jacobi_entries(m: int, a: float, b: float) -> tuple:
+    """jacobi_entries for the one pair (a, b): its operations in its order,
     on Python floats, whose +, -, *, / and math.sqrt round correctly as
     numpy's do and overflow to inf (or nan) as its errstate lets them. With
     a, b > -1 no divisor is zero and no square root's argument negative,
     where Python floats would raise."""
-    import numpy as np
-
     apb, bb_aa = a + b, b * b - a * a
     diag = [(b - a) / (apb + 2)]
     for i in range(1, m):
@@ -198,47 +193,50 @@ def _one_jacobi_matrix(m: int, a: float, b: float):
     for ip1 in range(2, m):
         t = 2.0 * ip1 + apb
         offsq.append(4.0 * ip1 * (ip1 + a) * (ip1 + b) * (ip1 + apb) / ((t * t - 1) * t * t))
-    off = [math.sqrt(v) for v in offsq]
-    mats = np.zeros((1, m, m))
-    flat = mats.reshape(m * m)
-    flat[::m + 1], flat[1::m + 1], flat[m::m + 1] = diag, off, off
-    return mats
+    return [diag], [[math.sqrt(v) for v in offsq]]
 
 
-def golub_welsch(mats):
-    """Gauss nodes on [0,1], ascending, and the squared first components of
-    their unit eigenvectors, for a stack of Jacobi matrices: one
-    numpy.linalg.eigh call, shapes (len(mats), m) both. The weights of a rule
-    are mu0 times the second."""
+def golub_welsch(diag, off) -> tuple:
+    """(x, v0sq, finite) for a stack of Jacobi matrices given as
+    jacobi_entries gives them: row r of x the Gauss nodes on [0,1] of matrix
+    r, ascending, of v0sq the squared first components of their unit
+    eigenvectors (a rule's weights are mu0 times them), and finite[r]
+    whether matrix r stays in the double range. The one dense layout: the
+    entries fill the lower triangle of a (rows, m, m) array, all that the
+    one numpy.linalg.eigh call reads; a matrix that is not finite is zeroed
+    to keep that call defined, and its rows are the caller's to refuse."""
     import numpy as np
 
+    rows, m = len(diag), len(diag[0])
+    mats = np.zeros((rows, m, m))
+    flat = mats.reshape(rows, m * m)
+    flat[:, ::m + 1], flat[:, m::m + 1] = diag, off
+    finite = np.isfinite(flat).all(axis=1)
+    mats[~finite] = 0.0
     try:
         vals, vecs = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise RootFindingError(f"tridiagonal eigen-solve failed: {exc}") from exc
     # eigh returns y ascending; y in [-1,1] with weight (1-y)^a (1+y)^b maps
     # to x = (1-y)/2 on [0,1], so reversing makes x ascend
-    return (1 - vals[:, ::-1]) / 2, vecs[:, 0, ::-1] ** 2
+    return (1 - vals[:, ::-1]) / 2, vecs[:, 0, ::-1] ** 2, finite
 
 
 def gauss_jacobi_rule(m: int, a, b) -> QuadRule:
     """m-node Gauss rule on [0,1], m >= 1, for the weight x**a (1-x)**b,
     exact for polynomial degree <= 2m-1. Golub--Welsch on a stack of one
-    Jacobi matrix (jacobi_matrices, golub_welsch), mapped from [-1,1]; the
+    Jacobi matrix (jacobi_entries, golub_welsch), mapped from [-1,1]; the
     weights are the Beta moment mu0 times the squared first eigenvector
     components.
-    RootFindingError naming a, b and m refuses a Jacobi matrix or a Beta
-    moment that leaves the double range, nodes that round to x = 0 or 1 or
-    coincide (exponents from about 1e16) and a weight that underflows
-    (m = 30 from a = b = 502).
+    RootFindingError naming a, b and m refuses a Jacobi matrix (by
+    golub_welsch's flag) or a Beta moment that leaves the double range,
+    nodes that round to x = 0 or 1 or coincide (exponents from about 1e16)
+    and a weight that underflows (m = 30 from a = b = 502).
     """
-    import numpy as np
-
     a, b, af, bf = check_jacobi_weight(m, a, b)
-    mats = jacobi_matrices(m, [af], [bf])
-    if not np.isfinite(mats).all():
+    x, v0sq, finite = golub_welsch(*jacobi_entries(m, [af], [bf]))
+    if not finite[0]:
         raise range_error(m, a, b)
-    x, v0sq = golub_welsch(mats)
     try:
         mu0 = float(beta_moment(a, b))
     except OverflowError as exc:        # the float lgamma fallback, m = 1 only
@@ -262,7 +260,7 @@ def integrate_semi_axis(g, alpha, beta, m: int = 24):
     """Integral over [0, inf) of exp(-alpha t)(1-exp(-t))**beta g(t).
 
     Contract: the substitution x = exp(-t) turns this into the [0,1] integral
-    of x**(alpha-1) (1-x)**beta g(-ln x).
+    of x**(alpha-1) (1-x)**beta g(-ln x), alpha and beta by exact.exact_param.
 
     * g given as a DensePoly is treated as a polynomial in exp(-t) and
       integrated exactly through the Beta-moment expansion at alpha - 1
@@ -274,6 +272,7 @@ def integrate_semi_axis(g, alpha, beta, m: int = 24):
       g(-ln x) must be smooth at x = 0, or the sum converges slowly in m and
       nothing reports it: g(t) = exp(-t/4) at alpha = 1/4 reads 2.0301 for 2.
     """
+    alpha, beta = exact_param(alpha), exact_param(beta)
     if isinstance(g, DensePoly):
         value = weighted_inner_product(
             g, DensePoly.one(), Fraction(finite_param("alpha", alpha)) - 1, beta)

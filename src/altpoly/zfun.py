@@ -136,7 +136,8 @@ _STACK_ENTRIES = 1 << 17
 
 
 def _search(n: int, omega, candidates) -> tuple:
-    """The chosen candidate and its zero set (see z_search)."""
+    """omega as exact.finite_param reads it, the chosen candidate and its
+    zero set (see z_search)."""
     n, omega = whole_index("n", n, 1), finite_param("omega", omega)
     cands = sorted(candidates)
     if not cands:
@@ -158,7 +159,7 @@ def _search(n: int, omega, candidates) -> tuple:
         raise FeasibilityError(
             f"no candidate keeps the largest zero below 1 (n={n}, omega={omega})")
     alpha, x = best
-    return alpha, guarded_zero_set(n, alpha, alpha * omega, x)
+    return omega, alpha, guarded_zero_set(n, alpha, alpha * omega, x)
 
 
 def z_search(n: int, omega, candidates) -> tuple:
@@ -176,7 +177,7 @@ def z_search(n: int, omega, candidates) -> tuple:
     candidate gets the residual guard and a ZeroSet
     (exppoly.guarded_zero_set). FeasibilityError when no candidate gives an
     integrable weight or none keeps the largest zero <= 1."""
-    alpha, zeros = _search(n, omega, candidates)
+    _, alpha, zeros = _search(n, omega, candidates)
     return alpha, zeros.max_lambda()
 
 
@@ -216,7 +217,8 @@ def z_search_real(n: int, omega) -> tuple:
 
 @dataclass(frozen=True)
 class ZSystemSpec:
-    """A built Z or Z-tilde system: chosen exponent, achieved largest zero,
+    """A built Z or Z-tilde system: omega as exact.finite_param reads it
+    (as a float from z_build_real), chosen exponent, achieved largest zero,
     and the full zero table of the associated function."""
 
     n: int
@@ -287,16 +289,15 @@ def z_build(n: int, omega, candidates) -> ZSystemSpec:
     from the chosen candidate's zeros, so a build is one stacked eigen-solve
     per candidate block and no more; asserts that the associated function
     vanishes at t = 1."""
-    alpha_n, zeros = _search(n, omega, candidates)
-    omega = Fraction(omega) if is_exact(omega) else float(omega)
+    omega, alpha_n, zeros = _search(n, omega, candidates)
     return _assemble(n, omega, alpha_n, zeros, GAMMA_UNSCALED_TOL)
 
 
 def z_build_real(n: int, omega) -> ZSystemSpec:
     """Same as z_build (n >= 1, a finite omega) but with the real-valued
     boundary search."""
+    n, omega = whole_index("n", n, 1), float(finite_param("omega", omega))
     alpha_n, _ = z_search_real(n, omega)
-    alpha_n, omega = float(alpha_n), float(omega)
     return _assemble(n, omega, alpha_n, e_zeros(alpha_n, alpha_n * omega, n), 1e-9)
 
 

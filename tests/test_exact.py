@@ -188,3 +188,15 @@ def test_pi_rational_arithmetic():
     assert str(PiRational(0, Fraction(1, 2))) == "1/2*pi"
     with pytest.raises(ZeroDivisionError):
         PiRational(0, 0) / 0
+
+
+def test_a_pi_rational_with_no_pi_part_hashes_as_the_rational_it_equals():
+    from altpoly import marginal
+
+    for rat in (0, 3, Fraction(-7, 2), Fraction(10 ** 30, 3)):
+        assert PiRational(rat, 0) == rat and hash(PiRational(rat, 0)) == hash(rat)
+    assert len({PiRational(Fraction(3), 0), Fraction(3), 3}) == 1
+    # an off-diagonal T inner product is PiRational(0, 0), equal to 0
+    assert {0: "x"}.get(marginal.t_norm(3, 1, 2)) == "x"
+    # a pi part keeps the value apart from every rational
+    assert len({PiRational(3, 1), PiRational(3, 0), PiRational(3, 2)}) == 3

@@ -156,11 +156,12 @@ def test_stacked_zeros_match_e_zeros_and_the_horner_guard():
 
 
 # the pairs of test_quad's stacked-rule test, then pairs whose zeros the guard
-# refuses: a Jacobi matrix out of the double range, clustered zeros, zeros
-# that round to x = 1 and, from n = 3, a member that overflows the floats
+# refuses: a Jacobi matrix out of the double range (at 1e150 in its
+# off-diagonal only), clustered zeros, zeros that round to x = 1 and, from
+# n = 3, a member that overflows the floats
 GUARD_PAIRS = [(F(-1, 2), F(0)), (F(0), F(0)), (F(1, 2), F(3, 2)), (F(3), F(2)),
                (F(161, 3), F(161, 6)), (0.999, -0.9), (22.0, 5.5), (F(7, 3), F(64)),
-               (1e200, 0.0), (-0.5, 1e16), (1e120, 0.0), (F(10 ** 120), 0)]
+               (1e200, 0.0), (-0.5, 1e16), (1e120, 0.0), (F(10 ** 120), 0), (1e150, 1e150)]
 
 
 def test_e_zeros_equals_the_guard_on_its_row_of_a_multi_pair_stack():

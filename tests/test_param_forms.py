@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 import param_forms
-from altpoly import quad
+from altpoly import quad, zfun
 from altpoly.errors import DivergenceError, RootFindingError
 from altpoly.exact import exact_param
 from altpoly.exppoly import ExpPolySystem, e_eval, e_zeros, project
+from altpoly.poly import DensePoly
 from altpoly.polycore import PolyParams
 
 
@@ -65,3 +66,24 @@ def test_the_float_rule_layer_reads_p_over_q_exponents():
             call(math.nan)
         with pytest.raises(RootFindingError, match="a = inf, b = 0, m = 3 leaves"):
             call(math.inf)
+
+
+def test_the_z_builders_read_omega_as_p_over_q():
+    # omega is read once by exact.finite_param, for the search, the spec's
+    # omega and beta_n alike
+    cands = zfun.whole_candidates(64)
+    given, want = zfun.z_build(2, "1/2", cands), zfun.z_build(2, Fraction(1, 2), cands)
+    assert given == want and type(given.omega) is Fraction and given.beta_n == want.beta_n
+    assert zfun.z_build_real(2, "1/2") == zfun.z_build_real(2, Fraction(1, 2))
+    whole = zfun.z_build(2, "2/2", cands)
+    assert whole == zfun.z_build(2, 1, cands) and type(whole.omega) is int
+
+
+def test_semi_axis_integrals_read_p_over_q_exponents():
+    # a callable integrand and a DensePoly one, which stays exact, alike
+    for g in (lambda t: math.exp(-t), DensePoly((0, 1, Fraction(-1, 3)))):
+        given = quad.integrate_semi_axis(g, "3/2", "0")
+        want = quad.integrate_semi_axis(g, Fraction(3, 2), Fraction(0))
+        assert (type(given), given) == (type(want), want)
+    assert quad.integrate_semi_axis(math.exp, "5/2", "1/2", 12) == \
+        quad.integrate_semi_axis(math.exp, 2.5, 0.5, 12)

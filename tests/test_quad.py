@@ -17,8 +17,8 @@ from altpoly.quad import (
     gauss_jacobi_rule,
     golub_welsch,
     integrate_semi_axis,
-    jacobi_matrices,
     integrate_unit,
+    jacobi_entries,
     weighted_inner_product,
 )
 
@@ -232,9 +232,9 @@ def test_rule_validation():
 
 
 def _jacobi_matrix_loop(m, a, b):
-    """Reference: one Jacobi matrix entry by entry in Python floats, written
-    apart from both executions of jacobi_matrices (a stack of one pair and
-    a longer stack)."""
+    """Reference: one Jacobi matrix's diagonal and off-diagonal, entry by
+    entry in Python floats, written apart from both executions of
+    jacobi_entries (a stack of one pair and a longer stack)."""
     diag, offsq = [0.0] * m, [0.0] * max(m - 1, 0)
     apb = a + b
     diag[0] = (b - a) / (apb + 2)
@@ -247,8 +247,7 @@ def _jacobi_matrix_loop(m, a, b):
             t = 2 * (i + 1) + apb
             offsq[i] = 4 * (i + 1) * (i + 1 + a) * (i + 1 + b) * (i + 1 + apb) / \
                 ((t * t - 1) * t * t)
-    off = np.sqrt(offsq)
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return np.array(diag), np.sqrt(offsq)
 
 
 STACK_PAIRS = [(F(-1, 2), F(0)), (F(0), F(0)), (F(1, 2), F(3, 2)), (F(3), F(2)),
@@ -259,17 +258,24 @@ STACK_PAIRS = [(F(-1, 2), F(0)), (F(0), F(0)), (F(1, 2), F(3, 2)), (F(3), F(2)),
 def test_stacked_rules_equal_single_rules_bit_for_bit(m):
     a = [float(p) for p, _ in STACK_PAIRS]
     b = [float(q) for _, q in STACK_PAIRS]
-    mats = jacobi_matrices(m, a, b)
-    x, v0sq = golub_welsch(mats)
+    diag, off = jacobi_entries(m, a, b)
+    assert diag.shape == (8, m) and off.shape == (8, m - 1)
+    x, v0sq, finite = golub_welsch(diag, off)
+    assert finite.tolist() == [True] * 8
     for r, (p, q) in enumerate(STACK_PAIRS):
         # a stack of one pair is built in Python floats, the eight-pair stack
         # by numpy: the same bits, signed zeros included
-        one = jacobi_matrices(m, [a[r]], [b[r]])
-        assert one.shape == (1, m, m) and one.tobytes() == mats[r].tobytes()
-        assert np.array_equal(mats[r], _jacobi_matrix_loop(m, a[r], b[r]))
-        vals, vecs = np.linalg.eigh(_jacobi_matrix_loop(m, a[r], b[r]))
-        assert np.array_equal(x[r], (1 - vals[::-1]) / 2)
-        assert np.array_equal(v0sq[r], vecs[0, ::-1] ** 2)
+        one = jacobi_entries(m, [a[r]], [b[r]])
+        loop = _jacobi_matrix_loop(m, a[r], b[r])
+        for stacked, single, ref in zip((diag[r], off[r]), one, loop):
+            assert type(single) is list and len(single) == 1
+            assert all(type(v) is float for v in single[0])
+            assert np.array(single[0]).tobytes() == stacked.tobytes() == ref.tobytes()
+        # the lower triangle golub_welsch fills gives the bits of the full
+        # symmetric matrix
+        vals, vecs = np.linalg.eigh(np.diag(loop[0]) + np.diag(loop[1], 1) + np.diag(loop[1], -1))
+        assert x[r].tobytes() == ((1 - vals[::-1]) / 2).tobytes()
+        assert v0sq[r].tobytes() == (vecs[0, ::-1] ** 2).tobytes()
         rule = gauss_jacobi_rule(m, p, q)
         assert rule.nodes == tuple(x[r].tolist())
         assert rule.weights == tuple((float(beta_moment(p, q)) * v0sq[r]).tolist())
@@ -279,6 +285,9 @@ def test_exponents_too_large_for_floats_are_refused():
     for a, m in ((1e200, 3), (F(10 ** 200), 3), (F(10 ** 400), 1)):
         with pytest.raises(RootFindingError, match=re.escape(f"a = {a}, b = 0, m = {m}")):
             gauss_jacobi_rule(m, a, 0)
+    # the diagonal stays in the double range, an off-diagonal entry does not
+    with pytest.raises(RootFindingError, match=re.escape("a = 1e+150, b = 1e+150, m = 3 leaves")):
+        gauss_jacobi_rule(3, 1e150, 1e150)
 
 
 def test_float_beta_moment_overflow_is_refused():
@@ -298,7 +307,7 @@ def test_beta_moment_at_a_huge_whole_exponent():
 
 
 def test_rule_checks_the_weight_before_solving(monkeypatch):
-    def no_solve(mats):
+    def no_solve(diag, off):
         raise AssertionError("eigen-solve reached")
 
     monkeypatch.setattr(quad, "golub_welsch", no_solve)

@@ -49,12 +49,12 @@ def test_wrong_norm_fails_core(monkeypatch, capsys):
 def test_wrong_rule_weight_fails_quad(monkeypatch, capsys):
     solve = quad.golub_welsch
 
-    def skewed(mats):
+    def skewed(diag, off):
         # the first weight of every Gauss-Jacobi rule off by 1e-6 relative
-        nodes, v0sq = solve(mats)
+        nodes, v0sq, finite = solve(diag, off)
         v0sq = v0sq.copy()
         v0sq[:, 0] *= 1 + 1e-6
-        return nodes, v0sq
+        return nodes, v0sq, finite
 
     monkeypatch.setattr(quad, "golub_welsch", skewed)
     assert_caught(capsys, "quad", "rule-weight-sum", acceptance.test_criterion_06_quadrature)

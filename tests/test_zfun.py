@@ -285,11 +285,11 @@ def test_a_misplaced_zero_on_a_candidate_that_is_not_chosen_fails_the_search(
         monkeypatch, mutation, message):
     golub_welsch = exppoly.golub_welsch
 
-    def mutated(mats):
-        nodes, weights = golub_welsch(mats)
+    def mutated(diag, off):
+        nodes, weights, finite = golub_welsch(diag, off)
         if len(nodes) == 11:
             nodes[5, -1] = mutation(nodes[5, -2])    # alpha = 5, not chosen
-        return nodes, weights
+        return nodes, weights, finite
 
     monkeypatch.setattr(exppoly, "golub_welsch", mutated)
     with pytest.raises(RootFindingError, match=message):
