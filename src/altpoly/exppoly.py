@@ -85,6 +85,7 @@ def e_norm(sys: ExpPolySystem, k: int):
     ((n-k)! Gamma(alpha+beta+n+k+1)); k = 0, the associated function, which
     is not part of the orthogonal system, raises DivergenceError."""
     if k == 0:
+        whole_index("k", k)     # 0.0 is not the index 0
         raise DivergenceError("associated function is not integrable on the semi-axis")
     k = whole_index("k", k, 1, sys.n)
     # the alternative-family member at (alpha - 1, beta)
@@ -110,45 +111,31 @@ class ZeroSet:
 def e_zeros(alpha, beta, n: int) -> ZeroSet:
     """Zeros of the associated function as lambda = -ln x, ascending. Its
     x-form is P_n^(alpha,beta)(1-2x), so the zeros are the nodes of the
-    Gauss-Jacobi rule for x**alpha (1-x)**beta: Golub--Welsch eigenvalues
-    only, without the rule's weights or its Beta moment (stacked_zeros on a
-    stack of one, then guarded_zero_set).
+    Gauss-Jacobi rule for x**alpha (1-x)**beta: one Golub--Welsch solve of
+    the pair, eigenvalues only, then guarded_zero_set on its row.
 
-    Valid for n >= 1, alpha > -1 and beta > -1; outside it DivergenceError
-    names a = alpha, b = beta, m = n. Exponents too large for floats raise
-    RootFindingError (the Jacobi matrix leaves the double range) or
-    CoefficientOverflowError (the guard's member does).
+    Valid for n >= 1 (a ValueError names n), alpha > -1 and beta > -1
+    (a DivergenceError names a = alpha, b = beta, m = n). Exponents too
+    large for floats raise RootFindingError (the Jacobi matrix leaves the
+    double range) or CoefficientOverflowError (the guard's member does).
     Residuals: float Horner value of the exact member, rounded once per
     coefficient, at each zero over its largest coefficient magnitude; above
     1e-13, zeros closer than 1e-12, or a zero that rounds to x = 0 or 1,
     raise RootFindingError."""
+    n = whole_index("n", n, 1)
     alpha, beta, a, b = check_jacobi_weight(n, alpha, beta)
-    xs, finite, simple = stacked_zeros(n, [a], [b])
-    return guarded_zero_set(n, alpha, beta, xs[0], finite[0], simple[0])
+    x, _, finite = golub_welsch(*jacobi_entries(n, [a], [b]))
+    return guarded_zero_set(n, alpha, beta, x[0, ::-1], finite[0])
 
 
-def stacked_zeros(n: int, a, b) -> tuple:
-    """One stacked Golub--Welsch solve for the float exponent pairs
-    (a[r], b[r]), already checked as check_jacobi_weight checks them:
-    (xs, finite, simple), row r of xs the zeros of pair r descending in x
-    (so lambda = -ln x ascends), finite[r] golub_welsch's flag that its
-    Jacobi matrix stays in the double range and simple[r] whether its zeros
-    lie inside (0, 1) and at least 1e-12 apart. guarded_zero_set turns a row
-    into a ZeroSet or the row's refusal."""
-    x, _, finite = golub_welsch(*jacobi_entries(n, a, b))
-    xs = x[:, ::-1]
-    simple = (xs[:, 0] < 1) & (xs[:, -1] > 0) & ~(xs[:, :-1] - xs[:, 1:] < 1e-12).any(axis=1)
-    return xs, finite, simple
-
-
-def guarded_zero_set(n: int, alpha, beta, x, finite=True, simple=True) -> ZeroSet:
-    """The ZeroSet of one pair from its row x of the stacked solve and the
-    row's finite and simple flags, after the guards of e_zeros in their
-    order: the Jacobi matrix in the double range, the exact member in it,
-    the zeros inside (0, 1), apart, and with residuals at most 1e-13 (Horner
-    on the member rounded once per coefficient, over its largest
-    coefficient magnitude, in Python floats: the float operations of
-    DensePoly.__call__ at each zero)."""
+def guarded_zero_set(n: int, alpha, beta, x, finite=True) -> ZeroSet:
+    """The ZeroSet of one pair from its zeros x, a numpy row descending in
+    x, and golub_welsch's range flag for its Jacobi matrix, after the guards
+    of e_zeros in their order: the flag, the exact member in the double
+    range, the zeros inside (0, 1), at least 1e-12 apart, and residuals at
+    most 1e-13 (Horner on the member rounded once per coefficient, over its
+    largest coefficient magnitude, in Python floats: the float operations
+    of DensePoly.__call__ at each zero)."""
     if not finite:
         raise range_error(n, alpha, beta)
     try:
@@ -157,11 +144,11 @@ def guarded_zero_set(n: int, alpha, beta, x, finite=True, simple=True) -> ZeroSe
         raise CoefficientOverflowError(n, 0, alpha, beta,
                                        "the zero guard evaluates it in floats") from None
     xt = x.tolist()
-    if not simple:
-        if not (xt[0] < 1 and xt[-1] > 0):
-            raise RootFindingError(
-                f"zeros from x = {xt[-1]!r} to {xt[0]!r} leave the open "
-                f"interval (0, 1) for alpha = {alpha}, beta = {beta}, n = {n}")
+    if not (xt[0] < 1 and xt[-1] > 0):
+        raise RootFindingError(
+            f"zeros from x = {xt[-1]!r} to {xt[0]!r} leave the open "
+            f"interval (0, 1) for alpha = {alpha}, beta = {beta}, n = {n}")
+    if any(u - v < 1e-12 for u, v in zip(xt, xt[1:])):
         raise RootFindingError("zeros are not simple (cluster detected)")
     top, scale = coeffs[::-1], max(abs(c) for c in coeffs)
     residuals = []
@@ -181,7 +168,7 @@ def legendre_type_quadrature(n: int) -> QuadRule:
     """n-node rule on [0,1], n >= 1, exact for x, x^2, ..., x^(2n) but not
     for constants: the Gauss-Jacobi rule for the weight x (exact on x * x^j,
     j <= 2n-1) with each weight divided by its node."""
-    rule = gauss_jacobi_rule(n, 1, 0)
+    rule = gauss_jacobi_rule(whole_index("n", n, 1), 1, 0)
     weights = tuple(w / x for x, w in zip(rule.nodes, rule.weights))
     return QuadRule(rule.nodes, weights, UNIT_INTERVAL, ("legendre-type", n))
 

@@ -24,10 +24,9 @@ from .exppoly import (
     guarded_zero_set,
     member_values,
     semi_axis_point,
-    stacked_zeros,
 )
 from .exact import finite_param, is_exact, whole_index
-from .quad import check_jacobi_weight
+from .quad import check_jacobi_weight, golub_welsch, jacobi_entries
 
 GAMMA_UNSCALED_TOL = 1e-12
 
@@ -115,18 +114,21 @@ def _exponents(n: int, alphas, omega) -> tuple:
 
 
 def _largest_zeros(n: int, alphas, omega) -> tuple:
-    """The zeros of each pair (alpha, alpha * omega) from one stacked solve,
-    descending in x, and each pair's largest lambda = -ln x, by math.log as
-    in ZeroSet. The checks that need no member run on every pair: the first
-    pair whose Jacobi matrix leaves the double range or whose zeros leave
-    (0, 1) or cluster raises the error e_zeros raises for it. The residual
-    guard is left to guarded_zero_set on the pair the caller keeps."""
+    """The zeros of each pair (alpha, alpha * omega) from one Golub--Welsch
+    solve of their stack, the only solve of more than one pair: row r of xs
+    pair r's zeros descending in x, and each pair's largest lambda = -ln x,
+    by math.log as in ZeroSet. The checks that need no member run on every
+    row in numpy; the first row that fails one goes to guarded_zero_set,
+    which raises the error e_zeros raises for it. The residual guard is
+    left to guarded_zero_set on the row the caller keeps."""
     import numpy as np
 
-    xs, finite, simple = stacked_zeros(n, *_exponents(n, alphas, omega))
+    x, _, finite = golub_welsch(*jacobi_entries(n, *_exponents(n, alphas, omega)))
+    xs = x[:, ::-1]
+    simple = (xs[:, 0] < 1) & (xs[:, -1] > 0) & ~(xs[:, :-1] - xs[:, 1:] < 1e-12).any(axis=1)
     for r in np.flatnonzero(~(finite & simple))[:1]:
         alpha = alphas[r]
-        guarded_zero_set(n, alpha, alpha * omega, xs[r], finite[r], simple[r])    # raises
+        guarded_zero_set(n, alpha, alpha * omega, xs[r], finite[r])    # raises
     return xs, [-math.log(x) for x in xs[:, -1].tolist()]
 
 
@@ -168,7 +170,7 @@ def z_search(n: int, omega, candidates) -> tuple:
     ties go to the smallest alpha.
 
     Every feasible candidate's zeros come from stacked Golub--Welsch solves
-    (exppoly.stacked_zeros: one numpy.linalg.eigh call per block of about
+    (_largest_zeros: one numpy.linalg.eigh call per block of about
     2**17 / n**2 candidates, so memory stays bounded), whose checks that need
     no member run on every candidate: a Jacobi matrix out of the double
     range, or zeros outside (0, 1) or clustered, raise. The largest zeros
@@ -181,38 +183,48 @@ def z_search(n: int, omega, candidates) -> tuple:
     return alpha, zeros.max_lambda()
 
 
-def z_search_real(n: int, omega) -> tuple:
-    """Real-valued boundary search, n >= 1 and a finite omega: bisect for the
-    exponent where the largest zero equals 1, which attains equality in the
-    gamma <= 1 requirement.
-    The bracket runs from just above the smallest integrable exponent (-1,
-    or -1/omega for omega > 1) to 64 (or just below -1/omega for omega < 0),
-    and the search stops once it is narrower than 1e-12.
-    Each step reads the largest zero from the stacked solve of z_search on
-    one pair, with the checks that need no member; z_build_real runs the
-    residual guard once, on the result."""
+def _search_real(n: int, omega) -> tuple:
+    """(n, omega, alpha, lambda, zeros descending in x) of z_search_real's
+    result, kept from the step that found it, so no pair is solved twice."""
     n, om = whole_index("n", n, 1), float(finite_param("omega", omega))
     lo = (-1.0 / om if om > 1 else -1.0) + 1e-9
     hi = min(64.0, -1.0 / om * (1 - 1e-9)) if om < 0 else 64.0
 
-    def lam(a):
-        return _largest_zeros(n, [a], om)[1][0]
+    def step(a):
+        xs, lams = _largest_zeros(n, [a], om)
+        return lams[0], xs[0]
 
-    if lam(hi) > 1:
+    lam_hi, x_hi = step(hi)
+    if lam_hi > 1:
         raise FeasibilityError("largest zero exceeds 1 over the whole search range")
-    flo = lam(lo)
-    if flo < 1:
+    lam_lo, x_lo = step(lo)
+    if lam_lo < 1:
         # already feasible at the lower end: zero never reaches 1
-        return (lo, flo)
+        return n, om, lo, lam_lo, x_lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if lam(mid) > 1:
+        lam, x = step(mid)
+        if lam > 1:
             lo = mid
         else:
-            hi = mid
+            hi, lam_hi, x_hi = mid, lam, x
         if hi - lo < 1e-12:
             break
-    return (hi, lam(hi))
+    return n, om, hi, lam_hi, x_hi
+
+
+def z_search_real(n: int, omega) -> tuple:
+    """Real-valued boundary search, n >= 1 and a finite omega: bisect for the
+    exponent where the largest zero equals 1, which attains equality in the
+    gamma <= 1 requirement; returns (alpha, its largest zero).
+    The bracket runs from just above the smallest integrable exponent (-1,
+    or -1/omega for omega > 1) to 64 (or just below -1/omega for omega < 0),
+    and the search stops once it is narrower than 1e-12.
+    Each step solves its one pair once, by _largest_zeros with the checks
+    that need no member; the result is the step that last set the upper end
+    (or the feasible lower end), whose zeros z_build_real guards."""
+    _, _, alpha, lam, _ = _search_real(n, omega)
+    return alpha, lam
 
 
 @dataclass(frozen=True)
@@ -295,10 +307,9 @@ def z_build(n: int, omega, candidates) -> ZSystemSpec:
 
 def z_build_real(n: int, omega) -> ZSystemSpec:
     """Same as z_build (n >= 1, a finite omega) but with the real-valued
-    boundary search."""
-    n, omega = whole_index("n", n, 1), float(finite_param("omega", omega))
-    alpha_n, _ = z_search_real(n, omega)
-    return _assemble(n, omega, alpha_n, e_zeros(alpha_n, alpha_n * omega, n), 1e-9)
+    boundary search, whose result's zeros are guarded into the system's."""
+    n, omega, alpha_n, _, x = _search_real(n, omega)
+    return _assemble(n, omega, alpha_n, guarded_zero_set(n, alpha_n, alpha_n * omega, x), 1e-9)
 
 
 @dataclass(frozen=True)

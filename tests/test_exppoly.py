@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from altpoly import quad, verify
+from altpoly import quad, verify, zfun
 from altpoly.errors import CoefficientOverflowError, DivergenceError, RootFindingError
 from altpoly.exppoly import (
     ExpPolySystem,
+    ZeroSet,
     e_eval,
     e_norm,
     e_zeros,
@@ -16,10 +17,9 @@ from altpoly.exppoly import (
     legendre_type_quadrature,
     project,
     semi_axis_rule,
-    stacked_zeros,
 )
 from altpoly.polycore import PolyParams, ajp_coefficients, ajp_eval
-from altpoly.quad import integrate_semi_axis
+from altpoly.quad import gauss_jacobi_rule, golub_welsch, integrate_semi_axis, jacobi_entries
 from param_forms import outcome
 
 F = Fraction
@@ -138,14 +138,51 @@ def test_zero_set_structure():
             assert lam == pytest.approx(-math.log(x), rel=1e-15)
 
 
-def test_stacked_zeros_match_e_zeros_and_the_horner_guard():
+def stacked_rows(n, pairs):
+    """The zeros of each pair descending in x and golub_welsch's range flag,
+    from one solve of the stack of the pairs' float exponents."""
+    x, _, finite = golub_welsch(*jacobi_entries(n, [float(a) for a, _ in pairs],
+                                                [float(b) for _, b in pairs]))
+    return x[:, ::-1], finite
+
+
+class _Handed(Exception):
+    pass
+
+
+def scan_flags(monkeypatch, n, pairs):
+    """The rows of the stack of the pairs that the Z search's scan,
+    zfun._largest_zeros, flags and hands to the guard. The scan raises at
+    its first flagged row, so it runs again on the rows after each one."""
+    a, b = [float(p) for p, _ in pairs], [float(q) for _, q in pairs]
+    flagged = []
+
+    def guard(n, r, _, x, finite):
+        flagged.append(r)
+        raise _Handed
+
+    monkeypatch.setattr(zfun, "_exponents",
+                        lambda n, rows, omega: ([a[r] for r in rows], [b[r] for r in rows]))
+    monkeypatch.setattr(zfun, "guarded_zero_set", guard)
+    start = 0
+    while start < len(pairs):
+        try:
+            zfun._largest_zeros(n, list(range(start, len(pairs))), 1)
+        except _Handed:
+            start = flagged[-1] + 1
+        else:
+            break
+    return set(flagged)
+
+
+def test_stacked_zeros_match_e_zeros_and_the_horner_guard(monkeypatch):
     pairs = [(F(0), F(0)), (F(1, 2), F(3, 2)), (F(161, 3), F(161, 12)), (2.5, 0.0), (F(-1, 2), 7)]
     for n in (1, 2, 5, 12, 20):
-        xs, finite, simple = stacked_zeros(n, [float(a) for a, _ in pairs],
-                                           [float(b) for _, b in pairs])
+        xs, finite = stacked_rows(n, pairs)
+        assert scan_flags(monkeypatch, n, pairs) == set()
         for r, (a, b) in enumerate(pairs):
             # each row of one stacked solve is the pair's solve alone
-            zs = guarded_zero_set(n, a, b, xs[r], finite[r], simple[r])
+            zs = guarded_zero_set(n, a, b, xs[r], finite[r])
             assert zs == e_zeros(a, b, n)
             # the guard's reference: DensePoly Horner on the rounded exact
             # member P_n^(a,b)(1-2x) at the binary parameters
@@ -162,23 +199,48 @@ def test_stacked_zeros_match_e_zeros_and_the_horner_guard():
 GUARD_PAIRS = [(F(-1, 2), F(0)), (F(0), F(0)), (F(1, 2), F(3, 2)), (F(3), F(2)),
                (F(161, 3), F(161, 6)), (0.999, -0.9), (22.0, 5.5), (F(7, 3), F(64)),
                (1e200, 0.0), (-0.5, 1e16), (1e120, 0.0), (F(10 ** 120), 0), (1e150, 1e150)]
+GUARD_NS = (1, 2, 5, 11, 30, 60)
+# the guard's refusals by the check that makes them; the scan makes the
+# first three itself, without the member
+SCANNED = ("too large for floats", "open interval", "cluster")
+CAUSES = (*SCANNED, "overflow", "residual")
 
 
-def test_e_zeros_equals_the_guard_on_its_row_of_a_multi_pair_stack():
-    # e_zeros solves a stack of one pair, whose Jacobi matrix is built in
-    # Python floats, and guards it in Python floats; the pair's row of a
-    # longer stack is built by numpy
+def test_e_zeros_equals_the_guard_on_its_row_of_a_multi_pair_stack(monkeypatch):
+    # e_zeros solves its one pair, whose Jacobi matrix is built in Python
+    # floats, and guards it in Python floats; the pair's row of a longer
+    # stack is built by numpy, and the scan flags its rows by numpy
     seen = set()
-    for n in (1, 2, 5, 11, 30, 60):
-        xs, finite, simple = stacked_zeros(n, [float(a) for a, _ in GUARD_PAIRS],
-                                           [float(b) for _, b in GUARD_PAIRS])
+    for n in GUARD_NS:
+        xs, finite = stacked_rows(n, GUARD_PAIRS)
+        flagged = scan_flags(monkeypatch, n, GUARD_PAIRS)
+        must_flag = set()
         for r, (a, b) in enumerate(GUARD_PAIRS):
-            want = outcome(guarded_zero_set, n, a, b, xs[r], finite[r], simple[r])
+            want = outcome(guarded_zero_set, n, a, b, xs[r], finite[r])
             assert outcome(e_zeros, a, b, n) == want, (a, b, n)
-            if issubclass(want[0], Exception):
-                seen.add(next(cause for cause in ("too large for floats", "cluster",
-                                                  "open interval", "overflow") if cause in want[1]))
-    assert seen == {"too large for floats", "cluster", "open interval", "overflow"}
+            refused = issubclass(want[0], Exception)
+            cause = next(c for c in CAUSES if c in want[1]) if refused else "answered"
+            seen.add(cause)
+            if cause in SCANNED:
+                must_flag.add(r)
+            # the member's overflow is checked before the zeros, so a row it
+            # refuses may or may not be flagged by the scan
+            elif cause != "overflow":
+                assert r not in flagged, (a, b, n)
+        assert must_flag <= flagged, (n, must_flag - flagged)
+    assert seen == {*SCANNED, "overflow", "answered"}
+
+
+def test_rule_nodes_are_the_zeros_of_the_associated_function_bit_for_bit():
+    both = 0
+    for n in GUARD_NS:
+        for a, b in GUARD_PAIRS:
+            (_, rule), (_, zeros) = outcome(gauss_jacobi_rule, n, a, b), outcome(e_zeros, a, b, n)
+            if isinstance(rule, quad.QuadRule) and isinstance(zeros, ZeroSet):
+                both += 1
+                assert [x.hex() for x in rule.nodes] == \
+                    [x.hex() for x in zeros.source_x[::-1]], (a, b, n)
+    assert both >= 40
 
 
 def test_e_zeros_takes_no_beta_moment(monkeypatch):

@@ -126,9 +126,9 @@ EDGES = [
          named={0: "ea_derivative_relation_residual"}),
     edge("check_jacobi_weight", "m", 1, None, lambda v: quad.check_jacobi_weight(v, 0, 0)),
     edge("gauss_jacobi_rule", "m", 1, None, lambda v: quad.gauss_jacobi_rule(v, 0, 0)),
-    edge("e_zeros", "m", 1, None, lambda v: exppoly.e_zeros(1, 0, v)),
-    edge("legendre_type_quadrature", "m", 1, None, exppoly.legendre_type_quadrature),
-    edge("semi_axis_rule", "m", 1, None, semi_axis_rule),
+    edge("e_zeros", "n", 1, None, lambda v: exppoly.e_zeros(1, 0, v)),
+    edge("legendre_type_quadrature", "n", 1, None, exppoly.legendre_type_quadrature),
+    edge("semi_axis_rule", "n", 1, None, semi_axis_rule),
     edge("z_search", "n", 1, None, lambda v: zfun.z_search(v, 0, zfun.whole_candidates(64))),
     edge("z_build", "n", 1, None, lambda v: zfun.z_build(v, 0, zfun.whole_candidates(64))),
     edge("z_search_real", "n", 1, None, lambda v: zfun.z_search_real(v, 0.5)),
@@ -197,6 +197,9 @@ REFUSALS = [
     *WALK,
     ("PolyParams-k=1.5", lambda: PolyParams(0, 0, 3, 1.5), ValueError,
      "k must be a whole number, got k = 1.5"),
+    # 0.0 equals the index 0, which e_norm refuses as the associated function
+    ("e_norm-k=0.0", lambda: exppoly.e_norm(SYSTEM, 0.0), ValueError,
+     "k must be a whole number, got k = 0.0"),
     *((name, call, ValueError, f"{which} must be finite, got {which} = {v}")
       for name, call, which, v in NONFINITE),
     *((f"PolyParams-alpha={v}", lambda v=v: PolyParams(v, 0, 2, 0), ValueError,

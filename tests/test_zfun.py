@@ -283,7 +283,7 @@ def test_the_residual_guard_runs_only_on_the_chosen_candidate(monkeypatch):
 ], ids=["outside", "cluster"])
 def test_a_misplaced_zero_on_a_candidate_that_is_not_chosen_fails_the_search(
         monkeypatch, mutation, message):
-    golub_welsch = exppoly.golub_welsch
+    golub_welsch = zfun.golub_welsch
 
     def mutated(diag, off):
         nodes, weights, finite = golub_welsch(diag, off)
@@ -291,7 +291,7 @@ def test_a_misplaced_zero_on_a_candidate_that_is_not_chosen_fails_the_search(
             nodes[5, -1] = mutation(nodes[5, -2])    # alpha = 5, not chosen
         return nodes, weights, finite
 
-    monkeypatch.setattr(exppoly, "golub_welsch", mutated)
+    monkeypatch.setattr(zfun, "golub_welsch", mutated)
     with pytest.raises(RootFindingError, match=message):
         z_search(3, 0, whole_candidates(10))
 
@@ -354,3 +354,21 @@ def test_z_build_is_one_eigen_solve_per_candidate_block(monkeypatch):
         z_search(30, 0, rational_candidates(40))
     assert max(shape[0] for shape in calls) == zfun._STACK_ENTRIES // 900
     assert sum(shape[0] for shape in calls) == len(rational_candidates(40))
+
+
+def test_z_build_real_solves_each_pair_once(monkeypatch):
+    # the bisection's 48 steps, the last of which gives the system's zeros
+    diagonals = []
+    golub_welsch = zfun.golub_welsch
+
+    def counted(diag, off):
+        diagonals.append(tuple(diag[0]))
+        return golub_welsch(diag, off)
+
+    monkeypatch.setattr(zfun, "golub_welsch", counted)
+    monkeypatch.setattr(exppoly, "golub_welsch", counted)
+    spec = z_build_real(5, 0.5)
+    assert len(diagonals) == len(set(diagonals)) == 48
+    monkeypatch.undo()
+    assert spec.zeros == exppoly.e_zeros(spec.alpha_n, spec.alpha_n * spec.omega, 5)
+    assert z_search_real(5, 0.5) == (spec.alpha_n, spec.gamma_n)
