@@ -168,7 +168,8 @@ def legendre_type_quadrature(n: int) -> QuadRule:
     """n-node rule on [0,1], n >= 1, exact for x, x^2, ..., x^(2n) but not
     for constants: the Gauss-Jacobi rule for the weight x (exact on x * x^j,
     j <= 2n-1) with each weight divided by its node."""
-    rule = gauss_jacobi_rule(whole_index("n", n, 1), 1, 0)
+    n = whole_index("n", n, 1)
+    rule = gauss_jacobi_rule(n, 1, 0)
     weights = tuple(w / x for x, w in zip(rule.nodes, rule.weights))
     return QuadRule(rule.nodes, weights, UNIT_INTERVAL, ("legendre-type", n))
 
@@ -178,6 +179,7 @@ def semi_axis_rule(n: int) -> QuadRule:
     v_s = w_s / x_s over the nodes x_s and weights w_s of
     legendre_type_quadrature, taken in reverse so that t_s ascends;
     integrates exp(-m t) exactly to 1/m for m = 2..2n+1."""
+    n = whole_index("n", n, 1)
     unit = legendre_type_quadrature(n)
     pairs = list(zip(unit.nodes, unit.weights))[::-1]
     return QuadRule(tuple(-math.log(x) for x, _ in pairs), tuple(w / x for x, w in pairs),

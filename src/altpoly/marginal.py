@@ -134,12 +134,11 @@ def member_rows(kind: MarginalKind, n: int, xs, lo: int = 1, hi: int | None = No
 
 
 def plot_table(kind: MarginalKind, n: int, points: int, exact: bool = False):
-    """Rows (x, member values k = 1..n), n >= 0, on a uniform grid including
-    both endpoints, behind the family figures: exact Horner on the exact
-    members at x = i/(points - 1), else member_rows at the float x."""
-    n = whole_index("n", n)
-    if points < 2:
-        raise ValueError("need at least two sample points")
+    """Rows (x, member values k = 1..n), n >= 0, on a uniform grid of
+    points >= 2 samples including both endpoints, behind the family figures:
+    exact Horner on the exact members at x = i/(points - 1), else
+    member_rows at the float x."""
+    n, points = whole_index("n", n), whole_index("points", points, 2)
     if exact:
         members = [a_coefficients(n, k) if kind is MarginalKind.A else t_coefficients(n, k)
                    for k in range(1, n + 1)]

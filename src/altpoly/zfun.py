@@ -65,30 +65,34 @@ def whole_candidates(limit: int = 64) -> tuple:
 def rational_candidates(limit: int = 64) -> tuple:
     """Rational candidates in [0, limit], limit >= 0, with denominators up to 4."""
     limit = whole_index("limit", limit)
-    vals = {Fraction(i) for i in range(limit + 1)}
-    for den in range(2, 5):
-        for num in range(0, limit * den + 1):
-            vals.add(Fraction(num, den))
-    return tuple(sorted(vals))
+    return tuple(sorted({Fraction(num, den) for den in range(1, 5)
+                         for num in range(limit * den + 1)}))
+
+
+def _second(alpha, omega):
+    """alpha * omega, exact where a float meets a rational beyond the float range."""
+    try:
+        return alpha * omega
+    except OverflowError:
+        return Fraction(alpha) * Fraction(omega)
 
 
 def _feasible_candidates(cands, omega) -> list:
     """The candidates alpha, in order, with alpha > -1 and omega * alpha > -1:
     exact for a rational alpha and omega (compared as integers, with no
-    Fraction built per candidate), one float product when either is a float.
-    A rational omega is rounded to a float only for a float candidate, so an
-    omega beyond the float range filters rational candidates all the same."""
-    if not is_exact(omega):
-        om = float(omega)
-        return [alpha for alpha in cands if alpha > -1 and om * alpha > -1]
-    p, q = Fraction(omega).as_integer_ratio()
+    Fraction built per candidate), else on the pair's second exponent as the
+    build forms it (_second: one float product, exact only where that would
+    overflow). So an omega beyond the float range filters rational
+    candidates all the same."""
+    exact = is_exact(omega)
+    p, q = Fraction(omega).as_integer_ratio() if exact else (None, None)
     feasible = []
     for alpha in cands:
-        if is_exact(alpha):
+        if exact and is_exact(alpha):
             num, den = alpha.numerator, alpha.denominator
             if num > -den and p * num > -q * den:
                 feasible.append(alpha)
-        elif alpha > -1 and p / q * float(alpha) > -1:
+        elif alpha > -1 and _second(alpha, omega) > -1:
             feasible.append(alpha)
     return feasible
 
@@ -109,7 +113,7 @@ def _exponents(n: int, alphas, omega) -> tuple:
         else:
             if min(a) > -1 and min(b) > -1:
                 return a, b
-    exps = [check_jacobi_weight(n, alpha, alpha * omega)[2:] for alpha in alphas]
+    exps = [check_jacobi_weight(n, alpha, _second(alpha, omega))[2:] for alpha in alphas]
     return [a for a, _ in exps], [b for _, b in exps]
 
 
@@ -127,8 +131,7 @@ def _largest_zeros(n: int, alphas, omega) -> tuple:
     xs = x[:, ::-1]
     simple = (xs[:, 0] < 1) & (xs[:, -1] > 0) & ~(xs[:, :-1] - xs[:, 1:] < 1e-12).any(axis=1)
     for r in np.flatnonzero(~(finite & simple))[:1]:
-        alpha = alphas[r]
-        guarded_zero_set(n, alpha, alpha * omega, xs[r], finite[r])    # raises
+        guarded_zero_set(n, alphas[r], _second(alphas[r], omega), xs[r], finite[r])  # raises
     return xs, [-math.log(x) for x in xs[:, -1].tolist()]
 
 
@@ -138,8 +141,8 @@ _STACK_ENTRIES = 1 << 17
 
 
 def _search(n: int, omega, candidates) -> tuple:
-    """omega as exact.finite_param reads it, the chosen candidate and its
-    zero set (see z_search)."""
+    """(n, omega, alpha, row) of z_search: n and omega as whole_index and
+    finite_param read them, row the chosen pair's zeros, descending in x."""
     n, omega = whole_index("n", n, 1), finite_param("omega", omega)
     cands = sorted(candidates)
     if not cands:
@@ -150,18 +153,17 @@ def _search(n: int, omega, candidates) -> tuple:
             f"no candidate gives an integrable weight (alpha > -1 and omega * alpha > -1; "
             f"n={n}, omega={omega}, {len(cands)} candidates)")
     size = max(1, _STACK_ENTRIES // max(1, n * n))
-    best, best_lam = None, None
+    best = None
     for start in range(0, len(feasible), size):
         block = feasible[start:start + size]
         xs, lams = _largest_zeros(n, block, omega)
         for alpha, x, lam in zip(block, xs, lams):
-            if lam <= 1 and (best is None or lam > best_lam):
-                best, best_lam = (alpha, x), lam
+            if lam <= 1 and (best is None or lam > best[0]):
+                best = lam, alpha, x
     if best is None:
         raise FeasibilityError(
             f"no candidate keeps the largest zero below 1 (n={n}, omega={omega})")
-    alpha, x = best
-    return omega, alpha, guarded_zero_set(n, alpha, alpha * omega, x)
+    return n, omega, *best[1:]
 
 
 def z_search(n: int, omega, candidates) -> tuple:
@@ -171,21 +173,19 @@ def z_search(n: int, omega, candidates) -> tuple:
 
     Every feasible candidate's zeros come from stacked Golub--Welsch solves
     (_largest_zeros: one numpy.linalg.eigh call per block of about
-    2**17 / n**2 candidates, so memory stays bounded), whose checks that need
-    no member run on every candidate: a Jacobi matrix out of the double
-    range, or zeros outside (0, 1) or clustered, raise. The largest zeros
-    are then reduced in sorted order, assuming nothing about how they vary
-    with alpha, so permutations cannot change the result; only the chosen
-    candidate gets the residual guard and a ZeroSet
-    (exppoly.guarded_zero_set). FeasibilityError when no candidate gives an
-    integrable weight or none keeps the largest zero <= 1."""
-    _, alpha, zeros = _search(n, omega, candidates)
-    return alpha, zeros.max_lambda()
+    2**17 / n**2 candidates, so memory stays bounded), which check each
+    candidate's Jacobi matrix and zeros; the largest zeros are reduced in
+    sorted order, so permutations cannot change the result, and only the
+    chosen candidate's row gets the residual guard and a ZeroSet
+    (exppoly.guarded_zero_set, here or in _assemble). FeasibilityError when
+    no candidate gives an integrable weight or none keeps the largest zero <= 1."""
+    n, omega, alpha, row = _search(n, omega, candidates)
+    return alpha, guarded_zero_set(n, alpha, _second(alpha, omega), row).max_lambda()
 
 
 def _search_real(n: int, omega) -> tuple:
-    """(n, omega, alpha, lambda, zeros descending in x) of z_search_real's
-    result, kept from the step that found it, so no pair is solved twice."""
+    """(n, omega, alpha, row) of z_search_real, as _search gives them (omega a
+    float), the row kept from the step that found alpha: no pair is solved twice."""
     n, om = whole_index("n", n, 1), float(finite_param("omega", omega))
     lo = (-1.0 / om if om > 1 else -1.0) + 1e-9
     hi = min(64.0, -1.0 / om * (1 - 1e-9)) if om < 0 else 64.0
@@ -194,23 +194,23 @@ def _search_real(n: int, omega) -> tuple:
         xs, lams = _largest_zeros(n, [a], om)
         return lams[0], xs[0]
 
-    lam_hi, x_hi = step(hi)
-    if lam_hi > 1:
+    lam, x_hi = step(hi)
+    if lam > 1:
         raise FeasibilityError("largest zero exceeds 1 over the whole search range")
     lam_lo, x_lo = step(lo)
     if lam_lo < 1:
         # already feasible at the lower end: zero never reaches 1
-        return n, om, lo, lam_lo, x_lo
+        return n, om, lo, x_lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         lam, x = step(mid)
         if lam > 1:
             lo = mid
         else:
-            hi, lam_hi, x_hi = mid, lam, x
+            hi, x_hi = mid, x
         if hi - lo < 1e-12:
             break
-    return n, om, hi, lam_hi, x_hi
+    return n, om, hi, x_hi
 
 
 def z_search_real(n: int, omega) -> tuple:
@@ -222,9 +222,10 @@ def z_search_real(n: int, omega) -> tuple:
     and the search stops once it is narrower than 1e-12.
     Each step solves its one pair once, by _largest_zeros with the checks
     that need no member; the result is the step that last set the upper end
-    (or the feasible lower end), whose zeros z_build_real guards."""
-    _, _, alpha, lam, _ = _search_real(n, omega)
-    return alpha, lam
+    (or the feasible lower end), its largest zero read from its row as every
+    step's is, unguarded: only z_build_real's _assemble guards that row."""
+    _, _, alpha, row = _search_real(n, omega)
+    return alpha, -math.log(row[-1])
 
 
 @dataclass(frozen=True)
@@ -242,7 +243,7 @@ class ZSystemSpec:
 
     @property
     def beta_n(self):
-        return self.alpha_n * self.omega
+        return _second(self.alpha_n, self.omega)
 
     @property
     def _factor(self) -> float:
@@ -281,10 +282,11 @@ class ZSystemSpec:
         return (0.0,) + tuple(lam / self._factor for lam in self.zeros.lambdas)
 
 
-def _assemble(n: int, omega, alpha_n, zeros: ZeroSet, unscaled_tol: float) -> ZSystemSpec:
-    """Build the system for a searched exponent and its zeros, unscaled (Z)
-    when gamma, the largest zero, is within unscaled_tol of 1; the associated
-    function must vanish at t = 1."""
+def _assemble(n: int, omega, alpha_n, row, unscaled_tol: float) -> ZSystemSpec:
+    """The system of a search's (n, omega, alpha, row), its row guarded here for
+    both builds (exppoly.guarded_zero_set); unscaled (Z) when gamma, the largest
+    zero, is within unscaled_tol of 1, and the associated function must vanish at t = 1."""
+    zeros = guarded_zero_set(n, alpha_n, _second(alpha_n, omega), row)
     gamma_n = zeros.max_lambda()
     scaled = not math.isclose(gamma_n, 1.0, rel_tol=0, abs_tol=unscaled_tol)
     spec = ZSystemSpec(n=n, omega=omega, alpha_n=alpha_n, gamma_n=gamma_n,
@@ -297,19 +299,15 @@ def _assemble(n: int, omega, alpha_n, zeros: ZeroSet, unscaled_tol: float) -> ZS
 
 
 def z_build(n: int, omega, candidates) -> ZSystemSpec:
-    """Run the search (n >= 1, a finite omega), then assemble the system
-    from the chosen candidate's zeros, so a build is one stacked eigen-solve
-    per candidate block and no more; asserts that the associated function
-    vanishes at t = 1."""
-    omega, alpha_n, zeros = _search(n, omega, candidates)
-    return _assemble(n, omega, alpha_n, zeros, GAMMA_UNSCALED_TOL)
+    """Run the search (n >= 1, a finite omega), then assemble the system from
+    the chosen candidate's row, so a build is one stacked eigen-solve per
+    candidate block and no more; the associated function must vanish at t = 1."""
+    return _assemble(*_search(n, omega, candidates), GAMMA_UNSCALED_TOL)
 
 
 def z_build_real(n: int, omega) -> ZSystemSpec:
-    """Same as z_build (n >= 1, a finite omega) but with the real-valued
-    boundary search, whose result's zeros are guarded into the system's."""
-    n, omega, alpha_n, _, x = _search_real(n, omega)
-    return _assemble(n, omega, alpha_n, guarded_zero_set(n, alpha_n, alpha_n * omega, x), 1e-9)
+    """z_build (n >= 1, a finite omega) by the real-valued boundary search."""
+    return _assemble(*_search_real(n, omega), 1e-9)
 
 
 @dataclass(frozen=True)

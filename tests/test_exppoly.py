@@ -302,6 +302,17 @@ def test_semi_axis_rule_n1():
     assert v1 * math.exp(-t1) == pytest.approx(0.75, rel=1e-14)
 
 
+def test_the_rules_store_their_n_as_an_int():
+    # a numpy index is read by exact.whole_index, so the descriptor holds an int
+    import numpy as np
+
+    for rule, name in ((legendre_type_quadrature, "legendre-type"),
+                       (semi_axis_rule, "semi-axis-exp")):
+        desc = rule(np.int64(3)).weight_desc
+        assert desc == (name, 3) and type(desc[1]) is int
+        assert rule(np.int64(3)) == rule(3)
+
+
 def test_semi_axis_rule_exactness():
     assert not verify.run_rows({"semi-axis-rule-exactness": 8})["failures"]
 

@@ -187,6 +187,15 @@ def test_plot_table_shape_and_endpoints():
     assert x0 == 0.0 and all(v == 0 for v in values0)
 
 
+def test_plot_table_reads_points_as_an_index():
+    # a numpy count gives the rows Python floats, as an int count does
+    import numpy as np
+
+    rows = plot_table(MarginalKind.A, 3, np.int64(9))
+    assert rows == plot_table(MarginalKind.A, 3, 9)
+    assert all(type(x) is float for x, _ in rows)
+
+
 def test_plot_table_exact_mode():
     rows = plot_table(MarginalKind.T, 3, 5, exact=True)
     assert rows[-1][0] == 1

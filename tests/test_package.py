@@ -161,6 +161,9 @@ RANGE_OWNERS = {("exact", "whole_index"), ("exppoly", "semi_axis_point")}
 # a message that states a range: "k <= n", "n >= 1" or "k = 5 outside 0..4";
 # "outside the open domain" (QuadRule's nodes) names no index range
 RANGE_MESSAGE = re.compile(r"<=|>=|outside \S*\.\.")
+# a hand-written count check ("need at least two sample points"); the CLI
+# keeps its usage wording for argparse ("--n must be at least 1")
+COUNT_MESSAGE = re.compile(r"at least")
 
 
 def test_no_raise_but_the_index_helper_states_an_index_range():
@@ -172,9 +175,10 @@ def test_no_raise_but_the_index_helper_states_an_index_range():
         owned = {id(node) for top in ast.walk(tree)
                  if isinstance(top, ast.FunctionDef) and (path.stem, top.name) in RANGE_OWNERS
                  for node in ast.walk(top)}
+        patterns = (RANGE_MESSAGE,) if path.stem == "cli" else (RANGE_MESSAGE, COUNT_MESSAGE)
         stray += [(path.stem, node.lineno) for node in ast.walk(tree)
                   if isinstance(node, ast.Raise) and node.exc and id(node) not in owned
-                  and RANGE_MESSAGE.search(ast.unparse(node.exc))]
+                  and any(p.search(ast.unparse(node.exc)) for p in patterns)]
     assert not stray, sorted(stray)
 
 

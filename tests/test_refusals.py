@@ -114,6 +114,8 @@ EDGES = [
     edge("ode_apply", "n", 0, None, lambda v: polycore.ode_apply(0, 0, v, 0, DensePoly((1, 1)))),
     edge("ode_apply", "k", 0, 3, lambda v: polycore.ode_apply(0, 0, 3, v, DensePoly((1, 1)))),
     edge("plot_table", "n", 0, None, lambda v: marginal.plot_table(MarginalKind.A, v, 5)),
+    edge("plot_table", "points", 2, None, lambda v: marginal.plot_table(MarginalKind.A, 3, v),
+         named={1: "plot_table"}),
     edge("ExpPolySystem", "n", 1, None, lambda v: ExpPolySystem(1, 0, v)),
     edge("ExpPolySystem.member_poly", "k", 0, 4, SYSTEM.member_poly),
     edge("e_eval", "k", 0, 4, lambda v: exppoly.e_eval(SYSTEM, v, 0.5)),
@@ -240,8 +242,6 @@ REFUSALS = [
      DivergenceError, "weighted integral of member (n=3, k=0) diverges for alpha = -2"),
     ("direct_norm_d", lambda: polycore.direct_norm_d(-1, 0, 1, 2), DivergenceError,
      "direct norms need alpha > -1 and beta > -1"),
-    ("plot_table", lambda: marginal.plot_table(MarginalKind.A, 3, 1), ValueError,
-     "need at least two sample points"),
     ("ExpPolySystem", lambda: ExpPolySystem(-1, 0, 3), ValueError,
      "system needs alpha > -1 and beta > -1"),
     ("QuadRule-lengths", lambda: quad.QuadRule((0.5,), (0.1, 0.2), quad.UNIT_INTERVAL, ("x", 1)),

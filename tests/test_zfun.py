@@ -203,6 +203,32 @@ def test_omega_beyond_the_float_range_gets_a_typed_refusal():
         z_build(3, omega, whole_candidates(64))
 
 
+@pytest.mark.parametrize("omega,candidates,a", [
+    (F(10) ** 400, [0.5, 1], 0.5),
+    (0.5, [10 ** 400, 1], 10 ** 400),
+    (0.5, [F(10) ** 400], 10 ** 400),
+], ids=["float-alpha", "int-alpha", "fraction-alpha"])
+def test_a_float_against_a_rational_beyond_the_float_range_is_refused_by_name(
+        omega, candidates, a):
+    # the pair's second exponent is formed exactly where the float product
+    # overflows, so the first pair is refused naming a and b
+    for search in (z_search, z_build):
+        with pytest.raises(RootFindingError, match=f"a = {a}, b = {5 * 10 ** 399}, m = 3 "):
+            search(3, omega, candidates)
+
+
+def test_feasibility_beyond_the_float_range_is_decided_exactly():
+    # -0.5 * 10**400 < -1: the negative float candidate is skipped, and the
+    # search refuses the next candidate by name, or says none is integrable
+    big = F(10) ** 400
+    assert zfun._feasible_candidates([-0.5, 0.5, 1], big) == [0.5, 1]
+    assert zfun._feasible_candidates([-1, 1.5, 10 ** 400], -0.5) == [1.5]
+    with pytest.raises(RootFindingError, match=f"a = 1, b = {10 ** 400}, m = 3 "):
+        z_search(3, big, [-0.5, 1])
+    with pytest.raises(FeasibilityError, match="no candidate gives an integrable weight"):
+        z_build(3, big, [-0.5])
+
+
 def _scan(n, omega, candidates):
     """Reference search: one lambda_max per feasible candidate, reduced in
     sorted order (the loop the stacked search replaced)."""
@@ -313,6 +339,26 @@ def test_z_build_guards_and_builds_only_the_chosen_candidate(monkeypatch):
     spec = z_build(8, F(1, 2), whole_candidates(64))
     assert counts == {"member": 1, "zero set": 1}
     assert spec.alpha_n == 34
+    # the boundary search's 48 steps guard nothing; _assemble guards the last
+    counts.update({"member": 0, "zero set": 0})
+    z_build_real(5, 0.5)
+    assert counts == {"member": 1, "zero set": 1}
+
+
+def test_both_searches_hand_the_system_the_n_they_read():
+    # one protocol: each search returns (n, omega, alpha, row) with n as
+    # exact.whole_index reads it, so a numpy n builds a system of int n
+    for spec in (z_build(np.int64(3), 0, whole_candidates(64)), z_build_real(np.int64(3), 0.5)):
+        assert type(spec.n) is int and type(spec.zeros.n) is int
+    assert z_build(np.int64(3), 0, whole_candidates(64)) == z_build(3, 0, whole_candidates(64))
+    # the public searches read the same row: z_search_real's largest zero is
+    # the built system's gamma, bit for bit
+    spec = z_build_real(5, 0.5)
+    alpha, gamma = z_search_real(5, 0.5)
+    assert type(gamma) is float
+    assert (alpha.hex(), gamma.hex()) == (spec.alpha_n.hex(), spec.gamma_n.hex())
+    assert z_search(8, F(1, 2), whole_candidates(64)) == \
+        (34, z_build(8, F(1, 2), whole_candidates(64)).gamma_n)
 
 
 def test_a_search_with_no_integrable_candidate_says_so():
